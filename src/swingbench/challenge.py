@@ -50,9 +50,10 @@ def checked_distribution(model: SequenceModel, history: Sequence[int]) -> np.nda
         raise ChallengeError(
             f"model returned shape {p.shape}, expected ({model.vocab_size},)"
         )
-    if np.any(p < 0):
-        raise ChallengeError("model returned negative probabilities")
-    if abs(float(p.sum()) - 1.0) > DISTRIBUTION_TOLERANCE:
+    # Negated comparisons: NaN fails both checks, inf fails the sum check.
+    if not (p >= 0).all():
+        raise ChallengeError("model returned negative or NaN probabilities")
+    if not abs(float(p.sum()) - 1.0) <= DISTRIBUTION_TOLERANCE:
         raise ChallengeError(f"model distribution sums to {p.sum()!r}, not 1")
     return p
 
@@ -255,8 +256,7 @@ class LineProtocolModel(SequenceModel):
         fields = line.split()
         if fields and fields[0] == "*":
             p = np.zeros(self.vocab_size)
-            listed = 0.0
-            seen = 0
+            is_listed = np.zeros(self.vocab_size, dtype=bool)
             for item in fields[1:]:
                 idx_text, _, prob_text = item.partition(":")
                 try:
@@ -265,12 +265,13 @@ class LineProtocolModel(SequenceModel):
                     raise ModelProtocolError(f"bad sparse entry {item!r}") from None
                 if not 0 <= idx < self.vocab_size:
                     raise ModelProtocolError(f"sparse index {idx} out of range")
+                if is_listed[idx]:
+                    raise ModelProtocolError(f"sparse index {idx} listed twice")
                 p[idx] = prob
-                listed += prob
-                seen += 1
-            rest = self.vocab_size - seen
+                is_listed[idx] = True
+            rest = self.vocab_size - int(is_listed.sum())
             if rest > 0:
-                p[p == 0] += max(1.0 - listed, 0.0) / rest
+                p[~is_listed] = max(1.0 - float(p.sum()), 0.0) / rest
             return p
         try:
             p = np.array([float(x) for x in fields])

@@ -14,6 +14,7 @@ import hashlib
 import shlex
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -60,6 +61,13 @@ def provenance_header(config: dict, inputs: Sequence[Path]) -> list[str]:
     return lines
 
 
+def _write_text(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the provenance header, then ``lines``, one per line."""
+    with path.open("w", encoding="utf-8") as fh:
+        for line in chain(header, lines):
+            fh.write(line + "\n")
+
+
 def _fmt(value: float | None, decimals: int) -> str:
     return "NA" if value is None else f"{value:.{decimals}f}"
 
@@ -104,10 +112,15 @@ def _pieces_from_corpus(path: Path) -> tuple[list[Piece], list[Path]]:
     return pieces, [path]
 
 
-def _pieces_from_tokens(token_dir: Path) -> tuple[list[Piece], list[Path]]:
+def _token_files(token_dir: Path) -> list[Path]:
     files = sorted(token_dir.glob("*.tokens"))
     if not files:
         raise CliError(f"no .tokens files under {token_dir}")
+    return files
+
+
+def _pieces_from_tokens(token_dir: Path) -> tuple[list[Piece], list[Path]]:
+    files = _token_files(token_dir)
     pieces = []
     for file in files:
         timeline = decode_tokens(read_tokens(file, VOCAB), VOCAB)
@@ -150,10 +163,7 @@ def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
             for solo in solos
         ]
         return seqs, [s.id for s in solos], [path]
-    token_dir = Path(args.tokens_dir)
-    files = sorted(token_dir.glob("*.tokens"))
-    if not files:
-        raise CliError(f"no .tokens files under {token_dir}")
+    files = _token_files(Path(args.tokens_dir))
     seqs = [VOCAB.tokens_to_ids(read_tokens(f, VOCAB)) for f in files]
     return seqs, [f.stem for f in files], files
 
@@ -176,27 +186,18 @@ def cmd_tokenize(args) -> int:
     summary_rows = []
     for solo in solos:
         tokens = encode_solo(solo, include_structure=not args.no_structure)
-        token_path = out_dir / f"{solo.id}.tokens"
-        with token_path.open("w", encoding="utf-8") as fh:
-            for line in header:
-                fh.write(line + "\n")
-            for tok in tokens:
-                fh.write(f"{tok}\n")
+        _write_text(out_dir / f"{solo.id}.tokens", header, map(str, tokens))
         summary_rows.append((solo.id, len(solo.notes), len(solo.beats), len(tokens)))
 
     VOCAB.save(out_dir / "vocab.tsv")
     total_events = sum(r[3] for r in summary_rows)
-    with (out_dir / "summary.tsv").open("w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        fh.write("solo_id\tnotes\tbeats\tevents\n")
-        for row in summary_rows:
-            fh.write("\t".join(map(str, row)) + "\n")
-        fh.write(
-            f"TOTAL\t{sum(r[1] for r in summary_rows)}\t"
-            f"{sum(r[2] for r in summary_rows)}\t{total_events}\n"
-        )
-        fh.write(f"# solos={len(solos)} mean_events_per_solo={total_events / len(solos):.1f}\n")
+    _write_text(out_dir / "summary.tsv", header, [
+        "solo_id\tnotes\tbeats\tevents",
+        *("\t".join(map(str, row)) for row in summary_rows),
+        f"TOTAL\t{sum(r[1] for r in summary_rows)}\t"
+        f"{sum(r[2] for r in summary_rows)}\t{total_events}",
+        f"# solos={len(solos)} mean_events_per_solo={total_events / len(solos):.1f}",
+    ])
     print(f"tokenized {len(solos)} solos -> {out_dir}")
     return 0
 
@@ -247,39 +248,32 @@ def cmd_report(args) -> int:
         if args.scape_images:
             structure.write_scape_pgm(plot, out_dir / f"{piece.piece_id}.pgm")
 
-    report_path = out_dir / "report.tsv"
-    band_names = [_band_label(b) for b in bands]
-    with report_path.open("w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(line + "\n")
-        fh.write("piece_id\tH1\tH4\tGS\tCPI\t" + "\t".join(band_names) + "\n")
-        for row, indicators in rows:
-            cells = [
-                row.piece_id,
-                _fmt(row.entropy_1bar, 4),
-                _fmt(row.entropy_4bar, 4),
-                _fmt(row.grooving, 4),
-                _fmt(row.chord_irregularity, 2),
-                *(_fmt(si, 4) for si in indicators),
-            ]
-            fh.write("\t".join(cells) + "\n")
+    def column_mean(values: Iterable[float | None]) -> float | None:
+        defined = [v for v in values if v is not None]
+        return float(np.mean(defined)) if defined else None
 
-        def column_mean(values: Iterable[float | None]) -> float | None:
-            defined = [v for v in values if v is not None]
-            return float(np.mean(defined)) if defined else None
-
-        mean_cells = [
-            "MEAN",
-            _fmt(column_mean(r.entropy_1bar for r, _ in rows), 4),
-            _fmt(column_mean(r.entropy_4bar for r, _ in rows), 4),
-            _fmt(column_mean(r.grooving for r, _ in rows), 4),
-            _fmt(column_mean(r.chord_irregularity for r, _ in rows), 2),
-            *(
-                _fmt(column_mean(ind[i] for _, ind in rows), 4)
-                for i in range(len(bands))
-            ),
+    lines = ["piece_id\tH1\tH4\tGS\tCPI\t" + "\t".join(_band_label(b) for b in bands)]
+    for row, indicators in rows:
+        cells = [
+            row.piece_id,
+            _fmt(row.entropy_1bar, 4),
+            _fmt(row.entropy_4bar, 4),
+            _fmt(row.grooving, 4),
+            _fmt(row.chord_irregularity, 2),
+            *(_fmt(si, 4) for si in indicators),
         ]
-        fh.write("\t".join(mean_cells) + "\n")
+        lines.append("\t".join(cells))
+    mean_cells = [
+        "MEAN",
+        _fmt(column_mean(r.entropy_1bar for r, _ in rows), 4),
+        _fmt(column_mean(r.entropy_4bar for r, _ in rows), 4),
+        _fmt(column_mean(r.grooving for r, _ in rows), 4),
+        _fmt(column_mean(r.chord_irregularity for r, _ in rows), 2),
+        *(_fmt(column_mean(ind[i] for _, ind in rows), 4) for i in range(len(bands))),
+    ]
+    lines.append("\t".join(mean_cells))
+    report_path = out_dir / "report.tsv"
+    _write_text(report_path, header, lines)
     print(f"wrote {report_path} ({len(pieces)} pieces)")
     return 0
 
@@ -299,6 +293,15 @@ def cmd_scape(args) -> int:
     return 0
 
 
+def _load_ngram(path: str) -> chal.NGramModel:
+    model = chal.NGramModel.load(path)
+    if model.vocab_size != VOCAB.size:
+        raise CliError(
+            f"model vocabulary ({model.vocab_size}) does not match this build ({VOCAB.size})"
+        )
+    return model
+
+
 def _build_model(args, sequences: list[list[int]]):
     if args.model == "uniform":
         return chal.UniformModel(VOCAB.size)
@@ -309,7 +312,7 @@ def _build_model(args, sequences: list[list[int]]):
             raise CliError("--external-cmd is required with --model external")
         return chal.SubprocessModel(shlex.split(args.external_cmd), VOCAB.size)
     if args.model_file:
-        return chal.NGramModel.load(args.model_file)
+        return _load_ngram(args.model_file)
     return chal.train_ngram(sequences, order=args.order, vocab_size=VOCAB.size, alpha=args.alpha)
 
 
@@ -338,18 +341,15 @@ def cmd_challenge(args) -> int:
         "no_structure": args.no_structure,
         "source": Path(args.corpus or args.tokens_dir).name,
     }
+    lines = ["question\tP0\tP1\tP2\tP3\tchosen\ttrue\tcorrect"]
+    for row in result.rows:
+        scores = "\t".join(f"{p:.6f}" for p in row["scores"])
+        lines.append(
+            f"{row['question']}\t{scores}\t{row['chosen']}\t{row['true']}\t{int(row['correct'])}"
+        )
+    lines.append(f"# accuracy {result.accuracy:.4f}")
     path = out_dir / "challenge.tsv"
-    with path.open("w", encoding="utf-8") as fh:
-        for line in provenance_header(config, input_files):
-            fh.write(line + "\n")
-        fh.write("question\tP0\tP1\tP2\tP3\tchosen\ttrue\tcorrect\n")
-        for row in result.rows:
-            scores = "\t".join(f"{p:.6f}" for p in row["scores"])
-            fh.write(
-                f"{row['question']}\t{scores}\t{row['chosen']}\t{row['true']}\t"
-                f"{int(row['correct'])}\n"
-            )
-        fh.write(f"# accuracy {result.accuracy:.4f}\n")
+    _write_text(path, provenance_header(config, input_files), lines)
     print(f"accuracy {result.accuracy:.4f} over {len(questions)} questions -> {path}")
     return 0
 
@@ -369,11 +369,7 @@ def cmd_train_model(args) -> int:
 def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = chal.NGramModel.load(args.model_file)
-    if model.vocab_size != VOCAB.size:
-        raise CliError(
-            f"model vocabulary ({model.vocab_size}) does not match this build ({VOCAB.size})"
-        )
+    model = _load_ngram(args.model_file)
     config = {
         "command": "generate",
         "model_file": Path(args.model_file).name,
@@ -394,13 +390,11 @@ def cmd_generate(args) -> int:
             max_tokens=args.max_tokens,
         )
         tokens, dropped = repair_token_stream(VOCAB.ids_to_tokens(ids), VOCAB)
-        path = out_dir / f"gen-{i:03d}.tokens"
-        with path.open("w", encoding="utf-8") as fh:
-            for line in header:
-                fh.write(line + "\n")
-            fh.write(f"# piece {i} repaired_drops={dropped}\n")
-            for tok in tokens:
-                fh.write(f"{tok}\n")
+        _write_text(
+            out_dir / f"gen-{i:03d}.tokens",
+            [*header, f"# piece {i} repaired_drops={dropped}"],
+            map(str, tokens),
+        )
     print(f"generated {args.count} pieces of {args.bars} bars -> {out_dir}")
     return 0
 

@@ -331,11 +331,7 @@ def load_corpus(
             solos.append(solo)
     if not solos:
         raise EmptyCorpusError(f"{path}: corpus contains no solos")
-    log.info(
-        "loaded %d solos (%s)",
-        len(solos),
-        ", ".join(f"{s.id}: {len(s.notes)} notes/{len(s.beats)} beats" for s in solos),
-    )
+    log.info("loaded %d solos from %s", len(solos), path)
     return solos
 
 

@@ -10,6 +10,10 @@ markers.  Form parts open right after the ``Bar`` of their first bar
 (``PartStart``, ``RepStart``) and close at the end of their last bar
 (``RepEnd``, ``PartEnd``).
 
+``_GROUP_GRAMMAR`` is the one statement of this grammar inside a
+position; ``decode_tokens`` walks it strictly and
+``repair_token_stream`` leniently, through the same ``_GrammarWalker``.
+
 Quantization:
 
 * loudness dB -> velocity bin ``v = floor((80 + 3*(dB - 65)) / 4)``
@@ -28,6 +32,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -543,31 +548,93 @@ class DecodedTimeline:
         return out
 
 
-_TRIPLE_NEXT = {
-    NOTE_VELOCITY: (NOTE_ON,),
-    NOTE_ON: (NOTE_DURATION,),
+# --- the event grammar ---------------------------------------------------
+
+# What may come next inside an event group, keyed by the category just
+# read; an empty tuple closes the group.  The key None lists the
+# categories that open a group, which needs an open Position.  Bar,
+# Position and the form-part markers stand alone outside groups.
+_GROUP_GRAMMAR: dict[str | None, tuple[str, ...]] = {
+    None: (TEMPO_CLASS, CHORD_TONE, PHRASE, MLU, NOTE_VELOCITY),
+    TEMPO_CLASS: (TEMPO,),
+    TEMPO: (),
     CHORD_TONE: (CHORD_TYPE,),
     CHORD_TYPE: (CHORD_SLASH,),
-    TEMPO_CLASS: (TEMPO,),
+    CHORD_SLASH: (),
     PHRASE: (MLU, NOTE_VELOCITY),
     MLU: (NOTE_VELOCITY,),
+    NOTE_VELOCITY: (NOTE_ON,),
+    NOTE_ON: (NOTE_DURATION,),
+    NOTE_DURATION: (),
 }
 
-_TOP_CATEGORIES = (
-    BAR,
-    POSITION,
-    TEMPO_CLASS,
-    CHORD_TONE,
-    PHRASE,
-    MLU,
-    NOTE_VELOCITY,
-    PART_START,
-    PART_END,
-    REP_START,
-    REP_END,
-)
 
-_NEEDS_POSITION = (TEMPO_CLASS, CHORD_TONE, PHRASE, MLU, NOTE_VELOCITY)
+@lru_cache(maxsize=None)
+def _group_head(category: str) -> str:
+    """The category that opens the event group ``category`` belongs to."""
+    if category in _GROUP_GRAMMAR[None]:
+        return category
+    return _group_head(next(k for k, nxt in _GROUP_GRAMMAR.items() if k and category in nxt))
+
+
+class _GrammarWalker:
+    """Walks a token stream through the event grammar, one token at a time.
+
+    ``expected`` holds the categories the open event group may continue
+    with, or None between groups.
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        self.vocab = vocab
+        self.bar_open = False
+        self.last_position: int | None = None
+        self.expected: tuple[str, ...] | None = None
+
+    def step(self, tok: EventToken) -> tuple[str, tuple[str, ...]] | None:
+        """Accept a known token and return None, or leave the state unchanged
+        and return (message template, expected categories).  Only
+        :meth:`advance` formats the template, so repair never pays for it."""
+        cat = tok.category
+        if self.expected is not None:
+            if cat not in self.expected:
+                return "got {tok} inside an event group", self.expected
+            self.expected = _GROUP_GRAMMAR[cat] or None
+            return None
+        opens_group = cat in _GROUP_GRAMMAR[None]
+        if cat in _GROUP_GRAMMAR and not opens_group:
+            return "{tok.category} not preceded by {expected[0]}", (_group_head(cat),)
+        if cat == BAR:
+            self.bar_open = True
+            self.last_position = None
+        elif not self.bar_open:
+            return "{tok} before the first Bar", (BAR,)
+        elif cat == POSITION:
+            if self.last_position is not None and tok.value <= self.last_position:
+                return "Position({tok.value}) does not increase past Position({last})", ()
+            self.last_position = tok.value
+        elif opens_group:
+            if self.last_position is None:
+                return "{tok} before the first Position of the bar", (POSITION,)
+            self.expected = _GROUP_GRAMMAR[cat]
+        return None
+
+    def advance(self, i: int, tok: EventToken) -> None:
+        """Accept ``tok`` as token ``i``, or raise :class:`TokenGrammarError`
+        and leave the state unchanged."""
+        if not self.vocab.is_valid(tok):
+            raise TokenGrammarError(i, f"unknown token {tok}")
+        rejection = self.step(tok)
+        if rejection is not None:
+            template, expected = rejection
+            message = template.format(tok=tok, last=self.last_position, expected=expected)
+            raise TokenGrammarError(i, message, expected)
+
+    def finish(self, n: int) -> None:
+        """Raise :class:`TokenGrammarError` unless a stream of ``n`` tokens may end here."""
+        if self.expected is not None:
+            raise TokenGrammarError(n, "stream ends inside an event group", self.expected)
+        if not self.bar_open:
+            raise TokenGrammarError(0, "stream contains no Bar token", (BAR,))
 
 
 def decode_tokens(
@@ -590,99 +657,26 @@ def decode_tokens(
     bar = -1
     bar_start = 0.0
     beat_durs = [60.0 / default_bpm] * 4
-    last_position: int | None = None
     position_time = 0.0
     current_beat = 0
 
-    expected: tuple[str, ...] | None = None
-    pending_note: dict | None = None
     pending_phrase = False
     pending_mlu: int | None = None
-    pending_chord_tone = -1
-    pending_chord_type = -1
+    pending_vbin = pending_pitch = pending_chord_tone = pending_chord_type = -1
 
-    def close_bar() -> None:
-        nonlocal bar_start
-        bar_start += sum(beat_durs)
-
+    walker = _GrammarWalker(vocab)
     for i, tok in enumerate(tokens):
-        if not vocab.is_valid(tok):
-            raise TokenGrammarError(i, f"unknown token {tok}")
+        walker.advance(i, tok)
         cat, val = tok.category, tok.value
-
-        if expected is not None:
-            if cat not in expected:
-                raise TokenGrammarError(i, f"got {tok} inside an event group", expected)
-            if cat == TEMPO:
-                bpm = tempo_value_to_bpm(val)
-                for b in range(current_beat, 4):
-                    beat_durs[b] = 60.0 / bpm
-                tempo_curve.append(TempoPoint(position_time, bar, last_position or 0, bpm))
-                expected = None
-            elif cat == CHORD_TYPE:
-                pending_chord_type = val
-                expected = _TRIPLE_NEXT[cat]
-            elif cat == CHORD_SLASH:
-                symbol = ChordSymbol(pending_chord_tone, pending_chord_type, val)
-                chords.append(DecodedChord(position_time, bar, last_position or 0, symbol))
-                expected = None
-            elif cat == MLU:
-                pending_mlu = val
-                expected = _TRIPLE_NEXT[cat]
-            elif cat == NOTE_VELOCITY:
-                pending_note = {"vbin": val}
-                expected = _TRIPLE_NEXT[cat]
-            elif cat == NOTE_ON:
-                pending_note["pitch"] = val
-                expected = _TRIPLE_NEXT[cat]
-            elif cat == NOTE_DURATION:
-                dur = val / POSITIONS_PER_BEAT * beat_durs[current_beat]
-                notes.append(
-                    DecodedNote(
-                        onset_sec=position_time,
-                        duration_sec=dur,
-                        pitch=pending_note["pitch"],
-                        velocity_bin=pending_note["vbin"],
-                        velocity_midi=velocity_to_midi(pending_note["vbin"]),
-                        duration_units=val,
-                        bar=bar,
-                        position=last_position or 0,
-                        phrase_start=pending_phrase,
-                        mlu_label=vocab.mlu_labels[pending_mlu]
-                        if pending_mlu is not None
-                        else None,
-                    )
-                )
-                pending_note = None
-                pending_phrase = False
-                pending_mlu = None
-                expected = None
-            continue
-
-        if cat not in _TOP_CATEGORIES:
-            if cat in (NOTE_ON, NOTE_DURATION):
-                raise TokenGrammarError(i, f"{cat} not preceded by NoteVelocity", (NOTE_VELOCITY,))
-            if cat == TEMPO:
-                raise TokenGrammarError(i, "Tempo not preceded by TempoClass", (TEMPO_CLASS,))
-            raise TokenGrammarError(i, f"{cat} not preceded by ChordTone", (CHORD_TONE,))
-
+        position = walker.last_position
         if cat == BAR:
             if bar >= 0:
-                close_bar()
+                bar_start += sum(beat_durs)
             bar += 1
             bar_times.append(bar_start)
             beat_durs = [beat_durs[3]] * 4
-            last_position = None
             current_beat = 0
-            continue
-        if bar < 0:
-            raise TokenGrammarError(i, f"{tok} before the first Bar", (BAR,))
-        if cat == POSITION:
-            if last_position is not None and val <= last_position:
-                raise TokenGrammarError(
-                    i, f"Position({val}) does not increase past Position({last_position})"
-                )
-            last_position = val
+        elif cat == POSITION:
             current_beat = val // POSITIONS_PER_BEAT
             position_time = (
                 bar_start
@@ -691,33 +685,48 @@ def decode_tokens(
                 / POSITIONS_PER_BEAT
                 * beat_durs[current_beat]
             )
-            continue
-        if cat in (PART_START, PART_END, REP_START, REP_END):
+        elif cat in (PART_START, PART_END, REP_START, REP_END):
             structure.append(StructureMarker(bar, cat, val))
-            continue
-        if last_position is None:
-            raise TokenGrammarError(i, f"{tok} before the first Position of the bar", (POSITION,))
-        if cat == TEMPO_CLASS:
-            expected = _TRIPLE_NEXT[cat]
+        elif cat == TEMPO:
+            bpm = tempo_value_to_bpm(val)
+            for b in range(current_beat, 4):
+                beat_durs[b] = 60.0 / bpm
+            tempo_curve.append(TempoPoint(position_time, bar, position, bpm))
         elif cat == CHORD_TONE:
             pending_chord_tone = val
-            expected = _TRIPLE_NEXT[cat]
+        elif cat == CHORD_TYPE:
+            pending_chord_type = val
+        elif cat == CHORD_SLASH:
+            symbol = ChordSymbol(pending_chord_tone, pending_chord_type, val)
+            chords.append(DecodedChord(position_time, bar, position, symbol))
         elif cat == PHRASE:
             pending_phrase = True
-            expected = _TRIPLE_NEXT[cat]
         elif cat == MLU:
             pending_mlu = val
-            expected = _TRIPLE_NEXT[cat]
         elif cat == NOTE_VELOCITY:
-            pending_note = {"vbin": val}
-            expected = _TRIPLE_NEXT[cat]
+            pending_vbin = val
+        elif cat == NOTE_ON:
+            pending_pitch = val
+        elif cat == NOTE_DURATION:
+            notes.append(
+                DecodedNote(
+                    onset_sec=position_time,
+                    duration_sec=val / POSITIONS_PER_BEAT * beat_durs[current_beat],
+                    pitch=pending_pitch,
+                    velocity_bin=pending_vbin,
+                    velocity_midi=velocity_to_midi(pending_vbin),
+                    duration_units=val,
+                    bar=bar,
+                    position=position,
+                    phrase_start=pending_phrase,
+                    mlu_label=vocab.mlu_labels[pending_mlu] if pending_mlu is not None else None,
+                )
+            )
+            pending_phrase = False
+            pending_mlu = None
 
-    if expected is not None:
-        raise TokenGrammarError(len(tokens), "stream ends inside an event group", expected)
-    if bar < 0:
-        raise TokenGrammarError(0, "stream contains no Bar token", (BAR,))
-    close_bar()
-    bar_times.append(bar_start)
+    walker.finish(len(tokens))
+    bar_times.append(bar_start + sum(beat_durs))
     return DecodedTimeline(notes, chords, tempo_curve, structure, bar_times)
 
 
@@ -726,60 +735,29 @@ def repair_token_stream(
 ) -> tuple[list[EventToken], int]:
     """Drop tokens that violate the grammar; returns (repaired, drop count).
 
-    Used to clean sampled streams before decoding: incomplete event
-    groups are removed wholesale, out-of-order positions and content
-    outside a bar/position are skipped.
+    Used to clean sampled streams before decoding.  Unknown tokens are
+    dropped on their own.  A token that breaks the open event group drops
+    the whole group and is then retried between groups; any other token
+    the grammar rejects (out-of-order positions, content outside a
+    bar/position, orphan group members) is dropped.
     """
     out: list[EventToken] = []
-    pending: list[EventToken] = []
-    expected: tuple[str, ...] | None = None
-    bar_open = False
-    position_open = False
-    last_position: int | None = None
+    group: list[EventToken] = []
+    walker = _GrammarWalker(vocab)
     dropped = 0
-
     for tok in tokens:
         if not vocab.is_valid(tok):
             dropped += 1
             continue
-        cat, val = tok.category, tok.value
-        if expected is not None:
-            if cat in expected:
-                pending.append(tok)
-                nxt = _TRIPLE_NEXT.get(cat)
-                if cat in (TEMPO, CHORD_SLASH, NOTE_DURATION):
-                    out.extend(pending)
-                    pending, expected = [], None
-                else:
-                    expected = nxt
-                continue
-            dropped += len(pending)
-            pending, expected = [], None
-            # fall through: retry this token at top level
-        if cat == BAR:
-            out.append(tok)
-            bar_open = True
-            position_open = False
-            last_position = None
-        elif cat == POSITION:
-            if bar_open and (last_position is None or val > last_position):
-                out.append(tok)
-                position_open = True
-                last_position = val
-            else:
-                dropped += 1
-        elif cat in (PART_START, PART_END, REP_START, REP_END):
-            if bar_open:
-                out.append(tok)
-            else:
-                dropped += 1
-        elif cat in _NEEDS_POSITION:
-            if position_open:
-                pending = [tok]
-                expected = _TRIPLE_NEXT[cat]
-            else:
-                dropped += 1
-        else:
+        if group and tok.category not in walker.expected:
+            dropped += len(group)
+            group = []
+            walker.expected = None
+        if walker.step(tok) is not None:
             dropped += 1
-    dropped += len(pending)
-    return out, dropped
+            continue
+        group.append(tok)
+        if walker.expected is None:
+            out.extend(group)
+            group = []
+    return out, dropped + len(group)

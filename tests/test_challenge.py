@@ -12,6 +12,7 @@ from swingbench.challenge import (
     CorpusOracleModel,
     GenerationError,
     LineProtocolModel,
+    ModelProtocolError,
     NGramModel,
     SubprocessModel,
     UniformModel,
@@ -58,6 +59,16 @@ def test_distribution_contract_enforced():
 
     with pytest.raises(ChallengeError, match="sums to"):
         checked_distribution(Broken(10), [])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_distribution_contract_rejects_nan_and_inf(bad):
+    class NonFinite(UniformModel):
+        def next_token_distribution(self, history):
+            return np.array([0.5, 0.5, bad, 0.0])
+
+    with pytest.raises(ChallengeError):
+        checked_distribution(NonFinite(4), [])
 
 
 def test_oracle_model_predicts_next():
@@ -340,6 +351,27 @@ def test_line_protocol_sparse():
     p = checked_distribution(model, [])
     assert p[1] == pytest.approx(0.7)
     assert p[0] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "line,expected",
+    [
+        ("*\n", [0.25, 0.25, 0.25, 0.25]),
+        ("* 0:0.5 1:0.0\n", [0.5, 0.0, 0.25, 0.25]),
+        ("* 0:0.4 1:0.2 2:0.2 3:0.2\n", [0.4, 0.2, 0.2, 0.2]),
+    ],
+)
+def test_line_protocol_sparse_spreads_leftover_over_unlisted(line, expected):
+    pipe = _PipeEnd(lambda history: line, 4)
+    model = LineProtocolModel(pipe, pipe, vocab_size=4)
+    assert checked_distribution(model, []) == pytest.approx(np.array(expected))
+
+
+def test_line_protocol_sparse_rejects_duplicate_index():
+    pipe = _PipeEnd(lambda history: "* 0:0.5 0:0.5\n", 4)
+    model = LineProtocolModel(pipe, pipe, vocab_size=4)
+    with pytest.raises(ModelProtocolError, match="twice"):
+        model.next_token_distribution([])
 
 
 def test_subprocess_model_matches_builtin_uniform(questions):

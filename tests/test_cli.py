@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from swingbench.challenge import train_ngram
 from swingbench.cli import main
 from swingbench.corpus import save_corpus
 from swingbench.synthetic import motif_corpus, random_corpus
@@ -178,6 +179,16 @@ def test_train_and_generate_pipeline(tmp_path, motif_file):
     # generated tokens feed straight back into the report
     rep = tmp_path / "rep"
     assert run("report", "--tokens-dir", gen_dir, "--out", rep) == 0
+
+
+@pytest.mark.parametrize("command", ["generate", "challenge"])
+def test_model_file_with_wrong_vocabulary_errors(tmp_path, motif_file, capsys, command):
+    model_path = tmp_path / "small.json"
+    train_ngram([[0, 1, 0, 1]], order=2, vocab_size=5).save(model_path)
+    source = [] if command == "generate" else ["--corpus", motif_file, "--count", 2]
+    code = run(command, "--model-file", model_path, "--out", tmp_path / "out", *source)
+    assert code == 1
+    assert "error: model vocabulary (5) does not match" in capsys.readouterr().err
 
 
 def test_generate_deterministic(tmp_path, motif_file):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swingbench.chords import parse_chord
 from swingbench.corpus import Solo, transpose_solo
-from swingbench.synthetic import four_four_beats, random_corpus
+from swingbench.synthetic import four_four_beats, random_corpus, random_solo
 from swingbench.tokenizer import (
     BAR,
     CHORD_SLASH,
@@ -425,3 +427,64 @@ def test_repair_random_id_soup_decodes():
     repaired, _ = repair_token_stream(V.ids_to_tokens(ids))
     if any(t.category == BAR for t in repaired):
         decode_tokens(repaired)  # must not raise
+
+
+def test_repair_random_id_soup_pinned_counts():
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, V.size, size=2000)
+    repaired, dropped = repair_token_stream(V.ids_to_tokens(ids))
+    assert (len(repaired), dropped) == (183, 1817)
+
+
+# --- grammar properties -----------------------------------------------------------
+
+# Ids of tokens that build valid groups, mixed into uniform ids so that
+# drawn streams reach past the first few grammar checks.
+_GRAMMAR_IDS = [
+    V.token_id(EventToken(cat, val))
+    for cat, val in [
+        (BAR, 0), (POSITION, 0), (POSITION, 16), (POSITION, 40), (TEMPO_CLASS, 3),
+        (TEMPO, 28), (CHORD_TONE, 0), (CHORD_TYPE, 11), (CHORD_SLASH, 0), (PHRASE, 0),
+        (MLU, 1), (NOTE_VELOCITY, 5), (NOTE_ON, 60), (NOTE_DURATION, 8),
+        (PART_START, 0), (REP_START, 1), (REP_END, 1), (PART_END, 0),
+    ]
+]
+_id_lists = st.lists(
+    st.one_of(st.integers(0, V.size - 1), st.sampled_from(_GRAMMAR_IDS)), max_size=120
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_id_lists)
+def test_property_repair_keeps_a_decodable_subsequence(ids):
+    tokens = V.ids_to_tokens(ids)
+    repaired, dropped = repair_token_stream(tokens)
+    assert len(repaired) + dropped == len(tokens)
+    remaining = iter(tokens)
+    assert all(tok in remaining for tok in repaired)  # a subsequence of the input
+    if any(t.category == BAR for t in repaired):
+        decode_tokens(repaired)  # must not raise
+        assert repair_token_stream(repaired) == (repaired, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_id_lists)
+def test_property_decode_accepts_exactly_what_repair_keeps_whole(ids):
+    tokens = V.ids_to_tokens(ids)
+    untouched = repair_token_stream(tokens) == (tokens, 0) and any(
+        t.category == BAR for t in tokens
+    )
+    try:
+        decode_tokens(tokens)
+    except TokenGrammarError:
+        assert not untouched
+    else:
+        assert untouched
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+def test_property_repair_leaves_encoded_solos_alone(seed, n_bars, with_structure):
+    solo = random_solo(np.random.default_rng(seed), "prop", n_bars=n_bars)
+    tokens = encode_solo(solo, include_structure=with_structure)
+    assert repair_token_stream(tokens) == (tokens, 0)
