@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .chords import ChordSymbol, parse_chord
 from .corpus import Solo
@@ -136,8 +135,12 @@ def piece_grooving(bars: Sequence[BarContent]) -> float:
     """Mean grooving similarity over all unordered pairs of bars."""
     if len(bars) < 2:
         raise MetricError("grooving similarity needs at least two bars")
-    patterns = np.stack([grooving_pattern(b.onset_positions) for b in bars])
-    return float(1.0 - pdist(patterns, metric="hamming").mean())
+    patterns = np.stack([grooving_pattern(b.onset_positions) for b in bars]).astype(float)
+    # differing slots of every pair: |a| + |b| - 2 a.b, exact for 0/1 entries
+    onsets = patterns.sum(axis=1)
+    differing = onsets[:, None] + onsets[None, :] - 2.0 * (patterns @ patterns.T)
+    hamming = differing[np.triu_indices(len(bars), 1)] / POSITIONS_PER_BAR
+    return float(1.0 - hamming.mean())
 
 
 # --- chord progression irregularity ---------------------------------------

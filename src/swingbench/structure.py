@@ -159,86 +159,133 @@ def compute_ssm(
 
 # --- optimal path family fitness -------------------------------------------
 
+# Upper bound on the DP lanes swept together (one chunk); a chunk holds at
+# least one segment, so the DP state is O(max(_CHUNK_CELLS, N)) floats
+# whatever the number of segments.
+_CHUNK_CELLS = 1 << 14
 
-def _batched_family_stats(
-    ssm: np.ndarray, duration: int, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Optimal path-family score, cell count, and row coverage for every
-    segment [s, s + duration) with s in ``starts``, in one DP sweep.
+# Path cell count L and covered rows G travel packed as L << 32 | G, so one
+# select moves both; ``_STEP`` adds one path cell covering one more row.
+_L_SHIFT = 32
+_STEP = (1 << _L_SHIFT) | 1
 
-    DP state per segment: column 0 is the escape lane (rows not covered
-    by any path), column m >= 1 is a path cell in segment column m - 1.
-    Paths enter at segment column 0 from the escape lane or a finished
-    path on the previous row, and may finish only in the last column.
+
+def _check_ssm(ssm: np.ndarray) -> np.ndarray:
+    ssm = np.asarray(ssm, dtype=float)
+    if ssm.ndim != 2 or ssm.shape[0] != ssm.shape[1]:
+        raise ValueError("SSM must be square")
+    if not np.isfinite(ssm).all():
+        raise ValueError("SSM has non-finite entries")
+    return ssm
+
+
+def _escape(
+    score: np.ndarray, packed: np.ndarray, esc: np.ndarray, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Escape lane value after a row: stay uncovered, or take a path that
+    finished in the segment's last column (strictly better only)."""
+    take_end = score[last] > score[esc]
+    return (
+        np.where(take_end, score[last], score[esc]),
+        np.where(take_end, packed[last], packed[esc]),
+    )
+
+
+def _sweep(
+    ssm: np.ndarray, durations: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal path-family score and packed ``L << 32 | G`` counters of the
+    segments ``[starts[k], starts[k] + durations[k])``, in one DP sweep
+    over the SSM rows.
+
+    The state of all segments is one flat array.  Segment ``k`` owns
+    ``durations[k] + 1`` consecutive lanes: its escape lane (the best
+    family whose paths all ended on earlier rows), then one lane per
+    segment column (the best family whose last path ends in that column on
+    this row).  For a path lane at flat position ``p`` the step
+    predecessors are plain shifts of the previous rows: (1,1) is
+    ``prev[p - 1]``, (2,1) is ``prev2[p - 1]`` and (1,2) is ``prev[p - 2]``.
+    Paths enter segment column 0 from the escape lane and finish only in
+    the last column, whence the next row's escape lane may take them.
+    Those two lanes per segment are updated through index arrays.  Once
+    the escape update has read it, the previous row's escape lane is set
+    to -inf, so the (1,2) shift into segment column 1 finds no predecessor
+    and no path starts mid-segment.
+
     Ties break deterministically: escape over path end, and step (1,1)
-    over (2,1) over (1,2).
+    over (2,1) over (1,2); a later candidate wins only when strictly
+    greater.  Lanes start at -inf, and a -inf lane's counters never reach
+    a finite score.
     """
     n = ssm.shape[0]
-    d = int(duration)
-    cols = starts[:, None] + np.arange(d)[None, :]
-    seg = ssm[:, cols]  # (n, B, d)
-    b = len(starts)
+    lanes = durations + 1
+    esc = np.cumsum(lanes) - lanes  # flat position of each escape lane
+    first = esc + 1  # path lane of segment column 0
+    last = esc + durations  # path lane of the segment's last column
+    size = int(lanes.sum())
+    column = np.arange(size) - np.repeat(esc, lanes) - 1  # -1 on escape lanes
+    cols = np.repeat(starts, lanes) + np.maximum(column, 0)
 
-    neg = -np.inf
-    d_prev = np.full((b, d + 1), neg)
-    l_prev = np.zeros((b, d + 1), dtype=np.int64)
-    g_prev = np.zeros((b, d + 1), dtype=np.int64)
-    d_prev2 = np.full((b, d + 1), neg)
-    l_prev2 = np.zeros_like(l_prev)
-    g_prev2 = np.zeros_like(g_prev)
+    prev = np.full(size, -np.inf)
+    prev2 = np.full(size, -np.inf)
+    new = np.empty(size)
+    prev_c = np.zeros(size, dtype=np.int64)
+    prev2_c = np.zeros(size, dtype=np.int64)
+    new_c = np.empty(size, dtype=np.int64)
+    s = np.empty(size)
+    take_21 = np.empty(size - 2, dtype=bool)
+    take_12 = np.empty(size - 2, dtype=bool)
+    delta = np.empty(size - 2, dtype=np.int64)
 
-    d_prev[:, 0] = 0.0
-    d_prev[:, 1] = seg[0, :, 0]
-    l_prev[:, 1] = 1
-    g_prev[:, 1] = 1
-
-    step_rows = np.array([1, 2, 1], dtype=np.int64)
+    prev[esc] = 0.0
+    prev[first] = ssm[0, starts]
+    prev_c[first] = _STEP
 
     for row in range(1, n):
-        s_row = seg[row]
-        d_new = np.empty_like(d_prev)
-        l_new = np.empty_like(l_prev)
-        g_new = np.empty_like(g_prev)
+        np.take(ssm[row], cols, out=s)
+        escape, escape_c = _escape(prev, prev_c, esc, last)
+        prev[esc] = -np.inf
 
-        take_end = d_prev[:, d] > d_prev[:, 0]
-        d_new[:, 0] = np.where(take_end, d_prev[:, d], d_prev[:, 0])
-        l_new[:, 0] = np.where(take_end, l_prev[:, d], l_prev[:, 0])
-        g_new[:, 0] = np.where(take_end, g_prev[:, d], g_prev[:, 0])
+        # path lanes: best of the three shifted predecessors, plus the cell
+        best = new[2:]
+        np.greater(prev2[1:-1], prev[1:-1], out=take_21)
+        np.maximum(prev[1:-1], prev2[1:-1], out=best)
+        np.greater(prev[:-2], best, out=take_12)
+        np.maximum(best, prev[:-2], out=best)
+        best += s[2:]
 
-        d_new[:, 1] = d_new[:, 0] + s_row[:, 0]
-        l_new[:, 1] = l_new[:, 0] + 1
-        g_new[:, 1] = g_new[:, 0] + 1
+        # the same choice on the counters, as masked differences; a (2,1)
+        # step covers one more row than the other two
+        counts = new_c[2:]
+        np.subtract(prev2_c[1:-1], prev_c[1:-1], out=delta)
+        delta += 1
+        delta *= take_21
+        np.add(prev_c[1:-1], delta, out=counts)
+        np.subtract(prev_c[:-2], counts, out=delta)
+        delta *= take_12
+        counts += delta
+        counts += _STEP
 
-        if d >= 2:
-            cand = np.stack((d_prev[:, 1:d], d_prev2[:, 1:d], d_prev[:, 0 : d - 1]))
-            # the (1,2) slice would read the escape lane at segment column 1,
-            # which would let paths start mid-segment: forbid it
-            cand[2, :, 0] = neg
-            choice = np.argmax(cand, axis=0)
-            sel = choice[None]
-            d_new[:, 2:] = s_row[:, 1:] + np.take_along_axis(cand, sel, axis=0)[0]
-            l_cand = np.stack((l_prev[:, 1:d], l_prev2[:, 1:d], l_prev[:, 0 : d - 1]))
-            g_cand = np.stack((g_prev[:, 1:d], g_prev2[:, 1:d], g_prev[:, 0 : d - 1]))
-            l_new[:, 2:] = np.take_along_axis(l_cand, sel, axis=0)[0] + 1
-            g_new[:, 2:] = np.take_along_axis(g_cand, sel, axis=0)[0] + step_rows[choice]
+        # escape and column-0 lanes overwrite what the shifts put there
+        new[esc] = escape
+        new[first] = escape + s[first]
+        new_c[esc] = escape_c
+        new_c[first] = escape_c + _STEP
 
-        d_prev2, d_prev = d_prev, d_new
-        l_prev2, l_prev = l_prev, l_new
-        g_prev2, g_prev = g_prev, g_new
+        prev2, prev, new = prev, new, prev2
+        prev2_c, prev_c, new_c = prev_c, new_c, prev2_c
 
-    take_end = d_prev[:, d] > d_prev[:, 0]
-    sigma = np.where(take_end, d_prev[:, d], d_prev[:, 0])
-    cells = np.where(take_end, l_prev[:, d], l_prev[:, 0])
-    coverage = np.where(take_end, g_prev[:, d], g_prev[:, 0])
-    return sigma, cells, coverage
+    return _escape(prev, prev_c, esc, last)
 
 
 def _fitness_from_stats(
-    sigma: np.ndarray, cells: np.ndarray, coverage: np.ndarray, duration: int, n: int
+    sigma: np.ndarray, packed: np.ndarray, durations: np.ndarray, n: int
 ) -> np.ndarray:
+    cells = packed >> _L_SHIFT
+    coverage = packed & ((1 << _L_SHIFT) - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        score_norm = np.where(cells > 0, (sigma - duration) / np.maximum(cells, 1), 0.0)
-        cov_norm = (coverage - duration) / n
+        score_norm = np.where(cells > 0, (sigma - durations) / np.maximum(cells, 1), 0.0)
+        cov_norm = (coverage - durations) / n
         fitness = np.where(
             (score_norm > 0) & (cov_norm > 0),
             2.0 * score_norm * cov_norm / (score_norm + cov_norm),
@@ -249,15 +296,13 @@ def _fitness_from_stats(
 
 def segment_fitness(ssm: np.ndarray, start: int, end: int) -> float:
     """Fitness of the segment spanning frames ``start..end`` inclusive."""
-    ssm = np.asarray(ssm, dtype=float)
+    ssm = _check_ssm(ssm)
     n = ssm.shape[0]
     if not 0 <= start <= end < n:
         raise ValueError(f"invalid segment [{start}, {end}] for {n} frames")
-    duration = end - start + 1
-    sigma, cells, coverage = _batched_family_stats(
-        ssm, duration, np.array([start], dtype=np.int64)
-    )
-    return float(_fitness_from_stats(sigma, cells, coverage, duration, n)[0])
+    durations = np.array([end - start + 1], dtype=np.int64)
+    sigma, packed = _sweep(ssm, durations, np.array([start], dtype=np.int64))
+    return float(_fitness_from_stats(sigma, packed, durations, n)[0])
 
 
 def scape_plot(ssm: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -266,21 +311,32 @@ def scape_plot(ssm: np.ndarray, stride: int = 1) -> np.ndarray:
     Row ``i`` (0-based) holds segments of duration ``i + 1`` frames;
     column ``j`` is the segment's center frame, rounding half up.  Cells
     whose segment would exceed the piece are zero.  ``stride`` subsamples
-    both the duration and start grids for large pieces.
+    both the duration and start grids for large pieces.  The segments are
+    swept in chunks of about ``_CHUNK_CELLS`` DP lanes.
     """
-    ssm = np.asarray(ssm, dtype=float)
+    ssm = _check_ssm(ssm)
     n = ssm.shape[0]
-    if ssm.shape != (n, n):
-        raise ValueError("SSM must be square")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     plot = np.zeros((n, n))
-    for duration in range(1, n + 1, stride):
-        starts = np.arange(0, n - duration + 1, stride, dtype=np.int64)
-        sigma, cells, coverage = _batched_family_stats(ssm, duration, starts)
-        fit = _fitness_from_stats(sigma, cells, coverage, duration, n)
-        centers = starts + duration // 2
-        plot[duration - 1, centers] = fit
+    durations = np.arange(1, n + 1, stride, dtype=np.int64)
+    per_duration = (n - durations) // stride + 1
+    seg_durations = np.repeat(durations, per_duration)
+    seg_starts = stride * (
+        np.arange(len(seg_durations))
+        - np.repeat(np.cumsum(per_duration) - per_duration, per_duration)
+    )
+    lane_ends = np.cumsum(seg_durations + 1)
+    lo = 0
+    while lo < len(lane_ends):
+        used = lane_ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(lane_ends, used + _CHUNK_CELLS, side="right"))
+        hi = max(hi, lo + 1)
+        chunk_durations, chunk_starts = seg_durations[lo:hi], seg_starts[lo:hi]
+        sigma, packed = _sweep(ssm, chunk_durations, chunk_starts)
+        fit = _fitness_from_stats(sigma, packed, chunk_durations, n)
+        plot[chunk_durations - 1, chunk_starts + chunk_durations // 2] = fit
+        lo = hi
     return plot
 
 

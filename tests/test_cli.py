@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import swingbench
 from swingbench.challenge import train_ngram
 from swingbench.cli import main
 from swingbench.corpus import save_corpus
@@ -227,3 +230,13 @@ def test_challenge_external_model(tmp_path, motif_file):
         if not l.startswith("# cfg")
     ]
     assert strip(out) == strip(uniform_out)
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the runtime needs numpy alone
+    src = str(Path(swingbench.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import swingbench.cli; "
+        "assert 'scipy' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

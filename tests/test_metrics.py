@@ -167,6 +167,18 @@ def test_piece_grooving_three_bar_mean():
     assert piece_grooving([a, a, c]) == pytest.approx((1.0 + 0.75 + 0.75) / 3)
 
 
+def test_piece_grooving_matches_scipy_hamming_bitwise():
+    from scipy.spatial.distance import pdist
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        patterns = (rng.random((n, 64)) < rng.random()).astype(np.uint8)
+        bars = [BarContent((), tuple(np.flatnonzero(p).tolist())) for p in patterns]
+        expected = float(1.0 - pdist(patterns, metric="hamming").mean())
+        assert piece_grooving(bars) == expected
+
+
 def test_piece_grooving_needs_two_bars():
     with pytest.raises(MetricError):
         piece_grooving([bar([60], [0])])
