@@ -12,7 +12,7 @@ import numpy as np
 
 from swingbench.metrics import (
     bars_from_solo,
-    chord_changes_from_solo,
+    chord_changes,
     chord_progression_irregularity,
     piece_entropy,
     piece_grooving,
@@ -27,7 +27,7 @@ def describe(name, solos):
         h1.append(piece_entropy(bars, 1))
         h4.append(piece_entropy(bars, 4))
         gs.append(piece_grooving(bars))
-        chords = chord_changes_from_solo(solo)
+        chords = chord_changes(solo.chord_intervals())
         if len(chords) >= 3:
             cpi.append(chord_progression_irregularity(chords))
     print(f"{name:<12} H1 {np.mean(h1):5.3f}   H4 {np.mean(h4):5.3f}   "

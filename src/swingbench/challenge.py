@@ -16,6 +16,7 @@ vector back, one line per step).
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,8 @@ from typing import IO, Sequence
 import numpy as np
 
 DISTRIBUTION_TOLERANCE = 1e-9
+# Seconds a child model may take to exit after its input is closed.
+CLOSE_TIMEOUT_S = 10.0
 
 
 class ChallengeError(ValueError):
@@ -298,9 +301,19 @@ class SubprocessModel(LineProtocolModel):
         super().__init__(self._proc.stdout, self._proc.stdin, vocab_size)
 
     def close(self) -> None:
+        """Close the child's input and wait for it to exit; a child still
+        running after CLOSE_TIMEOUT_S seconds is killed."""
         if self._proc.stdin:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            raise ModelProtocolError(
+                f"external model {shlex.join(self._proc.args)!r} did not exit within "
+                f"{CLOSE_TIMEOUT_S:g} s of end of input; killed it"
+            ) from None
 
     def __enter__(self) -> "SubprocessModel":
         return self

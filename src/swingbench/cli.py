@@ -26,7 +26,6 @@ from .corpus import CorpusError, load_corpus
 from .midi import write_midi
 from .tokenizer import (
     DEFAULT_VOCABULARY,
-    DecodedTimeline,
     TokenGrammarError,
     decode_tokens,
     encode_solo,
@@ -90,24 +89,24 @@ def _band_label(band: tuple[int, int | None]) -> str:
 
 @dataclass
 class Piece:
-    """One analyzable piece: bar contents, chord changes, and a chroma source."""
+    """One analyzable piece, built alike from a solo or a decoded timeline:
+    bar contents, chord changes and chroma."""
 
     piece_id: str
     bars: list[metrics.BarContent]
     chords: list
-    chroma_source: object  # Solo or DecodedTimeline
+    chroma: structure.ChromaSequence
 
 
-def _pieces_from_corpus(path: Path) -> tuple[list[Piece], list[Path]]:
-    solos = load_corpus(path)
+def _pieces_from_corpus(path: Path, frame_rate: float) -> tuple[list[Piece], list[Path]]:
     pieces = [
         Piece(
             piece_id=solo.id,
             bars=metrics.bars_from_solo(solo),
-            chords=metrics.chord_changes_from_solo(solo),
-            chroma_source=solo,
+            chords=metrics.chord_changes(solo.chord_intervals()),
+            chroma=structure.chroma_from_solo(solo, frame_rate),
         )
-        for solo in solos
+        for solo in load_corpus(path)
     ]
     return pieces, [path]
 
@@ -119,17 +118,25 @@ def _token_files(token_dir: Path) -> list[Path]:
     return files
 
 
-def _pieces_from_tokens(token_dir: Path) -> tuple[list[Piece], list[Path]]:
+def _decode_file(path: Path):
+    """Read and decode one .tokens file; a grammar error names the file."""
+    try:
+        return decode_tokens(read_tokens(path, VOCAB), VOCAB)
+    except TokenGrammarError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _pieces_from_tokens(token_dir: Path, frame_rate: float) -> tuple[list[Piece], list[Path]]:
     files = _token_files(token_dir)
     pieces = []
     for file in files:
-        timeline = decode_tokens(read_tokens(file, VOCAB), VOCAB)
+        timeline = _decode_file(file)
         pieces.append(
             Piece(
                 piece_id=file.stem,
                 bars=metrics.bars_from_timeline(timeline),
-                chords=timeline.chord_changes(),
-                chroma_source=timeline,
+                chords=metrics.chord_changes(timeline.chord_intervals()),
+                chroma=structure.chroma_from_timeline(timeline, frame_rate),
             )
         )
     return pieces, files
@@ -137,20 +144,12 @@ def _pieces_from_tokens(token_dir: Path) -> tuple[list[Piece], list[Path]]:
 
 def _load_pieces(args) -> tuple[list[Piece], list[Path]]:
     if args.corpus:
-        return _pieces_from_corpus(Path(args.corpus))
-    return _pieces_from_tokens(Path(args.tokens_dir))
+        return _pieces_from_corpus(Path(args.corpus), args.frame_rate)
+    return _pieces_from_tokens(Path(args.tokens_dir), args.frame_rate)
 
 
 def _piece_scape(piece: Piece, args) -> np.ndarray:
-    kwargs = dict(
-        frame_rate=args.frame_rate,
-        threshold=args.tau,
-        penalty=args.delta,
-        stride=args.stride,
-    )
-    if isinstance(piece.chroma_source, DecodedTimeline):
-        return structure.scape_plot_for_timeline(piece.chroma_source, **kwargs)
-    return structure.scape_plot_for_solo(piece.chroma_source, **kwargs)
+    return structure.scape_plot_for_chroma(piece.chroma, args.tau, args.delta, args.stride)
 
 
 def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
@@ -207,7 +206,7 @@ def cmd_detokenize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {"command": "detokenize", "chord_register": args.chord_register}
     for file in [Path(p) for p in args.tokens]:
-        timeline = decode_tokens(read_tokens(file, VOCAB), VOCAB)
+        timeline = _decode_file(file)
         target = out_dir / (file.stem + ".mid")
         meta = "; ".join(provenance_header(config, [file]))
         write_midi(timeline, target, chord_register=args.chord_register, meta_text=meta)

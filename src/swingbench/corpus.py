@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .chords import ChordError, parse_chord, transpose_chord_string
+from .chords import ChordError, ChordSymbol, parse_chord, transpose_chord_string
 
 log = logging.getLogger(__name__)
 
@@ -117,6 +117,20 @@ class Solo:
             return (0.0, 0.0)
         last = self.beats[-1]
         return (self.beats[0].onset_sec, last.onset_sec + last.duration_sec)
+
+    def chord_intervals(self) -> list[tuple[float, float, ChordSymbol]]:
+        """(start, end, chord) spans of the beat track with consecutive
+        duplicates merged; each chord sounds until the next change, the
+        last one until the end of :meth:`span`."""
+        starts: list[tuple[float, ChordSymbol]] = []
+        for beat in self.beats:
+            if beat.chord is None:
+                continue
+            symbol = parse_chord(beat.chord)
+            if not starts or symbol != starts[-1][1]:
+                starts.append((beat.onset_sec, symbol))
+        ends = [onset for onset, _ in starts[1:]] + [self.span()[1]]
+        return [(onset, end, symbol) for (onset, symbol), end in zip(starts, ends)]
 
 
 def validate_solo(

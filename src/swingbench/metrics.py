@@ -5,18 +5,18 @@ All three read the 64-subunit bar grid, not wall-clock seconds, so they
 are invariant to tempo.  Piece-level aggregation conventions: empty bars
 are skipped when averaging entropy but contribute all-zero grooving
 patterns to the pairwise similarity; consecutive duplicate chords are
-collapsed by the extraction helpers before trigram counting.
+collapsed by :func:`chord_changes` before trigram counting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .chords import ChordSymbol, parse_chord
+from .chords import ChordSymbol
 from .corpus import Solo
 from .tokenizer import (
     POSITIONS_PER_BAR,
@@ -39,10 +39,6 @@ class BarContent:
 
     pitches: tuple[int, ...]
     onset_positions: tuple[int, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.pitches
 
 
 def bars_from_solo(solo: Solo) -> list[BarContent]:
@@ -159,13 +155,11 @@ def chord_progression_irregularity(chords: Sequence[Hashable]) -> float:
     return 100.0 * len(set(trigrams)) / len(trigrams)
 
 
-def chord_changes_from_solo(solo: Solo) -> list[ChordSymbol]:
-    """Parsed chord sequence of the beat track, consecutive duplicates collapsed."""
+def chord_changes(intervals: Iterable[tuple[float, float, ChordSymbol]]) -> list[ChordSymbol]:
+    """Chord sequence of ``chord_intervals()`` spans (of a solo or a decoded
+    timeline), consecutive duplicates collapsed."""
     out: list[ChordSymbol] = []
-    for beat in solo.beats:
-        if beat.chord is None:
-            continue
-        symbol = parse_chord(beat.chord)
+    for _, _, symbol in intervals:
         if not out or symbol != out[-1]:
             out.append(symbol)
     return out

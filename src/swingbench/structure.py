@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chords import ChordSymbol, chord_pitch_classes, parse_chord
+from .chords import ChordSymbol, chord_pitch_classes
 from .corpus import Solo
 from .tokenizer import DecodedTimeline
 
@@ -93,8 +93,12 @@ def render_chroma(
 
     Melody pitch classes accumulate at weight 1.0 per sounding second
     inside a frame; the active chord's template pitch classes at 0.5.
-    Nonzero frames are L2-normalized, silent frames stay zero.
+    Nonzero frames are L2-normalized, silent frames stay zero.  A frame
+    rate that is not finite and positive, or an empty span, raises
+    ValueError.
     """
+    if not (np.isfinite(frame_rate) and frame_rate > 0):
+        raise ValueError(f"frame rate must be finite and positive, got {frame_rate}")
     start, end = span
     if end <= start:
         raise ValueError("empty timeline span")
@@ -113,22 +117,7 @@ def render_chroma(
 
 def chroma_from_solo(solo: Solo, frame_rate: float = 1.0) -> ChromaSequence:
     notes = [(n.onset_sec, n.duration_sec, n.pitch) for n in solo.notes]
-    chord_spans = []
-    current: ChordSymbol | None = None
-    current_start = 0.0
-    span = solo.span()
-    for beat in solo.beats:
-        if beat.chord is None:
-            continue
-        symbol = parse_chord(beat.chord)
-        if current is None:
-            current, current_start = symbol, beat.onset_sec
-        elif symbol != current:
-            chord_spans.append((current_start, beat.onset_sec, current))
-            current, current_start = symbol, beat.onset_sec
-    if current is not None:
-        chord_spans.append((current_start, span[1], current))
-    return render_chroma(notes, chord_spans, span, frame_rate)
+    return render_chroma(notes, solo.chord_intervals(), solo.span(), frame_rate)
 
 
 def chroma_from_timeline(timeline: DecodedTimeline, frame_rate: float = 1.0) -> ChromaSequence:
@@ -357,31 +346,14 @@ def structureness_indicator(
     return float(plot[lower - 1 : upper, :].max())
 
 
-def scape_plot_for_solo(
-    solo: Solo,
-    frame_rate: float = 1.0,
+def scape_plot_for_chroma(
+    chroma: ChromaSequence,
     threshold: float = DEFAULT_SSM_THRESHOLD,
     penalty: float = DEFAULT_SSM_PENALTY,
     stride: int | None = None,
 ) -> np.ndarray:
-    chroma = chroma_from_solo(solo, frame_rate)
-    return _scape_from_chroma(chroma, threshold, penalty, stride)
-
-
-def scape_plot_for_timeline(
-    timeline: DecodedTimeline,
-    frame_rate: float = 1.0,
-    threshold: float = DEFAULT_SSM_THRESHOLD,
-    penalty: float = DEFAULT_SSM_PENALTY,
-    stride: int | None = None,
-) -> np.ndarray:
-    chroma = chroma_from_timeline(timeline, frame_rate)
-    return _scape_from_chroma(chroma, threshold, penalty, stride)
-
-
-def _scape_from_chroma(
-    chroma: ChromaSequence, threshold: float, penalty: float, stride: int | None
-) -> np.ndarray:
+    """Scape plot of a chroma sequence; the default stride is 1, or 2
+    above 400 frames."""
     ssm = compute_ssm(chroma, threshold, penalty)
     if stride is None:
         stride = 1 if len(chroma) <= 400 else 2

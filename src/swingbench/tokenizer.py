@@ -525,26 +525,12 @@ class DecodedTimeline:
     def end_sec(self) -> float:
         return self.bar_times[-1]
 
-    def notes_by_bar(self) -> list[list[DecodedNote]]:
-        bars: list[list[DecodedNote]] = [[] for _ in range(self.bar_count)]
-        for n in self.notes:
-            bars[n.bar].append(n)
-        return bars
-
     def chord_intervals(self) -> list[tuple[float, float, ChordSymbol]]:
         """(start, end, chord) spans; each chord sounds until the next one."""
         out = []
         for i, c in enumerate(self.chords):
             end = self.chords[i + 1].onset_sec if i + 1 < len(self.chords) else self.end_sec
             out.append((c.onset_sec, end, c.symbol))
-        return out
-
-    def chord_changes(self) -> list[ChordSymbol]:
-        """Chord sequence with consecutive duplicates collapsed."""
-        out: list[ChordSymbol] = []
-        for c in self.chords:
-            if not out or c.symbol != out[-1]:
-                out.append(c.symbol)
         return out
 
 

@@ -187,7 +187,7 @@ def test_criterion_5_scape_oracle_and_runtime():
 def test_criterion_6_structureness_discrimination():
     structured = sectional_corpus(6, forms=("AABA", "ABAB", "AABB"), repetitions=2)
     si_structured = [
-        structure.structureness_indicator(structure.scape_plot_for_solo(s), 8, 15)
+        structure.structureness_indicator(structure.scape_plot_for_chroma(structure.chroma_from_solo(s)), 8, 15)
         for s in structured
     ]
     rng = np.random.default_rng(606)
@@ -196,7 +196,7 @@ def test_criterion_6_structureness_discrimination():
         timeline = decode_tokens(random_token_piece(rng, n_bars=32))
         si_random.append(
             structure.structureness_indicator(
-                structure.scape_plot_for_timeline(timeline), 8, 15
+                structure.scape_plot_for_chroma(structure.chroma_from_timeline(timeline)), 8, 15
             )
         )
     gap = float(np.mean(si_structured) - np.mean(si_random))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import swingbench
+from swingbench import challenge as chal
 from swingbench.challenge import train_ngram
 from swingbench.cli import main
 from swingbench.corpus import save_corpus
-from swingbench.synthetic import motif_corpus, random_corpus
+from swingbench.synthetic import motif_corpus, random_corpus, sectional_corpus
 from swingbench.tokenizer import BAR, read_tokens
 
 
@@ -137,6 +140,79 @@ def test_scape_unknown_piece(tmp_path, corpus_file, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["0", "-1", "inf"])
+def test_report_rejects_bad_frame_rate(tmp_path, corpus_file, capsys, rate):
+    assert run("report", "--corpus", corpus_file, "--out", tmp_path, "--frame-rate", rate) == 1
+    assert "frame rate must be finite and positive" in capsys.readouterr().err
+
+
+def test_grammar_error_names_the_token_file(tmp_path, capsys):
+    tok = tmp_path / "tok"
+    tok.mkdir()
+    bad = tok / "bad.tokens"
+    bad.write_text("Position(3)\n")
+    for argv in (
+        ("report", "--tokens-dir", tok, "--out", tmp_path / "rep"),
+        ("scape", "--tokens-dir", tok, "--piece", "bad", "--out", tmp_path / "scape"),
+        ("detokenize", "--tokens", bad, "--out", tmp_path / "midi"),
+    ):
+        assert run(*argv) == 1
+        assert f"error: {bad}: token 0: Position(3) before the first Bar" in capsys.readouterr().err
+
+
+# SHA-256 of every report/scape output for the pinned corpus, recorded while
+# solos and decoded timelines still had separate analysis code; the shared
+# path must reproduce them byte for byte.
+PINNED_OUTPUTS = {
+    "corpus": {
+        "report/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
+        "report/form-001.pgm": "edf35a4cd2a471529cb37fa58127a7064a0bea626b3950858c5631ec56c90b0e",
+        "report/rand-000.pgm": "c24b04dda57976075d4634dfdf1b153c582f740a31923535168ec82d971e973f",
+        "report/rand-001.pgm": "52350d2530508a08e778fc725f9a7df673fb6f0b095dd11eda02116566f7d0e2",
+        "report/report.tsv": "6951b66a6fface3082d33d8c8de057607b9ca551c9acdc9a62963eb078b965cd",
+        "scape/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
+        "scape/form-000.scape.txt": "04f54a7c0765c8243fcf4ae9cb1f91efac19d4ce326fbaf201f6227ed87f9cf6",
+        "scape/rand-001.pgm": "52350d2530508a08e778fc725f9a7df673fb6f0b095dd11eda02116566f7d0e2",
+        "scape/rand-001.scape.txt": "77c727995b108586652f415ae7db1e43d0affd2d4c27da1745921ea4d1a4329f",
+    },
+    "tokens": {
+        "report/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
+        "report/form-001.pgm": "edf35a4cd2a471529cb37fa58127a7064a0bea626b3950858c5631ec56c90b0e",
+        "report/rand-000.pgm": "d91462919c56062de867fccc45a89b88c78a216d85e4a363c1f291668272bbf9",
+        "report/rand-001.pgm": "0a98128f4f8c7464152a019d0681e804b78e7359c62f46e0755e702682e51807",
+        "report/report.tsv": "133b77dd24f00ca5836d3c65232ac482c57ecc8a34258e44133c97dce3263fe3",
+        "scape/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
+        "scape/form-000.scape.txt": "04f54a7c0765c8243fcf4ae9cb1f91efac19d4ce326fbaf201f6227ed87f9cf6",
+        "scape/rand-001.pgm": "0a98128f4f8c7464152a019d0681e804b78e7359c62f46e0755e702682e51807",
+        "scape/rand-001.scape.txt": "8a71660c661a9ea0a7c15635e13f742256c27133aa2ef7155989c0d0f447dc0f",
+    },
+}
+
+
+@pytest.mark.parametrize("source", sorted(PINNED_OUTPUTS))
+def test_report_and_scape_bytes_pinned(tmp_path, source):
+    corpus = tmp_path / "pinned.jsonl"
+    save_corpus(
+        sectional_corpus(2, forms=("AABA", "ABAC"), section_bars=2)
+        + random_corpus(seed=5, size=2, n_bars=12),
+        corpus,
+    )
+    if source == "corpus":
+        source_args = ("--corpus", corpus)
+    else:
+        assert run("tokenize", "--corpus", corpus, "--out", tmp_path / "tokens") == 0
+        source_args = ("--tokens-dir", tmp_path / "tokens")
+    out = tmp_path / "out"
+    assert run("report", *source_args, "--out", out / "report", "--scape-images") == 0
+    for piece in ("form-000", "rand-001"):
+        assert run("scape", *source_args, "--piece", piece, "--out", out / "scape") == 0
+    digests = {
+        f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(out.rglob("*")) if f.is_file()
+    }
+    assert digests == PINNED_OUTPUTS[source]
+
+
 def test_challenge_oracle_perfect(tmp_path, motif_file, capsys):
     out = tmp_path / "chal"
     code = run(
@@ -230,6 +306,34 @@ def test_challenge_external_model(tmp_path, motif_file):
         if not l.startswith("# cfg")
     ]
     assert strip(out) == strip(uniform_out)
+
+
+def test_external_model_that_ignores_end_of_input_is_killed(
+    tmp_path, motif_file, capsys, monkeypatch
+):
+    from swingbench.tokenizer import DEFAULT_VOCABULARY as V
+
+    monkeypatch.setattr(chal, "CLOSE_TIMEOUT_S", 0.2)
+    pid_file = tmp_path / "pid"
+    script = tmp_path / "stubborn_model.py"
+    script.write_text(
+        "import os, sys, time\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        f"V = {V.size}\n"
+        "for line in sys.stdin:\n"
+        "    print(' '.join(['%.10g' % (1.0 / V)] * V), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    code = run(
+        "challenge", "--corpus", motif_file, "--out", tmp_path / "ext",
+        "--model", "external", "--external-cmd", f"{sys.executable} {script}",
+        "--count", 4, "--seed", 1,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "did not exit" in err and str(script) in err
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_cli_import_does_not_load_scipy():

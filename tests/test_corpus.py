@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from swingbench.chords import parse_chord
 from swingbench.corpus import (
     CorpusError,
     EmptyCorpusError,
@@ -169,3 +170,18 @@ def test_transpose_range_enforced(simple_solo):
 def test_random_corpus_is_valid(small_corpus):
     for solo in small_corpus:
         assert validate_solo(solo) == []
+
+
+def test_chord_intervals_merge_held_chords_and_end_at_span():
+    # C7 restated after two unannotated beats, then F7 from beat 4 on
+    chords = [None, "C7", None, "C7", "F7", None, "F7", None]
+    beats = four_four_beats(2, bpm=120.0, chords=chords)
+    solo = Solo(id="spans", notes=(), beats=tuple(beats), parts=())
+    intervals = solo.chord_intervals()
+    assert intervals == [(0.5, 2.0, parse_chord("C7")), (2.0, 4.0, parse_chord("F7"))]
+    assert intervals[-1][1] == solo.span()[1]
+
+
+def test_chord_intervals_without_chords_is_empty():
+    solo = Solo(id="bare", notes=(), beats=tuple(four_four_beats(1)), parts=())
+    assert solo.chord_intervals() == []

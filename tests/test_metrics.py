@@ -10,7 +10,7 @@ from swingbench.metrics import (
     MetricError,
     bars_from_solo,
     bars_from_timeline,
-    chord_changes_from_solo,
+    chord_changes,
     chord_progression_irregularity,
     grooving_pattern,
     grooving_similarity,
@@ -208,14 +208,14 @@ def test_cpi_transposition_invariant():
     from swingbench.corpus import transpose_solo
 
     solo = sectional_solo("t", form="AABA", repetitions=2)
-    base = chord_progression_irregularity(chord_changes_from_solo(solo))
-    up = chord_progression_irregularity(chord_changes_from_solo(transpose_solo(solo, 3)))
+    base = chord_progression_irregularity(chord_changes(solo.chord_intervals()))
+    up = chord_progression_irregularity(chord_changes(transpose_solo(solo, 3).chord_intervals()))
     assert base == up
 
 
 def test_chord_changes_collapse_duplicates(simple_solo):
     # C7 annotated once, held: a single change
-    assert len(chord_changes_from_solo(simple_solo)) == 1
+    assert len(chord_changes(simple_solo.chord_intervals())) == 1
 
 
 # --- bar extraction consistency ----------------------------------------------------
@@ -230,6 +230,14 @@ def test_solo_and_timeline_bars_agree(small_corpus):
         for sb, tb in zip(solo_bars, timeline_bars):
             # solo view keeps sub-64th notes, timeline cannot; positions match
             assert set(tb.onset_positions) <= set(sb.onset_positions)
+
+
+def test_chord_changes_agree_for_solo_and_timeline(small_corpus, aaba_solo):
+    for solo in [*small_corpus, aaba_solo]:
+        timeline = decode_tokens(encode_solo(solo))
+        from_solo = chord_changes(solo.chord_intervals())
+        assert len(from_solo) >= 2
+        assert chord_changes(timeline.chord_intervals()) == from_solo
 
 
 def test_metrics_tempo_invariance():

@@ -19,7 +19,7 @@ from swingbench.structure import (
     compute_ssm,
     render_chroma,
     scape_plot,
-    scape_plot_for_solo,
+    scape_plot_for_chroma,
     segment_fitness,
     structureness_indicator,
     write_scape_pgm,
@@ -69,6 +69,22 @@ def test_chroma_partial_overlap_weights_by_duration():
 def test_chroma_needs_two_frames():
     with pytest.raises(ValueError):
         ChromaSequence(np.zeros((1, 12)))
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("inf"), float("nan")])
+def test_chroma_rejects_bad_frame_rate(rate, aaba_solo):
+    with pytest.raises(ValueError, match="frame rate"):
+        render_chroma([(0.0, 1.0, 60)], [], span=(0.0, 2.0), frame_rate=rate)
+    with pytest.raises(ValueError, match="frame rate"):
+        chroma_from_solo(aaba_solo, rate)
+    with pytest.raises(ValueError, match="frame rate"):
+        chroma_from_timeline(decode_tokens(encode_solo(aaba_solo)), rate)
+
+
+def test_scape_plot_for_chroma_matches_scape_plot(aaba_solo):
+    chroma = chroma_from_solo(aaba_solo)
+    expected = scape_plot(compute_ssm(chroma, 0.3, -1.0), stride=1)
+    np.testing.assert_array_equal(scape_plot_for_chroma(chroma, 0.3, -1.0), expected)
 
 
 def test_chroma_from_solo_and_timeline_agree(aaba_solo):
@@ -321,13 +337,13 @@ def test_indicator_rejects_bad_bands():
 
 
 def test_indicator_transposition_invariance(aaba_solo):
-    base = band_indicators(scape_plot_for_solo(aaba_solo))
-    moved = band_indicators(scape_plot_for_solo(transpose_solo(aaba_solo, 2)))
+    base = band_indicators(scape_plot_for_chroma(chroma_from_solo(aaba_solo)))
+    moved = band_indicators(scape_plot_for_chroma(chroma_from_solo(transpose_solo(aaba_solo, 2))))
     assert base == pytest.approx(moved, abs=1e-9)
 
 
 def test_sectional_solo_has_structure(aaba_solo):
-    si = band_indicators(scape_plot_for_solo(aaba_solo))
+    si = band_indicators(scape_plot_for_chroma(chroma_from_solo(aaba_solo)))
     assert si[1] > 0.5  # medium band sees the repeating 8-second sections
 
 
