@@ -3,7 +3,8 @@
 Builds a small synthetic corpus, saves and reloads it, encodes one solo
 into event tokens, decodes the tokens back, and checks that every
 surviving note keeps its quantized (position, duration, velocity, pitch).
-Finally renders the decoded timeline to a standard MIDI file.
+Finally renders the decoded timeline to a standard MIDI file.  All files
+go to a temporary directory that is removed as the demo ends.
 
 Run from the repository root:  python3 demos/01_codec_roundtrip.py
 """
@@ -16,7 +17,8 @@ from swingbench.midi import write_midi
 from swingbench.synthetic import random_corpus
 from swingbench.tokenizer import decode_tokens, encode_solo
 
-work = Path(tempfile.mkdtemp(prefix="codec-demo-"))
+scratch = tempfile.TemporaryDirectory(prefix="codec-demo-")
+work = Path(scratch.name)
 
 # 1. a synthetic corpus on disk and back
 corpus = random_corpus(seed=11, size=3, n_bars=12, sub64_fraction=0.05)
@@ -55,3 +57,4 @@ print("\ntransposing by +2 semitones shifts every decoded pitch by exactly 2")
 midi_path = work / f"{solo.id}.mid"
 write_midi(timeline, midi_path)
 print(f"wrote {midi_path} ({midi_path.stat().st_size} bytes)")
+scratch.cleanup()

@@ -25,7 +25,8 @@ from swingbench.structure import (
 from swingbench.synthetic import random_token_piece, sectional_solo
 from swingbench.tokenizer import decode_tokens
 
-work = Path(tempfile.mkdtemp(prefix="scape-demo-"))
+scratch = tempfile.TemporaryDirectory(prefix="scape-demo-")
+work = Path(scratch.name)
 
 # an AABA AABA tune: 4-bar sections at 120 bpm = 8-second sections
 tune = sectional_solo("aaba", form="AABA", repetitions=2)
@@ -52,4 +53,6 @@ rsi = band_indicators(rplot)
 print(f"\nrandom stream  SI_3_8 {rsi[0]:.3f}   SI_8_15 {rsi[1]:.3f}   SI_15 {rsi[2]:.3f}")
 write_scape_pgm(rplot, work / "random.pgm")
 
-print(f"\nscape images written to {work} (row = segment duration, column = center)")
+print(f"\nscape images written to {work} (row = segment duration, column = center);"
+      " the directory is removed as the demo ends")
+scratch.cleanup()

@@ -53,9 +53,9 @@ def checked_distribution(model: SequenceModel, history: Sequence[int]) -> np.nda
         raise ChallengeError(
             f"model returned shape {p.shape}, expected ({model.vocab_size},)"
         )
-    # Negated comparisons: NaN fails both checks, inf fails the sum check.
-    if not (p >= 0).all():
-        raise ChallengeError("model returned negative or NaN probabilities")
+    # Negated comparisons: NaN fails both checks, inf the range check.
+    if not ((p >= 0) & (p <= 1)).all():
+        raise ChallengeError("model returned probabilities outside [0, 1] or NaN")
     if not abs(float(p.sum()) - 1.0) <= DISTRIBUTION_TOLERANCE:
         raise ChallengeError(f"model distribution sums to {p.sum()!r}, not 1")
     return p
@@ -80,18 +80,22 @@ class CorpusOracleModel(SequenceModel):
     def __init__(self, pieces: Sequence[Sequence[int]], vocab_size: int, epsilon: float = 1e-6):
         self.vocab_size = vocab_size
         self.epsilon = epsilon
-        self._next: dict[tuple[int, ...], set[int]] = {}
+        self._trie: dict = {}  # one nested dict per token: memory linear in the corpus
         for piece in pieces:
-            piece = tuple(piece)
-            for j in range(len(piece)):
-                self._next.setdefault(piece[:j], set()).add(piece[j])
+            node = self._trie
+            for token in piece:
+                node = node.setdefault(token, {})
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        predicted = self._next.get(tuple(history))
-        if not predicted:
+        node = self._trie
+        for token in history:
+            node = node.get(token)
+            if node is None:
+                break
+        if not node:
             return np.full(self.vocab_size, 1.0 / self.vocab_size)
         p = np.full(self.vocab_size, self.epsilon / self.vocab_size)
-        p[sorted(predicted)] += (1.0 - self.epsilon) / len(predicted)
+        p[sorted(node)] += (1.0 - self.epsilon) / len(node)
         return p
 
 
@@ -113,24 +117,29 @@ class NGramModel(SequenceModel):
     ):
         if order < 1:
             raise ChallengeError(f"n-gram order must be >= 1, got {order}")
-        if alpha <= 0:
-            raise ChallengeError("smoothing alpha must be positive")
+        if not 0 < alpha < np.inf:
+            raise ChallengeError("smoothing alpha must be positive and finite")
         self.order = order
         self.vocab_size = vocab_size
         self.alpha = alpha
         if weights is None:
             weights = [1.0 / order] * order
-        if len(weights) != order or any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ChallengeError("need one non-negative weight per order")
+        finite = all(0 <= w < np.inf for w in weights)
+        if len(weights) != order or not finite or sum(weights) <= 0:
+            raise ChallengeError("need one finite non-negative weight per order")
         total = float(sum(weights))
         self.weights = tuple(w / total for w in weights)
         # counts[k-1]: context tuple of length k-1 -> {token: count}
         self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
             {} for _ in range(order)
         ]
+        self.sequences: list[list[int]] = []  # all counted so far: what to_dict saves
 
     def observe(self, sequence: Sequence[int]) -> None:
-        seq = list(sequence)
+        seq = [int(t) for t in sequence]
+        if seq and not (0 <= min(seq) and max(seq) < self.vocab_size):
+            raise ChallengeError(f"token id outside [0, {self.vocab_size})")
+        self.sequences.append(seq)
         for k in range(1, self.order + 1):
             table = self.counts[k - 1]
             for j in range(k - 1, len(seq)):
@@ -180,32 +189,19 @@ class NGramModel(SequenceModel):
     # --- persistence ---
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "vocab_size": self.vocab_size,
-            "alpha": self.alpha,
-            "weights": list(self.weights),
-            "counts": [
-                {
-                    ",".join(map(str, ctx)): {str(t): c for t, c in sorted(nxt.items())}
-                    for ctx, nxt in sorted(table.items())
-                }
-                for table in self.counts
-            ],
-        }
+        return {"order": self.order, "vocab_size": self.vocab_size, "alpha": self.alpha,
+                "weights": list(self.weights), "sequences": self.sequences}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "NGramModel":
-        model = cls(
-            order=data["order"],
-            vocab_size=data["vocab_size"],
-            alpha=data["alpha"],
-            weights=data["weights"],
-        )
-        for k_minus_1, table in enumerate(data["counts"]):
-            for ctx_text, nxt in table.items():
-                ctx = tuple(int(x) for x in ctx_text.split(",")) if ctx_text else ()
-                model.counts[k_minus_1][ctx] = {int(t): c for t, c in nxt.items()}
+    def from_dict(cls, data: object) -> "NGramModel":
+        """Rebuild a model from ``to_dict`` output by counting its sequences again."""
+        for key, is_valid in _MODEL_FIELDS.items():
+            if not (isinstance(data, dict) and is_valid(data.get(key))):
+                raise ChallengeError(f"model file field {key!r} is missing or of the wrong type "
+                                     "(older files hold count tables); re-run train-model")
+        model = cls(data["order"], data["vocab_size"], data["alpha"], data["weights"])
+        for seq in data["sequences"]:
+            model.observe(seq)
         return model
 
     def save(self, path: str | Path) -> None:
@@ -214,6 +210,17 @@ class NGramModel(SequenceModel):
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+# Model file field -> check of its JSON value (``type``, so true/false do not pass as ints).
+_MODEL_FIELDS = {
+    "order": lambda v: type(v) is int,
+    "vocab_size": lambda v: type(v) is int,
+    "alpha": lambda v: type(v) in (int, float),
+    "weights": lambda v: type(v) is list and all(type(w) in (int, float) for w in v),
+    "sequences": lambda v: type(v) is list
+    and all(type(seq) is list and all(type(t) is int for t in seq) for seq in v),
+}
 
 
 def train_ngram(
@@ -345,11 +352,6 @@ class ChallengeQuestion:
         return min(len(c) for c in self.candidates)
 
 
-def _bar_segments(piece: Sequence[int], bar_token_id: int) -> list[int]:
-    """Indices where each bar starts (positions of Bar tokens)."""
-    return [i for i, t in enumerate(piece) if t == bar_token_id]
-
-
 def _bar_window(piece: Sequence[int], bar_starts: list[int], first_bar: int, bars: int):
     start = bar_starts[first_bar]
     end = bar_starts[first_bar + bars] if first_bar + bars < len(bar_starts) else len(piece)
@@ -371,7 +373,7 @@ def build_questions(
     bar-aligned windows from three distinct other pieces.
     """
     needed = prompt_bars + continuation_bars
-    starts = [_bar_segments(p, bar_token_id) for p in pieces]
+    starts = [[i for i, t in enumerate(p) if t == bar_token_id] for p in pieces]  # Bar indices
     eligible = [i for i, s in enumerate(starts) if len(s) >= needed]
     if len(eligible) < 4:
         raise ChallengeError(
@@ -384,7 +386,6 @@ def build_questions(
         prompt = _bar_window(pieces[src], starts[src], 0, prompt_bars)
         true_cont = _bar_window(pieces[src], starts[src], prompt_bars, continuation_bars)
         others = [i for i in eligible if i != src]
-        candidates = None
         for _attempt in range(64):
             chosen = rng.choice(len(others), size=3, replace=False)
             distractors = []
@@ -395,14 +396,12 @@ def build_questions(
                 distractors.append(
                     _bar_window(pieces[piece_idx], starts[piece_idx], first, continuation_bars)
                 )
-            pool = [true_cont, *distractors]
-            if len(set(pool)) == 4:
-                candidates = distractors
+            if len({true_cont, *distractors}) == 4:
                 break
-        if candidates is None:
+        else:
             raise ChallengeError("could not draw 4 distinct candidates; corpus too repetitive")
         true_index = int(rng.integers(0, 4))
-        ordered = list(candidates)
+        ordered = list(distractors)
         ordered.insert(true_index, true_cont)
         questions.append(
             ChallengeQuestion(

@@ -405,11 +405,12 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corpus", help="JSONL corpus file")
     group.add_argument("--tokens-dir", help="directory of .tokens files")
-    p.add_argument(
-        "--no-structure",
-        action="store_true",
-        help="drop Phrase/MLU/Part/Rep events when encoding from a corpus",
-    )
+
+
+def _add_no_structure_arg(p: argparse.ArgumentParser) -> None:
+    """Only for the commands that encode a corpus into tokens themselves."""
+    p.add_argument("--no-structure", action="store_true",
+                   help="drop Phrase/MLU/Part/Rep events when encoding from a corpus")
 
 
 def _add_scape_args(p: argparse.ArgumentParser) -> None:
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenize", help="encode a corpus into token files")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-structure", action="store_true")
+    _add_no_structure_arg(p)
     p.set_defaults(fn=cmd_tokenize)
 
     p = sub.add_parser("detokenize", help="decode token files into MIDI")
@@ -460,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("challenge", help="continuation prediction challenge")
     _add_source_args(p)
+    _add_no_structure_arg(p)
     p.add_argument("--out", required=True)
     p.add_argument("--model", choices=("ngram", "uniform", "oracle", "external"),
                    default="ngram")
@@ -475,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-model", help="train the n-gram baseline")
     _add_source_args(p)
+    _add_no_structure_arg(p)
     p.add_argument("--out", required=True)
     p.add_argument("--order", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.01)

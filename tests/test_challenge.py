@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from swingbench.challenge import (
+    DISTRIBUTION_TOLERANCE,
     ChallengeError,
     ChallengeQuestion,
     CorpusOracleModel,
@@ -79,6 +85,45 @@ def test_oracle_model_predicts_next():
     assert model.next_token_distribution([9, 9]).max() == pytest.approx(0.1)
 
 
+def _oracle_reference(pieces, vocab_size, history, epsilon=1e-6):
+    """The oracle's definition, read straight off the pieces."""
+    h = len(history)
+    predicted = {p[h] for p in pieces if len(p) > h and list(p[:h]) == list(history)}
+    if not predicted:
+        return np.full(vocab_size, 1.0 / vocab_size)
+    p = np.full(vocab_size, epsilon / vocab_size)
+    p[sorted(predicted)] += (1.0 - epsilon) / len(predicted)
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=6), max_size=5),
+    st.lists(st.integers(0, 3), max_size=7),
+)
+def test_oracle_matches_its_prefix_definition(pieces, history):
+    model = CorpusOracleModel(pieces, vocab_size=4)
+    # every prefix of every piece, and a drawn history that may leave them all
+    for probe in [p[:j] for p in pieces for j in range(len(p) + 1)] + [history]:
+        assert np.array_equal(
+            model.next_token_distribution(probe), _oracle_reference(pieces, 4, probe)
+        )
+
+
+def test_oracle_memory_grows_linearly():
+    # ~33.6k tokens, one piece of 80 bars per motif: a map keyed on every
+    # prefix of every piece holds ~460 MB here, a trie a few MB.
+    pieces = [V.tokens_to_ids(encode_solo(s)) for s in motif_corpus(10, n_bars=80)]
+    assert sum(map(len, pieces)) > 33_000
+    tracemalloc.start()
+    try:
+        CorpusOracleModel(pieces, V.size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
 # --- n-gram -----------------------------------------------------------------
 
 
@@ -130,6 +175,83 @@ def test_ngram_save_load_roundtrip(tmp_path, motif_sequences):
     assert loaded.next_token_distribution(history) == pytest.approx(
         model.next_token_distribution(history)
     )
+    assert loaded.counts == model.counts
+
+
+def test_ngram_model_file_is_settings_and_sequences(tmp_path, motif_sequences):
+    model = train_ngram(motif_sequences, order=5, vocab_size=V.size)
+    path = tmp_path / "model.json"
+    model.save(path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(data) == ["alpha", "order", "sequences", "vocab_size", "weights"]
+    assert data["sequences"] == [list(seq) for seq in motif_sequences]
+    loaded = NGramModel.load(path)
+    assert loaded.counts == model.counts
+    for cut in (0, 1, 3, 40, 200):
+        history = motif_sequences[1][:cut]
+        assert np.array_equal(
+            loaded.next_token_distribution(history), model.next_token_distribution(history)
+        )
+
+
+@pytest.mark.parametrize(
+    "temperature,digest",
+    [
+        (1.0, "1ba53453befbc356c65ff022cf36dcdde79d457c07cec9dbe0a1c94ac140d46c"),
+        (0.7, "18a04cf2593da471e409d001502a17857b3f97f88486a4227545c3e7079500f8"),
+    ],
+)
+def test_reloaded_model_samples_pinned_tokens(tmp_path, motif_sequences, temperature, digest):
+    # Digests of ids sampled from the same model saved as count tables, the
+    # earlier model file format: rebuilding the counts changes no draw.
+    path = tmp_path / "model.json"
+    train_ngram(motif_sequences, order=5, vocab_size=V.size).save(path)
+    ids = generate_tokens(
+        NGramModel.load(path), [BAR_ID], target_bars=8, bar_token_id=BAR_ID,
+        temperature=temperature, seed=5, max_tokens=600,
+    )
+    assert hashlib.sha256(json.dumps(ids).encode()).hexdigest() == digest
+
+
+def _model_file(**changes):
+    data = {"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5],
+            "sequences": [[0, 1, 0, 1], [2, 3, 4]]}
+    data.update(changes)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (_model_file(sequences=None), "'sequences' is missing"),
+        (_model_file(order=None), "'order' is missing"),
+        (_model_file(order="2"), "'order' is missing or of the wrong type"),
+        (_model_file(vocab_size=True), "'vocab_size' is missing or of the wrong type"),
+        (_model_file(alpha="0.01"), "'alpha' is missing or of the wrong type"),
+        (_model_file(weights=[0.5, None]), "'weights' is missing or of the wrong type"),
+        (_model_file(sequences=[[0, 1.5]]), "'sequences' is missing or of the wrong type"),
+        (_model_file(sequences=[["0", "1"]]), "'sequences' is missing or of the wrong type"),
+        (_model_file(sequences={"0": [1]}), "'sequences' is missing or of the wrong type"),
+        (_model_file(sequences=[[0, 9999]]), "outside"),
+        (_model_file(sequences=[[-1, 0]]), "outside"),
+        (_model_file(alpha=float("nan")), "alpha"),
+        ([1, 2], "re-run train-model"),
+        # the count-table format written before models stored their sequences
+        ({"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5],
+          "counts": [{"": {"0": 2, "1": 2}}, {"0": {"1": 2}, "1": {"0": 1}}]},
+         "re-run train-model"),
+    ],
+)
+def test_bad_model_file_raises_named_error(tmp_path, data, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ChallengeError, match=message):
+        NGramModel.load(path)
+
+
+def test_observe_rejects_ids_outside_the_vocabulary():
+    with pytest.raises(ChallengeError, match="outside"):
+        train_ngram([[0, 1, 5]], order=2, vocab_size=5)
 
 
 # --- questions ----------------------------------------------------------------
@@ -372,6 +494,35 @@ def test_line_protocol_sparse_rejects_duplicate_index():
     model = LineProtocolModel(pipe, pipe, vocab_size=4)
     with pytest.raises(ModelProtocolError, match="twice"):
         model.next_token_distribution([])
+
+
+_PROBABILITY_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "0.25", "0.5", "1.0000000005", "-0.25", "nan", "inf", "-inf",
+                     "1e-300", "1e400", "abc", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_SPARSE_ITEM = st.one_of(
+    st.tuples(st.integers(-2, 6), _PROBABILITY_TEXT).map(lambda t: f"{t[0]}:{t[1]}"),
+    st.sampled_from(["1", ":0.5", "1:", "x:0.5", "1:0.5:0.5", "1.5:0.5"]),
+)
+_RESPONSE_LINE = st.one_of(
+    st.lists(_PROBABILITY_TEXT, max_size=6).map(" ".join),
+    st.lists(_SPARSE_ITEM, max_size=6).map(lambda items: " ".join(["*", *items])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RESPONSE_LINE, st.lists(st.integers(0, 3), max_size=4))
+def test_line_protocol_yields_a_distribution_or_a_named_error(line, history):
+    pipe = _PipeEnd(lambda _: line + "\n", 4)
+    try:
+        p = checked_distribution(LineProtocolModel(pipe, pipe, vocab_size=4), history)
+    except (ModelProtocolError, ChallengeError):
+        return
+    assert p.shape == (4,)
+    assert np.isfinite(p).all()
+    assert ((p >= 0) & (p <= 1)).all()
+    assert abs(p.sum() - 1.0) <= DISTRIBUTION_TOLERANCE
 
 
 def test_subprocess_model_matches_builtin_uniform(questions):

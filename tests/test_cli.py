@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import swingbench
 from swingbench import challenge as chal
 from swingbench.challenge import train_ngram
-from swingbench.cli import main
+from swingbench.cli import build_parser, main
 from swingbench.corpus import save_corpus
 from swingbench.synthetic import motif_corpus, random_corpus, sectional_corpus
 from swingbench.tokenizer import BAR, read_tokens
@@ -268,6 +269,46 @@ def test_model_file_with_wrong_vocabulary_errors(tmp_path, motif_file, capsys, c
     code = run(command, "--model-file", model_path, "--out", tmp_path / "out", *source)
     assert code == 1
     assert "error: model vocabulary (5) does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "challenge"])
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5]},
+         "error: model file field 'sequences' is missing or of the wrong type"),
+        ({"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5],
+          "sequences": [[0, 9999]]},
+         "error: token id outside [0, 5)"),
+    ],
+    ids=["missing-key", "id-out-of-range"],
+)
+def test_bad_model_file_errors(tmp_path, motif_file, capsys, command, data, message):
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(json.dumps(data), encoding="utf-8")
+    source = [] if command == "generate" else ["--corpus", motif_file, "--count", 2]
+    code = run(command, "--model-file", model_path, "--out", tmp_path / "out", *source)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report", "--corpus", "c.jsonl", "--out", "o"],
+     ["scape", "--corpus", "c.jsonl", "--piece", "x", "--out", "o"]],
+)
+def test_no_structure_is_a_usage_error_where_it_is_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--no-structure"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["challenge", "train-model"])
+def test_no_structure_accepted_where_a_corpus_is_encoded(command):
+    args = build_parser().parse_args(
+        [command, "--corpus", "c.jsonl", "--out", "o", "--no-structure"]
+    )
+    assert args.no_structure
 
 
 def test_generate_deterministic(tmp_path, motif_file):

@@ -30,3 +30,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(DEMOS / demo)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == [], "the demo left files in the temp dir"
