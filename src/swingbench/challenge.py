@@ -25,6 +25,10 @@ from typing import IO, Sequence
 import numpy as np
 
 DISTRIBUTION_TOLERANCE = 1e-9
+# Probability mass the corpus oracle spreads over every token.
+ORACLE_EPSILON = 1e-6
+# Bars in a question's prompt and in each of its candidate continuations.
+PROMPT_BARS = CONTINUATION_BARS = 8
 # Seconds a child model may take to exit after its input is closed.
 CLOSE_TIMEOUT_S = 10.0
 
@@ -73,13 +77,12 @@ class CorpusOracleModel(SequenceModel):
     """Memorizes a corpus and predicts its continuation with certainty.
 
     When the history is a prefix of some memorized piece the next token
-    of that piece gets probability ``1 - epsilon``; otherwise the model
+    of that piece gets probability ``1 - ORACLE_EPSILON``; otherwise the model
     falls back to uniform.  Useful as a calibration ceiling.
     """
 
-    def __init__(self, pieces: Sequence[Sequence[int]], vocab_size: int, epsilon: float = 1e-6):
+    def __init__(self, pieces: Sequence[Sequence[int]], vocab_size: int):
         self.vocab_size = vocab_size
-        self.epsilon = epsilon
         self._trie: dict = {}  # one nested dict per token: memory linear in the corpus
         for piece in pieces:
             node = self._trie
@@ -94,8 +97,8 @@ class CorpusOracleModel(SequenceModel):
                 break
         if not node:
             return np.full(self.vocab_size, 1.0 / self.vocab_size)
-        p = np.full(self.vocab_size, self.epsilon / self.vocab_size)
-        p[sorted(node)] += (1.0 - self.epsilon) / len(node)
+        p = np.full(self.vocab_size, ORACLE_EPSILON / self.vocab_size)
+        p[sorted(node)] += (1.0 - ORACLE_EPSILON) / len(node)
         return p
 
 
@@ -200,6 +203,9 @@ class NGramModel(SequenceModel):
                 raise ChallengeError(f"model file field {key!r} is missing or of the wrong type "
                                      "(older files hold count tables); re-run train-model")
         model = cls(data["order"], data["vocab_size"], data["alpha"], data["weights"])
+        # The saved weights were normalised when the model was built; a
+        # second pass can move them by an ulp and change every distribution.
+        model.weights = tuple(map(float, data["weights"]))
         for seq in data["sequences"]:
             model.observe(seq)
         return model
@@ -363,16 +369,14 @@ def build_questions(
     count: int,
     seed: int,
     bar_token_id: int,
-    prompt_bars: int = 8,
-    continuation_bars: int = 8,
 ) -> list[ChallengeQuestion]:
     """Draw ``count`` questions deterministically from a token corpus.
 
-    The prompt is the opening ``prompt_bars`` of a piece and the true
+    The prompt is the opening ``PROMPT_BARS`` of a piece and the true
     candidate the bars that follow it; the three distractors are
     bar-aligned windows from three distinct other pieces.
     """
-    needed = prompt_bars + continuation_bars
+    needed = PROMPT_BARS + CONTINUATION_BARS
     starts = [[i for i, t in enumerate(p) if t == bar_token_id] for p in pieces]  # Bar indices
     eligible = [i for i, s in enumerate(starts) if len(s) >= needed]
     if len(eligible) < 4:
@@ -383,18 +387,18 @@ def build_questions(
     questions = []
     for _ in range(count):
         src = int(rng.choice(eligible))
-        prompt = _bar_window(pieces[src], starts[src], 0, prompt_bars)
-        true_cont = _bar_window(pieces[src], starts[src], prompt_bars, continuation_bars)
+        prompt = _bar_window(pieces[src], starts[src], 0, PROMPT_BARS)
+        true_cont = _bar_window(pieces[src], starts[src], PROMPT_BARS, CONTINUATION_BARS)
         others = [i for i in eligible if i != src]
         for _attempt in range(64):
             chosen = rng.choice(len(others), size=3, replace=False)
             distractors = []
             for oi in chosen:
                 piece_idx = others[int(oi)]
-                max_start = len(starts[piece_idx]) - continuation_bars
+                max_start = len(starts[piece_idx]) - CONTINUATION_BARS
                 first = int(rng.integers(0, max_start + 1))
                 distractors.append(
-                    _bar_window(pieces[piece_idx], starts[piece_idx], first, continuation_bars)
+                    _bar_window(pieces[piece_idx], starts[piece_idx], first, CONTINUATION_BARS)
                 )
             if len({true_cont, *distractors}) == 4:
                 break
@@ -423,14 +427,13 @@ def score_continuation(
     candidate: Sequence[int],
     length: int | None = None,
     sampled_prefix: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Mean per-token probability of a candidate continuation.
 
     The candidate is truncated to ``length`` tokens (its own length by
     default).  Under teacher forcing the history grows with the
     candidate's own tokens; with ``sampled_prefix=True`` it grows with
-    tokens sampled from the model instead.
+    tokens sampled from the model instead, seeded with 0.
     """
     candidate = list(candidate)
     if length is None:
@@ -438,8 +441,7 @@ def score_continuation(
     if length < 1 or not candidate:
         raise ChallengeError("empty candidate continuation")
     candidate = candidate[:length]
-    if sampled_prefix and rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if sampled_prefix else None
     history = list(prompt)
     total = 0.0
     for token in candidate:

@@ -1,10 +1,12 @@
 """Command-line interface: tokenize, detokenize, report, scape, challenge,
 train-model, generate.
 
-Every output file starts with a provenance header: the full run
-configuration (defaults included) and a SHA-256 of each input file, so
-identical configuration and inputs yield byte-identical outputs.  All
-randomness flows from the single --seed flag.
+The ``*.tokens``, ``summary.tsv``, ``report.tsv`` and ``challenge.tsv``
+files start with a provenance header, and MIDI files carry it as a text
+meta event: the full run configuration (defaults included) and a SHA-256
+of each input file.  ``vocab.tsv``, model files, ``*.scape.txt`` and
+``.pgm`` images carry none.  Identical configuration and inputs yield
+byte-identical outputs; all randomness flows from the single --seed flag.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ from . import metrics, structure
 from .corpus import CorpusError, load_corpus
 from .midi import write_midi
 from .tokenizer import (
-    DEFAULT_VOCABULARY,
+    DEFAULT_VOCABULARY as VOCAB,
     TokenGrammarError,
     decode_tokens,
     encode_solo,
     read_tokens,
     repair_token_stream,
 )
-
-VOCAB = DEFAULT_VOCABULARY
 
 
 class CliError(RuntimeError):
@@ -121,7 +121,7 @@ def _token_files(token_dir: Path) -> list[Path]:
 def _decode_file(path: Path):
     """Read and decode one .tokens file; a grammar error names the file."""
     try:
-        return decode_tokens(read_tokens(path, VOCAB), VOCAB)
+        return decode_tokens(read_tokens(path))
     except TokenGrammarError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -163,7 +163,7 @@ def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
         ]
         return seqs, [s.id for s in solos], [path]
     files = _token_files(Path(args.tokens_dir))
-    seqs = [VOCAB.tokens_to_ids(read_tokens(f, VOCAB)) for f in files]
+    seqs = [VOCAB.tokens_to_ids(read_tokens(f)) for f in files]
     return seqs, [f.stem for f in files], files
 
 
@@ -347,6 +347,8 @@ def cmd_challenge(args) -> int:
             f"{row['question']}\t{scores}\t{row['chosen']}\t{row['true']}\t{int(row['correct'])}"
         )
     lines.append(f"# accuracy {result.accuracy:.4f}")
+    if args.model == "ngram" and args.model_file:
+        input_files = [*input_files, Path(args.model_file)]
     path = out_dir / "challenge.tsv"
     _write_text(path, provenance_header(config, input_files), lines)
     print(f"accuracy {result.accuracy:.4f} over {len(questions)} questions -> {path}")
@@ -388,7 +390,7 @@ def cmd_generate(args) -> int:
             seed=args.seed + i,
             max_tokens=args.max_tokens,
         )
-        tokens, dropped = repair_token_stream(VOCAB.ids_to_tokens(ids), VOCAB)
+        tokens, dropped = repair_token_stream(VOCAB.ids_to_tokens(ids))
         _write_text(
             out_dir / f"gen-{i:03d}.tokens",
             [*header, f"# piece {i} repaired_drops={dropped}"],

@@ -35,7 +35,7 @@ from .chords import ChordError, ChordSymbol, parse_chord, transpose_chord_string
 
 log = logging.getLogger(__name__)
 
-# Retained midlevel-unit types; configurable per corpus.
+# Retained midlevel-unit types of the WJazzD annotations.
 DEFAULT_MLU_LABELS: tuple[str, ...] = (
     "line",
     "lick",
@@ -316,9 +316,7 @@ def save_corpus(solos: Iterable[Solo], path: str | Path) -> None:
             fh.write("\n")
 
 
-def load_corpus(
-    path: str | Path, mlu_labels: Sequence[str] | None = DEFAULT_MLU_LABELS
-) -> list[Solo]:
+def load_corpus(path: str | Path) -> list[Solo]:
     """Load and validate a JSON Lines corpus file.
 
     Raises :class:`CorpusError` naming the offending solo and field on any
@@ -337,7 +335,7 @@ def load_corpus(
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path} line {lineno}: invalid JSON ({exc})") from None
             solo = solo_from_record(record, where=f"{path} line {lineno}")
-            violations = validate_solo(solo, mlu_labels=mlu_labels)
+            violations = validate_solo(solo)
             if violations:
                 raise CorpusError(
                     f"solo {solo.id!r}: " + "; ".join(violations)

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .chords import NUM_CHORD_TYPES, ChordSymbol, parse_chord
 from .corpus import DEFAULT_MLU_LABELS, Beat, Note, Solo
@@ -70,6 +70,9 @@ NUM_TEMPO_CLASSES = len(TEMPO_CLASS_BOUNDS_BPM) - 1
 MIN_VELOCITY_BIN, MAX_VELOCITY_BIN = 1, 32
 MIN_DURATION_UNITS, MAX_DURATION_UNITS = 1, 32
 
+# Tempo of a decoded stream until its first Tempo token.
+DEFAULT_BPM = 120.0
+
 
 class QuantizationError(ValueError):
     """Invalid input to one of the quantization formulas."""
@@ -89,8 +92,7 @@ class TokenGrammarError(ValueError):
         self.expected = tuple(expected)
 
 
-@dataclass(frozen=True)
-class EventToken:
+class EventToken(NamedTuple):
     category: str
     value: int = 0
 
@@ -194,28 +196,18 @@ DEFAULT_MAX_REPETITION = 12
 
 
 class Vocabulary:
-    """Dense bijection between event tokens and integer ids.
+    """Dense bijection between the 443 event tokens and integer ids.
 
-    MLU labels, form-part letters and the repetition ceiling are
-    configuration; everything else is fixed by the codec.
+    The token set is fixed: the MLU labels, form-part letters and
+    repetition ceiling of the WJazzD annotations plus the codec's own
+    value ranges.
     """
 
-    def __init__(
-        self,
-        mlu_labels: Sequence[str] = DEFAULT_MLU_LABELS,
-        part_letters: Sequence[str] = DEFAULT_PART_LETTERS,
-        max_repetition: int = DEFAULT_MAX_REPETITION,
-    ):
-        self.mlu_labels = tuple(mlu_labels)
-        self.part_letters = tuple(part_letters)
-        self.max_repetition = int(max_repetition)
-        if len(set(self.mlu_labels)) != len(self.mlu_labels):
-            raise ValueError("duplicate MLU labels")
-        if len(set(self.part_letters)) != len(self.part_letters):
-            raise ValueError("duplicate part letters")
-        if self.max_repetition < 1:
-            raise ValueError("max_repetition must be >= 1")
+    mlu_labels = DEFAULT_MLU_LABELS
+    part_letters = DEFAULT_PART_LETTERS
+    max_repetition = DEFAULT_MAX_REPETITION
 
+    def __init__(self):
         self._ranges: dict[str, range] = {
             BAR: range(0, 1),
             POSITION: range(0, POSITIONS_PER_BAR),
@@ -240,9 +232,6 @@ class Vocabulary:
         self._ids = {tok: i for i, tok in enumerate(self._tokens)}
         self._mlu_index = {label: i for i, label in enumerate(self.mlu_labels)}
         self._part_index = {letter: i for i, letter in enumerate(self.part_letters)}
-
-    def __len__(self) -> int:
-        return len(self._tokens)
 
     @property
     def size(self) -> int:
@@ -322,7 +311,7 @@ def write_tokens(tokens: Iterable[EventToken], path: str | Path) -> None:
             fh.write(f"{tok}\n")
 
 
-def read_tokens(path: str | Path, vocab: Vocabulary = DEFAULT_VOCABULARY) -> list[EventToken]:
+def read_tokens(path: str | Path) -> list[EventToken]:
     path = Path(path)
     tokens = []
     with path.open("r", encoding="utf-8") as fh:
@@ -334,7 +323,7 @@ def read_tokens(path: str | Path, vocab: Vocabulary = DEFAULT_VOCABULARY) -> lis
                 tok = parse_token(line)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
-            if not vocab.is_valid(tok):
+            if not DEFAULT_VOCABULARY.is_valid(tok):
                 raise ValueError(f"{path} line {lineno}: token {tok} not in vocabulary")
             tokens.append(tok)
     return tokens
@@ -373,17 +362,14 @@ class _PositionEntry:
     notes: list[tuple[Note, int, int]] = field(default_factory=list)  # (note, vbin, units)
 
 
-def encode_solo(
-    solo: Solo,
-    include_structure: bool = True,
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
-) -> list[EventToken]:
+def encode_solo(solo: Solo, include_structure: bool = True) -> list[EventToken]:
     """Encode a solo into its event-token sequence.
 
     Notes shorter than a 64th note are silently dropped.  With
     ``include_structure=False`` the Phrase/MLU/Part/Rep markers are
     omitted and only notes, meter, tempo, and chords remain.
     """
+    vocab = DEFAULT_VOCABULARY
     tokens: list[EventToken] = []
     beats = solo.beats
     onsets = [b.onset_sec for b in beats]
@@ -570,8 +556,7 @@ class _GrammarWalker:
     with, or None between groups.
     """
 
-    def __init__(self, vocab: Vocabulary):
-        self.vocab = vocab
+    def __init__(self):
         self.bar_open = False
         self.last_position: int | None = None
         self.expected: tuple[str, ...] | None = None
@@ -607,7 +592,7 @@ class _GrammarWalker:
     def advance(self, i: int, tok: EventToken) -> None:
         """Accept ``tok`` as token ``i``, or raise :class:`TokenGrammarError`
         and leave the state unchanged."""
-        if not self.vocab.is_valid(tok):
+        if not DEFAULT_VOCABULARY.is_valid(tok):
             raise TokenGrammarError(i, f"unknown token {tok}")
         rejection = self.step(tok)
         if rejection is not None:
@@ -623,11 +608,7 @@ class _GrammarWalker:
             raise TokenGrammarError(0, "stream contains no Bar token", (BAR,))
 
 
-def decode_tokens(
-    tokens: Sequence[EventToken],
-    vocab: Vocabulary = DEFAULT_VOCABULARY,
-    default_bpm: float = 120.0,
-) -> DecodedTimeline:
+def decode_tokens(tokens: Sequence[EventToken]) -> DecodedTimeline:
     """Decode a grammar-valid token stream back into a timed timeline.
 
     Raises :class:`TokenGrammarError` with the token index on the first
@@ -642,7 +623,7 @@ def decode_tokens(
 
     bar = -1
     bar_start = 0.0
-    beat_durs = [60.0 / default_bpm] * 4
+    beat_durs = [60.0 / DEFAULT_BPM] * 4
     position_time = 0.0
     current_beat = 0
 
@@ -650,7 +631,7 @@ def decode_tokens(
     pending_mlu: int | None = None
     pending_vbin = pending_pitch = pending_chord_tone = pending_chord_type = -1
 
-    walker = _GrammarWalker(vocab)
+    walker = _GrammarWalker()
     for i, tok in enumerate(tokens):
         walker.advance(i, tok)
         cat, val = tok.category, tok.value
@@ -705,7 +686,7 @@ def decode_tokens(
                     bar=bar,
                     position=position,
                     phrase_start=pending_phrase,
-                    mlu_label=vocab.mlu_labels[pending_mlu] if pending_mlu is not None else None,
+                    mlu_label=DEFAULT_MLU_LABELS[pending_mlu] if pending_mlu is not None else None,
                 )
             )
             pending_phrase = False
@@ -716,9 +697,7 @@ def decode_tokens(
     return DecodedTimeline(notes, chords, tempo_curve, structure, bar_times)
 
 
-def repair_token_stream(
-    tokens: Sequence[EventToken], vocab: Vocabulary = DEFAULT_VOCABULARY
-) -> tuple[list[EventToken], int]:
+def repair_token_stream(tokens: Sequence[EventToken]) -> tuple[list[EventToken], int]:
     """Drop tokens that violate the grammar; returns (repaired, drop count).
 
     Used to clean sampled streams before decoding.  Unknown tokens are
@@ -729,10 +708,10 @@ def repair_token_stream(
     """
     out: list[EventToken] = []
     group: list[EventToken] = []
-    walker = _GrammarWalker(vocab)
+    walker = _GrammarWalker()
     dropped = 0
     for tok in tokens:
-        if not vocab.is_valid(tok):
+        if not DEFAULT_VOCABULARY.is_valid(tok):
             dropped += 1
             continue
         if group and tok.category not in walker.expected:

@@ -194,6 +194,20 @@ def test_ngram_model_file_is_settings_and_sequences(tmp_path, motif_sequences):
         )
 
 
+@pytest.mark.parametrize("order", range(1, 10))
+def test_reloaded_model_keeps_weights_and_distribution_bits(tmp_path, motif_sequences, order):
+    model = train_ngram(motif_sequences[:3], order=order, vocab_size=V.size)
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = NGramModel.load(path)
+    assert loaded.weights == model.weights
+    for cut in (0, 1, 7, 40, 200):
+        history = motif_sequences[3][:cut]
+        assert np.array_equal(
+            loaded.next_token_distribution(history), model.next_token_distribution(history)
+        )
+
+
 @pytest.mark.parametrize(
     "temperature,digest",
     [
@@ -389,7 +403,6 @@ def test_sampled_prefix_mode_runs(questions):
         questions[0].candidates[0],
         length=10,
         sampled_prefix=True,
-        rng=np.random.default_rng(0),
     )
     assert score == pytest.approx(1.0 / V.size)
 

@@ -320,6 +320,22 @@ def test_generate_deterministic(tmp_path, motif_file):
     assert (g1 / "gen-000.tokens").read_bytes() == (g2 / "gen-000.tokens").read_bytes()
 
 
+def test_challenge_header_names_the_model_file(tmp_path, motif_file):
+    headers = []
+    for order in (2, 4):
+        model_path = tmp_path / f"o{order}" / "model.json"
+        run("train-model", "--corpus", motif_file, "--out", model_path, "--order", order)
+        out = tmp_path / f"challenge{order}"
+        run("challenge", "--corpus", motif_file, "--model-file", model_path,
+            "--out", out, "--count", 4, "--seed", 1)
+        lines = (out / "challenge.tsv").read_text().splitlines()
+        header = lines[: lines.index("question\tP0\tP1\tP2\tP3\tchosen\ttrue\tcorrect")]
+        digest = hashlib.sha256(model_path.read_bytes()).hexdigest()
+        assert f"# input model.json sha256={digest}" in header
+        headers.append(header)
+    assert headers[0] != headers[1]
+
+
 def test_challenge_external_model(tmp_path, motif_file):
     from swingbench.tokenizer import DEFAULT_VOCABULARY as V
 

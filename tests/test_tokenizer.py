@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,10 @@ def test_vocabulary_sidecar(tmp_path):
     assert len(lines) == V.size
     first_token, first_id = lines[0].split("\t")
     assert first_token == "Bar(0)" and first_id == "0"
+    assert V.size == 443
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0e2a9a3da0882a5dc6ee65fd72f1f442b9320be39df8248c4e73173232380df3"
+    )
 
 
 # --- encoding ----------------------------------------------------------------
