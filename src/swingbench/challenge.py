@@ -10,7 +10,11 @@ argmax (lowest index on ties).
 Any sequence model can participate: the built-in interpolated add-alpha
 n-gram, the uniform and corpus-memorizing reference models, or an
 external process speaking the line protocol (history ids out, probability
-vector back, one line per step).
+vector back, one line per step).  Teacher-forced scoring asks a model's
+``score`` once per candidate for the probability of each of its tokens;
+the n-gram and the oracle compute just those probabilities, and every
+other model falls back to one checked distribution per step, so an
+external model still answers one line per token.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ DISTRIBUTION_TOLERANCE = 1e-9
 ORACLE_EPSILON = 1e-6
 # Bars in a question's prompt and in each of its candidate continuations.
 PROMPT_BARS = CONTINUATION_BARS = 8
+# The n-gram counts of a context never seen; shared, so never written to.
+_NO_COUNTS: dict[int, int] = {}
 # Seconds a child model may take to exit after its input is closed.
 CLOSE_TIMEOUT_S = 10.0
 
@@ -48,6 +54,19 @@ class SequenceModel:
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
         raise NotImplementedError
+
+    def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
+        """Probability of each continuation token under teacher forcing:
+        element ``i`` is ``next_token_distribution(context + continuation[:i])``
+        at ``continuation[i]``.  This default asks for one checked
+        distribution per token; models that can compute the entries
+        directly override it."""
+        history = list(context)
+        out = np.empty(len(continuation))
+        for i, token in enumerate(continuation):
+            out[i] = checked_distribution(self, history)[token]
+            history.append(token)
+        return out
 
 
 def checked_distribution(model: SequenceModel, history: Sequence[int]) -> np.ndarray:
@@ -89,17 +108,38 @@ class CorpusOracleModel(SequenceModel):
             for token in piece:
                 node = node.setdefault(token, {})
 
-    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
+    def _node(self, history: Sequence[int]) -> dict | None:
+        """The trie node a history leads to; None once it leaves the corpus."""
         node = self._trie
         for token in history:
             node = node.get(token)
             if node is None:
                 break
+        return node
+
+    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
+        node = self._node(history)
         if not node:
             return np.full(self.vocab_size, 1.0 / self.vocab_size)
         p = np.full(self.vocab_size, ORACLE_EPSILON / self.vocab_size)
         p[sorted(node)] += (1.0 - ORACLE_EPSILON) / len(node)
         return p
+
+    def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
+        """Walks the context down the trie once, then one node per token;
+        each entry has the bits of the dense distribution's."""
+        node = self._node(context)
+        floor = ORACLE_EPSILON / self.vocab_size
+        out = np.empty(len(continuation))
+        for i, token in enumerate(continuation):
+            if not node:  # off the corpus or past the end of a piece
+                out[i] = 1.0 / self.vocab_size
+            elif token in node:
+                out[i] = floor + (1.0 - ORACLE_EPSILON) / len(node)
+            else:
+                out[i] = floor
+            node = node.get(token) if node else None
+        return out
 
 
 class NGramModel(SequenceModel):
@@ -137,11 +177,15 @@ class NGramModel(SequenceModel):
             {} for _ in range(order)
         ]
         self.sequences: list[list[int]] = []  # all counted so far: what to_dict saves
+        # score's memo, one entry per distinct context scored; observe clears it.
+        # context key -> (sum of the unnormalised distribution, _components)
+        self._memo: dict[tuple[int, ...], tuple[float, list]] = {}
 
     def observe(self, sequence: Sequence[int]) -> None:
         seq = [int(t) for t in sequence]
         if seq and not (0 <= min(seq) and max(seq) < self.vocab_size):
             raise ChallengeError(f"token id outside [0, {self.vocab_size})")
+        self._memo.clear()
         self.sequences.append(seq)
         for k in range(1, self.order + 1):
             table = self.counts[k - 1]
@@ -150,33 +194,59 @@ class NGramModel(SequenceModel):
                 nxt = table.setdefault(ctx, {})
                 nxt[seq[j]] = nxt.get(seq[j], 0) + 1
 
-    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        history = tuple(history)
-        p = np.zeros(self.vocab_size)
+    def _key(self, history: Sequence[int]) -> tuple[int, ...]:
+        """The last ``order - 1`` tokens, all a distribution depends on
+        (order 1 needs its own case: ``history[-0:]`` is the whole list)."""
+        return tuple(history[-(self.order - 1) :]) if self.order > 1 else ()
+
+    def _components(self, key: tuple[int, ...]) -> list[tuple[float, dict, float]]:
+        """(weight, counts of the next token, denominator) per order with a
+        nonzero weight, lowest order first.  A context shorter than ``k - 1``
+        misses the order-k table, leaving that order's smoothed floor."""
         denom_base = self.alpha * self.vocab_size
-        for k in range(1, self.order + 1):
-            if self.weights[k - 1] == 0:
-                continue
-            if k == 1:
-                ctx: tuple[int, ...] = ()
-            elif len(history) >= k - 1:
-                ctx = history[-(k - 1) :]
-            else:
-                ctx = history  # short history: lookup misses, leaving the smoothed floor
-            table = self.counts[k - 1].get(ctx, {})
-            total = sum(table.values())
+        out = []
+        for k, weight in enumerate(self.weights, start=1):
+            if weight != 0:
+                table = self.counts[k - 1].get(key[-(k - 1) :] if k > 1 else (), _NO_COUNTS)
+                out.append((weight, table, sum(table.values()) + denom_base))
+        return out
+
+    def _unnormalised(self, history: Sequence[int]) -> np.ndarray:
+        p = np.zeros(self.vocab_size)
+        for weight, table, denom in self._components(self._key(history)):
             component = np.full(self.vocab_size, self.alpha)
             for token, count in table.items():
                 component[token] += count
-            p += self.weights[k - 1] * component / (total + denom_base)
+            p += weight * component / denom
+        return p
+
+    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
+        p = self._unnormalised(history)
         return p / p.sum()
 
+    def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
+        """Each token's probability as a scalar, by the per-order terms of
+        ``_unnormalised`` summed in the same order and divided by the same
+        sum, so entry ``i`` has the bits of the dense distribution's."""
+        history = list(self._key(context))
+        out = np.empty(len(continuation))
+        for i, token in enumerate(continuation):
+            key = self._key(history)
+            memo = self._memo.get(key)
+            if memo is None:
+                memo = self._memo[key] = (self._unnormalised(key).sum(), self._components(key))
+            norm, components = memo
+            p = 0.0
+            for weight, table, denom in components:
+                p += weight * (self.alpha + table.get(token, 0)) / denom
+            out[i] = p / norm
+            history.append(token)
+        return out
+
     def sequence_log_likelihood(self, sequence: Sequence[int]) -> float:
-        seq = list(sequence)
         total = 0.0
-        for j in range(len(seq)):
-            p = self.next_token_distribution(seq[:j])
-            total += float(np.log(p[seq[j]]))
+        for p in self.score((), sequence):
+            total += float(np.log(p))
         return total
 
     def perplexity(self, sequences: Sequence[Sequence[int]]) -> float:
@@ -432,8 +502,10 @@ def score_continuation(
 
     The candidate is truncated to ``length`` tokens (its own length by
     default).  Under teacher forcing the history grows with the
-    candidate's own tokens; with ``sampled_prefix=True`` it grows with
-    tokens sampled from the model instead, seeded with 0.
+    candidate's own tokens, and the model's ``score`` gives all their
+    probabilities in one call; with ``sampled_prefix=True`` it grows with
+    tokens sampled from the model instead, seeded with 0, one checked
+    distribution per step.
     """
     candidate = list(candidate)
     if length is None:
@@ -441,16 +513,27 @@ def score_continuation(
     if length < 1 or not candidate:
         raise ChallengeError("empty candidate continuation")
     candidate = candidate[:length]
-    rng = np.random.default_rng(0) if sampled_prefix else None
-    history = list(prompt)
+    if not (0 <= min(candidate) and max(candidate) < model.vocab_size):
+        raise ChallengeError(f"candidate token id outside [0, {model.vocab_size})")
     total = 0.0
+    if not sampled_prefix:
+        probs = np.asarray(model.score(prompt, candidate), dtype=float)
+        if probs.shape != (len(candidate),):
+            raise ChallengeError(
+                f"model scored shape {probs.shape}, expected ({len(candidate)},)"
+            )
+        # Negated comparisons: NaN fails both checks, inf the range check.
+        if not ((probs >= 0) & (probs <= 1)).all():
+            raise ChallengeError("model scored probabilities outside [0, 1] or NaN")
+        for p in probs:
+            total += float(p)
+        return total / len(candidate)
+    rng = np.random.default_rng(0)
+    history = list(prompt)
     for token in candidate:
         p = checked_distribution(model, history)
         total += float(p[token])
-        if sampled_prefix:
-            history.append(int(rng.choice(model.vocab_size, p=p)))
-        else:
-            history.append(token)
+        history.append(int(rng.choice(model.vocab_size, p=p)))
     return total / len(candidate)
 
 

@@ -316,6 +316,10 @@ def _build_model(args, sequences: list[list[int]]):
 
 
 def cmd_challenge(args) -> int:
+    if args.model_file and args.model != "ngram":
+        raise CliError(
+            f"--model-file holds an n-gram model; it cannot be used with --model {args.model}"
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sequences, _, input_files = _token_sequences(args)
@@ -332,8 +336,9 @@ def cmd_challenge(args) -> int:
     config = {
         "command": "challenge",
         "model": args.model,
-        "order": args.order,
-        "alpha": args.alpha,
+        # a model file's own settings, not the flags it overrides
+        "order": model.order if args.model_file else args.order,
+        "alpha": model.alpha if args.model_file else args.alpha,
         "count": args.count,
         "seed": args.seed,
         "sampled_prefix": args.sampled_prefix,
@@ -347,7 +352,7 @@ def cmd_challenge(args) -> int:
             f"{row['question']}\t{scores}\t{row['chosen']}\t{row['true']}\t{int(row['correct'])}"
         )
     lines.append(f"# accuracy {result.accuracy:.4f}")
-    if args.model == "ngram" and args.model_file:
+    if args.model_file:
         input_files = [*input_files, Path(args.model_file)]
     path = out_dir / "challenge.tsv"
     _write_text(path, provenance_header(config, input_files), lines)

@@ -110,6 +110,28 @@ def test_oracle_matches_its_prefix_definition(pieces, history):
         )
 
 
+def _assert_score_is_the_dense_entry(model, context, continuation):
+    got = model.score(context, continuation)
+    assert got.shape == (len(continuation),)
+    for i, token in enumerate(continuation):
+        p = model.next_token_distribution([*context, *continuation[:i]])
+        assert got[i] == p[token]  # the same bits, not merely close
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), max_size=6), min_size=1, max_size=5), st.data())
+def test_oracle_score_is_the_dense_entry(pieces, data):
+    model = CorpusOracleModel(pieces, vocab_size=4)
+    piece = data.draw(st.sampled_from(pieces))
+    cut = data.draw(st.integers(0, len(piece)))
+    tail = data.draw(st.lists(st.integers(0, 3), max_size=4))
+    drawn = data.draw(st.lists(st.integers(0, 3), max_size=7))
+    # along a piece and on past its end, from the end of a piece, and from
+    # a drawn history that may leave the corpus
+    for context, continuation in [(piece[:cut], piece[cut:] + tail), (piece, tail), (drawn, tail)]:
+        _assert_score_is_the_dense_entry(model, context, continuation)
+
+
 def test_oracle_memory_grows_linearly():
     # ~33.6k tokens, one piece of 80 bars per motif: a map keyed on every
     # prefix of every piece holds ~460 MB here, a trie a few MB.
@@ -164,6 +186,50 @@ def test_higher_order_reduces_heldout_perplexity(motif_sequences):
     uni = train_ngram(train, order=1, vocab_size=V.size)
     tri = train_ngram(train, order=3, vocab_size=V.size)
     assert tri.perplexity(held) <= uni.perplexity(held)
+
+
+@st.composite
+def _ngram_cases(draw):
+    order = draw(st.integers(1, 9))
+    vocab = draw(st.integers(1, 5))
+    ids = st.lists(st.integers(0, vocab - 1), max_size=12)
+    weights = draw(
+        st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=order, max_size=order)
+        .filter(lambda w: sum(w) > 0)
+    )
+    # an int alpha is what a model file written by hand may hold
+    model = NGramModel(order, vocab, alpha=draw(st.sampled_from([0.01, 0.5, 2])), weights=weights)
+    for seq in draw(st.lists(ids, max_size=4)):
+        model.observe(seq)
+    return model, draw(ids), draw(ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ngram_cases())
+def test_ngram_score_is_the_dense_entry(case):
+    # empty contexts and contexts shorter than order - 1 are drawn too
+    model, context, continuation = case
+    _assert_score_is_the_dense_entry(model, context, continuation)
+    # counting more must not leave a stale normaliser behind
+    model.observe([*context, *continuation])
+    _assert_score_is_the_dense_entry(model, context, continuation)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 9])
+def test_sequence_log_likelihood_is_the_per_step_sum(motif_sequences, order):
+    model = train_ngram(motif_sequences[:4], order=order, vocab_size=V.size)
+    seq = motif_sequences[5][:150]
+    expected = 0.0
+    for j in range(len(seq)):
+        expected += float(np.log(model.next_token_distribution(seq[:j])[seq[j]]))
+    assert model.sequence_log_likelihood(seq) == expected
+
+
+def test_ngram_challenge_scores_match_the_per_step_path(motif_sequences, questions):
+    model = train_ngram(motif_sequences, order=5, vocab_size=V.size)
+    per_step = UniformModel(V.size)  # inherits the per-step SequenceModel.score
+    per_step.next_token_distribution = model.next_token_distribution
+    assert run_challenge(model, questions[:8]).rows == run_challenge(per_step, questions[:8]).rows
 
 
 def test_ngram_save_load_roundtrip(tmp_path, motif_sequences):
@@ -330,6 +396,26 @@ def test_score_truncates_to_length(questions):
     full = score_continuation(model, q.prompt, q.candidates[0], length=5)
     longer = score_continuation(model, q.prompt, q.candidates[0][:5])
     assert full == pytest.approx(longer)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [[np.nan] * 3, [0.5, 1.5, 0.5], [0.5, np.inf, 0.5], [-0.25, 0.5, 0.5], [0.5, 0.5], [[0.5] * 3]],
+    ids=["nan", "above-one", "inf", "negative", "short", "two-dim"],
+)
+def test_score_contract_enforced(scores):
+    class BadScore(UniformModel):
+        def score(self, context, continuation):
+            return np.array(scores)
+
+    with pytest.raises(ChallengeError, match="model scored"):
+        score_continuation(BadScore(4), [0], [1, 2, 3])
+
+
+def test_candidate_ids_outside_the_vocabulary_are_refused():
+    for candidate in ([1, 4], [-1, 2]):
+        with pytest.raises(ChallengeError, match="outside"):
+            score_continuation(UniformModel(4), [0], candidate)
 
 
 def test_bigram_chain_hand_computed():
@@ -500,6 +586,19 @@ def test_line_protocol_sparse_spreads_leftover_over_unlisted(line, expected):
     pipe = _PipeEnd(lambda history: line, 4)
     model = LineProtocolModel(pipe, pipe, vocab_size=4)
     assert checked_distribution(model, []) == pytest.approx(np.array(expected))
+
+
+def test_line_protocol_model_answers_one_line_per_token():
+    requests = []
+
+    def respond(history):
+        requests.append(history)
+        return "0.25 0.25 0.25 0.25\n"
+
+    pipe = _PipeEnd(respond, 4)
+    score = score_continuation(LineProtocolModel(pipe, pipe, vocab_size=4), [0, 1], [2, 3, 0])
+    assert requests == [[0, 1], [0, 1, 2], [0, 1, 2, 3]]
+    assert score == 0.25
 
 
 def test_line_protocol_sparse_rejects_duplicate_index():

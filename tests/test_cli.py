@@ -336,6 +336,28 @@ def test_challenge_header_names_the_model_file(tmp_path, motif_file):
     assert headers[0] != headers[1]
 
 
+def test_challenge_header_states_the_model_file_settings(tmp_path, motif_file):
+    model_path = tmp_path / "o2.json"
+    run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 2, "--alpha", 0.5)
+    out = tmp_path / "chal"
+    assert run("challenge", "--corpus", motif_file, "--model-file", model_path,
+               "--out", out, "--count", 4, "--seed", 1) == 0
+    lines = (out / "challenge.tsv").read_text().splitlines()
+    assert "# cfg order=2" in lines and "# cfg alpha=0.5" in lines
+    assert not any(line in lines for line in ("# cfg order=5", "# cfg alpha=0.01"))
+
+
+@pytest.mark.parametrize("model", ["oracle", "uniform", "external"])
+def test_model_file_with_another_model_is_a_usage_error(tmp_path, motif_file, capsys, model):
+    model_path = tmp_path / "o2.json"
+    train_ngram([[0, 1, 0, 1]], order=2, vocab_size=5).save(model_path)
+    code = run("challenge", "--corpus", motif_file, "--model", model, "--model-file", model_path,
+               "--external-cmd", "true", "--out", tmp_path / "out", "--count", 2)
+    assert code == 1
+    assert f"cannot be used with --model {model}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_challenge_external_model(tmp_path, motif_file):
     from swingbench.tokenizer import DEFAULT_VOCABULARY as V
 
