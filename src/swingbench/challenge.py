@@ -12,9 +12,10 @@ n-gram, the uniform and corpus-memorizing reference models, or an
 external process speaking the line protocol (history ids out, probability
 vector back, one line per step).  Teacher-forced scoring asks a model's
 ``score`` once per candidate for the probability of each of its tokens;
-the n-gram and the oracle compute just those probabilities, and every
-other model falls back to one checked distribution per step, so an
-external model still answers one line per token.
+the n-gram, the oracle and the uniform model compute just those
+probabilities, and every other model falls back to one checked
+distribution per step, so an external model still answers one line per
+token.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import shlex
 import subprocess
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -33,8 +35,6 @@ DISTRIBUTION_TOLERANCE = 1e-9
 ORACLE_EPSILON = 1e-6
 # Bars in a question's prompt and in each of its candidate continuations.
 PROMPT_BARS = CONTINUATION_BARS = 8
-# The n-gram counts of a context never seen; shared, so never written to.
-_NO_COUNTS: dict[int, int] = {}
 # Seconds a child model may take to exit after its input is closed.
 CLOSE_TIMEOUT_S = 10.0
 
@@ -91,6 +91,9 @@ class UniformModel(SequenceModel):
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
         return np.full(self.vocab_size, 1.0 / self.vocab_size)
 
+    def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
+        return np.full(len(continuation), 1.0 / self.vocab_size)
+
 
 class CorpusOracleModel(SequenceModel):
     """Memorizes a corpus and predicts its continuation with certainty.
@@ -142,6 +145,57 @@ class CorpusOracleModel(SequenceModel):
         return out
 
 
+class _CountLevel:
+    """The n-gram counts of one context length ``m``, as sorted arrays.
+
+    A context of length ``m`` extends one of length ``m - 1`` by the token
+    on its left, so its code is ``id(m - 1) * V + token``; its id is its
+    rank in ``contexts``.  ``grams`` holds ``id * V + next token`` for every
+    gram seen, sorted, so the grams after context ``c`` are the slice
+    ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens`` and ``counts``.
+    """
+
+    def __init__(
+        self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray, vocab_size: int
+    ):
+        self.contexts = contexts
+        self.grams = grams
+        self.tokens = grams % vocab_size
+        self.counts = counts
+        self.offsets = np.searchsorted(grams, np.arange(len(contexts) + 1) * vocab_size)
+        self.totals = np.diff(np.concatenate(([0], np.cumsum(counts)))[self.offsets])
+
+
+def _build_index(sequences: list[list[int]], order: int, vocab_size: int) -> list[_CountLevel]:
+    """One ``_CountLevel`` per context length 0 .. order - 1.  A position
+    counts at length ``m`` only when its ``m`` context tokens lie inside
+    its own sequence."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    tokens = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
+    offset = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    at = np.arange(len(tokens))  # the positions with a context of the current length
+    depth = at - offset  # how many tokens of its own sequence precede each of them
+    ids = np.zeros(len(tokens), dtype=np.int64)  # every position has the empty context, id 0
+    contexts = np.unique(ids)
+    levels = []
+    for m in range(order):
+        if m:
+            keep = depth >= m
+            at, depth = at[keep], depth[keep]
+            contexts, ids = np.unique(ids[keep] * vocab_size + tokens[at - m], return_inverse=True)
+        grams, counts = np.unique(ids * vocab_size + tokens[at], return_counts=True)
+        levels.append(_CountLevel(contexts, grams, counts, vocab_size))
+    return levels
+
+
+def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The index of each code in ``sorted_codes``, or -1 where it is absent."""
+    if not len(sorted_codes):
+        return np.full(len(codes), -1)
+    at = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+    return np.where(sorted_codes[at] == codes, at, -1)
+
+
 class NGramModel(SequenceModel):
     """Interpolated n-gram model with add-alpha smoothing.
 
@@ -149,6 +203,11 @@ class NGramModel(SequenceModel):
     ``(count(context, x) + alpha) / (count(context) + alpha * V)`` over
     the last ``k - 1`` history tokens.  Every token keeps nonzero
     probability, so the model never assigns zero to a continuation.
+
+    The model keeps the id sequences it has observed.  Their counts live
+    in one sorted index, ``index`` (a ``_CountLevel`` per context length),
+    built with numpy on the first query after an ``observe``; a history's
+    contexts are found by binary search, one token further left per level.
     """
 
     def __init__(
@@ -172,76 +231,108 @@ class NGramModel(SequenceModel):
             raise ChallengeError("need one finite non-negative weight per order")
         total = float(sum(weights))
         self.weights = tuple(w / total for w in weights)
-        # counts[k-1]: context tuple of length k-1 -> {token: count}
-        self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-            {} for _ in range(order)
-        ]
         self.sequences: list[list[int]] = []  # all counted so far: what to_dict saves
-        # score's memo, one entry per distinct context scored; observe clears it.
-        # context key -> (sum of the unnormalised distribution, _components)
-        self._memo: dict[tuple[int, ...], tuple[float, list]] = {}
+        self._index: list[_CountLevel] | None = None  # built on demand; observe drops it
+        # score's memo: (deepest context level matched, its id) -> the sum of
+        # that context's unnormalised distribution.  observe clears it.
+        self._norms: dict[tuple[int, int], float] = {}
 
     def observe(self, sequence: Sequence[int]) -> None:
         seq = [int(t) for t in sequence]
         if seq and not (0 <= min(seq) and max(seq) < self.vocab_size):
             raise ChallengeError(f"token id outside [0, {self.vocab_size})")
-        self._memo.clear()
+        self._index = None
+        self._norms.clear()
         self.sequences.append(seq)
-        for k in range(1, self.order + 1):
-            table = self.counts[k - 1]
-            for j in range(k - 1, len(seq)):
-                ctx = tuple(seq[j - k + 1 : j])
-                nxt = table.setdefault(ctx, {})
-                nxt[seq[j]] = nxt.get(seq[j], 0) + 1
 
-    def _key(self, history: Sequence[int]) -> tuple[int, ...]:
-        """The last ``order - 1`` tokens, all a distribution depends on
-        (order 1 needs its own case: ``history[-0:]`` is the whole list)."""
-        return tuple(history[-(self.order - 1) :]) if self.order > 1 else ()
+    @property
+    def index(self) -> list[_CountLevel]:
+        """The counts of every sequence observed: level ``m`` for contexts of ``m`` tokens."""
+        if self._index is None:
+            self._index = _build_index(self.sequences, self.order, self.vocab_size)
+        return self._index
 
-    def _components(self, key: tuple[int, ...]) -> list[tuple[float, dict, float]]:
-        """(weight, counts of the next token, denominator) per order with a
-        nonzero weight, lowest order first.  A context shorter than ``k - 1``
-        misses the order-k table, leaving that order's smoothed floor."""
-        denom_base = self.alpha * self.vocab_size
-        out = []
-        for k, weight in enumerate(self.weights, start=1):
-            if weight != 0:
-                table = self.counts[k - 1].get(key[-(k - 1) :] if k > 1 else (), _NO_COUNTS)
-                out.append((weight, table, sum(table.values()) + denom_base))
-        return out
+    def _context_ids(self, history: Sequence[int]) -> list[int]:
+        """Ids of the history's last 0, 1, 2 ... tokens as contexts, up to
+        ``order - 1`` tokens, stopping at the first one never seen."""
+        ids: list[int] = []
+        code = 0
+        for m, level in enumerate(self.index[: len(history) + 1]):
+            if m:
+                token = int(history[-m])
+                if not 0 <= token < self.vocab_size:  # never counted; its code would alias
+                    break
+                code = ids[-1] * self.vocab_size + token
+            at = int(level.contexts.searchsorted(code))
+            if at == len(level.contexts) or level.contexts.item(at) != code:
+                break
+            ids.append(at)
+        return ids
 
-    def _unnormalised(self, history: Sequence[int]) -> np.ndarray:
+    def _unnormalised(self, ids: Sequence[int]) -> np.ndarray:
+        """Sum of the weighted components given the context ids of
+        ``_context_ids``; an order whose context was not found keeps the
+        smoothed floor ``alpha / (alpha * V)``."""
+        index, denom_base = self.index, self.alpha * self.vocab_size
         p = np.zeros(self.vocab_size)
-        for weight, table, denom in self._components(self._key(history)):
-            component = np.full(self.vocab_size, self.alpha)
-            for token, count in table.items():
-                component[token] += count
-            p += weight * component / denom
+        for m, weight in enumerate(self.weights):
+            if weight != 0:
+                component = np.full(self.vocab_size, self.alpha)
+                denom = denom_base
+                if m < len(ids):
+                    level, c = index[m], ids[m]
+                    lo, hi = level.offsets.item(c), level.offsets.item(c + 1)
+                    # each token once per context: the same sum as adding the counts in place
+                    component[level.tokens[lo:hi]] = self.alpha + level.counts[lo:hi]
+                    denom = level.totals.item(c) + denom_base
+                p += weight * component / denom
         return p
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        p = self._unnormalised(history)
+        p = self._unnormalised(self._context_ids(history))
         return p / p.sum()
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
-        """Each token's probability as a scalar, by the per-order terms of
+        """Each token's probability by the per-order terms of
         ``_unnormalised`` summed in the same order and divided by the same
-        sum, so entry ``i`` has the bits of the dense distribution's."""
-        history = list(self._key(context))
-        out = np.empty(len(continuation))
-        for i, token in enumerate(continuation):
-            key = self._key(history)
-            memo = self._memo.get(key)
-            if memo is None:
-                memo = self._memo[key] = (self._unnormalised(key).sum(), self._components(key))
-            norm, components = memo
-            p = 0.0
-            for weight, table, denom in components:
-                p += weight * (self.alpha + table.get(token, 0)) / denom
-            out[i] = p / norm
-            history.append(token)
-        return out
+        sum, so entry ``i`` has the bits of the dense distribution's; the
+        context ids of every step are looked up together, level by level."""
+        index, vocab = self.index, self.vocab_size
+        tail = list(context[max(0, len(context) - self.order + 1) :])
+        history = np.array([*tail, *continuation], dtype=np.int64)
+        target = history[len(tail) :]
+        steps = np.arange(len(tail), len(history))  # where each scored token sits in history
+        # ids outside the vocabulary were never counted, and their codes would alias
+        counted = (history >= 0) & (history < vocab)
+        # ids[m, i]: the id of step i's m-token context, -1 when it was never seen
+        ids = np.empty((self.order, len(target)), dtype=np.int64)
+        ids[0] = _find(index[0].contexts, np.zeros(len(target), dtype=np.int64))
+        for m in range(1, self.order):
+            left = np.maximum(steps - m, 0)  # the token that extends the context
+            seen = (ids[m - 1] >= 0) & (steps >= m) & counted[left]
+            codes = np.where(seen, ids[m - 1] * vocab + history[left], -1)
+            ids[m] = _find(index[m].contexts, codes)
+        denom_base = self.alpha * vocab
+        p = np.zeros(len(target))
+        for m, weight in enumerate(self.weights):
+            if weight != 0:
+                level, seen = index[m], ids[m] >= 0
+                total = np.zeros(len(target), dtype=np.int64)
+                total[seen] = level.totals[ids[m, seen]]
+                seen &= counted[steps]
+                count = np.zeros(len(target), dtype=np.int64)
+                at = _find(level.grams, ids[m, seen] * vocab + target[seen])
+                count[seen] = np.where(at >= 0, level.counts[at], 0)
+                p += weight * (self.alpha + count) / (total + denom_base)
+        depth = (ids >= 0).sum(axis=0)  # context levels found at each step
+        deepest = ids[np.maximum(depth - 1, 0), np.arange(len(target))]
+        norms = np.empty(len(target))
+        for i, key in enumerate(zip(depth.tolist(), deepest.tolist())):
+            norm = self._norms.get(key)
+            if norm is None:
+                norm = self._norms[key] = self._unnormalised(ids[: key[0], i].tolist()).sum()
+            norms[i] = norm
+        return p / norms
 
     def sequence_log_likelihood(self, sequence: Sequence[int]) -> float:
         total = 0.0
@@ -603,8 +694,8 @@ def generate_tokens(
     until the bar after the last requested one begins, so the final bar is
     complete, or until ``max_tokens``.  Deterministic given the seed.
     """
-    if temperature <= 0:
-        raise ChallengeError("temperature must be positive")
+    if not 0 < temperature < np.inf:  # NaN fails too
+        raise ChallengeError(f"temperature must be positive and finite, got {temperature}")
     rng = np.random.default_rng(seed)
     out = list(primer)
     bars = sum(1 for t in out if t == bar_token_id)

@@ -408,6 +408,13 @@ def cmd_generate(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_source_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corpus", help="JSONL corpus file")
@@ -494,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bars", type=int, default=32)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-tokens", type=int, default=20000)

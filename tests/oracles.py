@@ -1,9 +1,12 @@
-"""Independent brute-force oracle for the path-family fitness.
+"""Independent brute-force oracles for the path-family fitness and the
+n-gram counts.
 
-Enumerates every admissible path over a segment explicitly, then picks
-the best-scoring family by weighted interval scheduling over the paths'
-row spans.  Exponential in the segment width; only usable for small
-matrices, which is the point: it shares no code with the production DP.
+The fitness oracle enumerates every admissible path over a segment
+explicitly, then picks the best-scoring family by weighted interval
+scheduling over the paths' row spans.  Exponential in the segment width;
+only usable for small matrices, which is the point: it shares no code with
+the production DP.  The n-gram oracle counts with one dict per order, a
+token at a time, where the model sorts numpy arrays.
 """
 
 from __future__ import annotations
@@ -89,3 +92,16 @@ def fitness_oracle(ssm, start: int, end: int) -> float:
     if score_norm <= 0 or cov_norm <= 0:
         return 0.0
     return 2.0 * score_norm * cov_norm / (score_norm + cov_norm)
+
+
+def ngram_count_tables(sequences, order: int) -> list[dict[tuple[int, ...], dict[int, int]]]:
+    """``tables[k-1]``: each context of ``k - 1`` tokens -> {next token: count},
+    over every position whose context lies inside its own sequence."""
+    tables: list[dict[tuple[int, ...], dict[int, int]]] = [{} for _ in range(order)]
+    for seq in sequences:
+        for k in range(1, order + 1):
+            table = tables[k - 1]
+            for j in range(k - 1, len(seq)):
+                nxt = table.setdefault(tuple(seq[j - k + 1 : j]), {})
+                nxt[seq[j]] = nxt.get(seq[j], 0) + 1
+    return tables

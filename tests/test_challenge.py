@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ngram_count_tables
 from scipy import stats
 
 from swingbench.challenge import (
@@ -20,6 +21,7 @@ from swingbench.challenge import (
     LineProtocolModel,
     ModelProtocolError,
     NGramModel,
+    SequenceModel,
     SubprocessModel,
     UniformModel,
     answer_question,
@@ -30,7 +32,7 @@ from swingbench.challenge import (
     score_continuation,
     train_ngram,
 )
-from swingbench.synthetic import motif_corpus
+from swingbench.synthetic import motif_corpus, random_corpus
 from swingbench.tokenizer import DEFAULT_VOCABULARY as V
 from swingbench.tokenizer import decode_tokens, encode_solo, repair_token_stream
 
@@ -54,6 +56,8 @@ def test_uniform_model_distribution():
     model = UniformModel(10)
     p = checked_distribution(model, [1, 2, 3])
     assert p == pytest.approx(np.full(10, 0.1))
+    per_step = SequenceModel.score(model, [1, 2], [3, 4, 5])
+    assert np.array_equal(model.score([1, 2], [3, 4, 5]), per_step)
 
 
 def test_distribution_contract_enforced():
@@ -215,6 +219,88 @@ def test_ngram_score_is_the_dense_entry(case):
     _assert_score_is_the_dense_entry(model, context, continuation)
 
 
+def _index_tables(model):
+    """The model's count index read back as the oracle's dict tables; the
+    context totals are checked on the way."""
+    tables, contexts = [], [()]  # contexts[c]: the tuple of context id c one level up
+    for m, level in enumerate(model.index):
+        if m:
+            parents = contexts
+            contexts = [(int(code) % model.vocab_size, *parents[int(code) // model.vocab_size])
+                        for code in level.contexts]
+        else:
+            contexts = [()] * len(level.contexts)
+        table = {}
+        for c, ctx in enumerate(contexts):
+            lo, hi = level.offsets[c], level.offsets[c + 1]
+            table[ctx] = dict(zip(level.tokens[lo:hi].tolist(), level.counts[lo:hi].tolist()))
+            assert level.totals[c] == sum(table[ctx].values())
+        tables.append(table)
+    return tables
+
+
+def _assert_same_index(a, b):
+    assert len(a.index) == len(b.index)
+    for x, y in zip(a.index, b.index):
+        for name in ("contexts", "grams", "tokens", "counts", "offsets", "totals"):
+            assert np.array_equal(getattr(x, name), getattr(y, name)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 4),
+    st.data(),
+    st.sampled_from(["score", "next_token_distribution"]),
+)
+def test_count_index_matches_the_dict_oracle(order, vocab, data, query):
+    # empty sequences and sequences shorter than the order are drawn too
+    seqs = st.lists(st.lists(st.integers(0, vocab - 1), max_size=12), max_size=4)
+    first, second = data.draw(seqs), data.draw(seqs)
+    probe = data.draw(st.lists(st.integers(0, vocab - 1), max_size=10))
+    model = NGramModel(order, vocab)
+    for seq in first:
+        model.observe(seq)
+    assert _index_tables(model) == ngram_count_tables(first, order)
+    # a query builds the index; counting more after it must drop it
+    if query == "score":
+        model.score(probe[:3], probe[3:])
+    else:
+        model.next_token_distribution(probe)
+    for seq in second:
+        model.observe(seq)
+    assert _index_tables(model) == ngram_count_tables(first + second, order)
+    _assert_score_is_the_dense_entry(model, probe[:3], probe[3:])
+
+
+def test_count_index_memory_is_bounded():
+    # the codec-generate benchmark corpus, ~119k tokens: per-order dict
+    # tables keyed by context tuples peak at ~50 MB on it.
+    sequences = [V.tokens_to_ids(encode_solo(s))
+                 for s in random_corpus(1, 100, prefix="codec", n_bars=32)]
+    assert sum(map(len, sequences)) > 100_000
+    tracemalloc.start()
+    try:
+        model = train_ngram(sequences, order=5, vocab_size=V.size)
+        model.next_token_distribution(sequences[0][:10])  # builds the index
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 6, 9])
+def test_ngram_ids_outside_the_vocabulary_were_never_counted(bad):
+    # Contexts and grams are coded as id * V + token, so an id outside
+    # [0, V) would alias a counted one: 4 after the context (0) codes as
+    # 0 after (1), and (4, 0) as (0, 1).  Token 3 is never counted.
+    model = train_ngram([[0, 1, 0, 1, 2]], order=3, vocab_size=4)
+    unseen = model.next_token_distribution([3, 0])
+    assert np.array_equal(model.next_token_distribution([bad, 0]), unseen)
+    assert np.array_equal(model.score([bad, 0], [1]), [unseen[1]])
+    assert np.array_equal(model.score([0], [bad]), [model.next_token_distribution([0])[3]])
+
+
 @pytest.mark.parametrize("order", [1, 2, 5, 9])
 def test_sequence_log_likelihood_is_the_per_step_sum(motif_sequences, order):
     model = train_ngram(motif_sequences[:4], order=order, vocab_size=V.size)
@@ -227,7 +313,8 @@ def test_sequence_log_likelihood_is_the_per_step_sum(motif_sequences, order):
 
 def test_ngram_challenge_scores_match_the_per_step_path(motif_sequences, questions):
     model = train_ngram(motif_sequences, order=5, vocab_size=V.size)
-    per_step = UniformModel(V.size)  # inherits the per-step SequenceModel.score
+    per_step = SequenceModel()  # the per-step SequenceModel.score
+    per_step.vocab_size = V.size
     per_step.next_token_distribution = model.next_token_distribution
     assert run_challenge(model, questions[:8]).rows == run_challenge(per_step, questions[:8]).rows
 
@@ -241,7 +328,7 @@ def test_ngram_save_load_roundtrip(tmp_path, motif_sequences):
     assert loaded.next_token_distribution(history) == pytest.approx(
         model.next_token_distribution(history)
     )
-    assert loaded.counts == model.counts
+    _assert_same_index(loaded, model)
 
 
 def test_ngram_model_file_is_settings_and_sequences(tmp_path, motif_sequences):
@@ -252,7 +339,7 @@ def test_ngram_model_file_is_settings_and_sequences(tmp_path, motif_sequences):
     assert sorted(data) == ["alpha", "order", "sequences", "vocab_size", "weights"]
     assert data["sequences"] == [list(seq) for seq in motif_sequences]
     loaded = NGramModel.load(path)
-    assert loaded.counts == model.counts
+    _assert_same_index(loaded, model)
     for cut in (0, 1, 3, 40, 200):
         history = motif_sequences[1][:cut]
         assert np.array_equal(
@@ -429,9 +516,9 @@ def test_bigram_chain_hand_computed():
 
 
 def test_answer_argmax_and_tie_break():
-    class Fixed(UniformModel):
+    class Fixed(SequenceModel):
         def __init__(self, table):
-            super().__init__(4)
+            self.vocab_size = 4
             self.table = table
 
         def next_token_distribution(self, history):
@@ -519,6 +606,13 @@ def test_low_temperature_reproduces_training_chain(motif_sequences):
         bar_token_id=BAR_ID, temperature=1e-4, seed=0,
     )
     assert out[: len(motif_sequences[0][:60])] == motif_sequences[0][:60][: len(out)]
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0, -1.0])
+def test_generate_rejects_a_bad_temperature(temperature):
+    with pytest.raises(ChallengeError, match="temperature"):
+        generate_tokens(UniformModel(V.size), [BAR_ID], target_bars=1, bar_token_id=BAR_ID,
+                        temperature=temperature)
 
 
 def test_generation_cap_error():

@@ -320,6 +320,26 @@ def test_generate_deterministic(tmp_path, motif_file):
     assert (g1 / "gen-000.tokens").read_bytes() == (g2 / "gen-000.tokens").read_bytes()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_count_below_one_is_a_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["generate", "--model-file", "m.json", "--out", "o",
+                                   "--count", count])
+    assert exc.value.code == 2
+    assert "--count: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_generate_non_finite_temperature_is_a_named_error(tmp_path, motif_file, capsys,
+                                                          temperature):
+    model_path = tmp_path / "model.json"
+    run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 2)
+    code = run("generate", "--model-file", model_path, "--out", tmp_path / "g",
+               "--temperature", temperature)
+    assert code == 1
+    assert "temperature must be positive and finite" in capsys.readouterr().err
+
+
 def test_challenge_header_names_the_model_file(tmp_path, motif_file):
     headers = []
     for order in (2, 4):

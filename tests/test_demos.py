@@ -1,9 +1,4 @@
-"""Smoke test: the walkthrough demos run to completion.
-
-Demo 04 (the continuation challenge, by far the slowest) is left out to
-keep the suite fast; the challenge is covered by test_challenge and
-test_cli.
-"""
+"""Smoke test: the walkthrough demos run to completion."""
 
 from __future__ import annotations
 
@@ -21,7 +16,13 @@ SRC = str(Path(swingbench.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_codec_roundtrip.py", "02_distribution_metrics.py", "03_scape_plots.py"]
+    "demo",
+    [
+        "01_codec_roundtrip.py",
+        "02_distribution_metrics.py",
+        "03_scape_plots.py",
+        "04_continuation_challenge.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     paths = [SRC, os.environ.get("PYTHONPATH", "")]
