@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import shlex
 import subprocess
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -201,8 +202,10 @@ class NGramModel(SequenceModel):
 
     ``weights[k-1]`` scales the order-k component; each component is
     ``(count(context, x) + alpha) / (count(context) + alpha * V)`` over
-    the last ``k - 1`` history tokens.  Every token keeps nonzero
-    probability, so the model never assigns zero to a continuation.
+    the last ``k - 1`` history tokens.  Each component sums to 1 and so
+    do the weights, so the weighted sum is the distribution itself, with
+    no renormalising.  Every token keeps nonzero probability, so the
+    model never assigns zero to a continuation.
 
     The model keeps the id sequences it has observed.  Their counts live
     in one sorted index, ``index`` (a ``_CountLevel`` per context length),
@@ -219,8 +222,10 @@ class NGramModel(SequenceModel):
     ):
         if order < 1:
             raise ChallengeError(f"n-gram order must be >= 1, got {order}")
-        if not 0 < alpha < np.inf:
-            raise ChallengeError("smoothing alpha must be positive and finite")
+        # alpha * V is the floor of every component's denominator; past the
+        # largest float it is inf, and every probability would be 0.
+        if not (alpha > 0 and alpha * vocab_size <= sys.float_info.max):
+            raise ChallengeError("smoothing alpha must be positive, with alpha * vocab_size finite")
         self.order = order
         self.vocab_size = vocab_size
         self.alpha = alpha
@@ -233,16 +238,12 @@ class NGramModel(SequenceModel):
         self.weights = tuple(w / total for w in weights)
         self.sequences: list[list[int]] = []  # all counted so far: what to_dict saves
         self._index: list[_CountLevel] | None = None  # built on demand; observe drops it
-        # score's memo: (deepest context level matched, its id) -> the sum of
-        # that context's unnormalised distribution.  observe clears it.
-        self._norms: dict[tuple[int, int], float] = {}
 
     def observe(self, sequence: Sequence[int]) -> None:
         seq = [int(t) for t in sequence]
         if seq and not (0 <= min(seq) and max(seq) < self.vocab_size):
             raise ChallengeError(f"token id outside [0, {self.vocab_size})")
         self._index = None
-        self._norms.clear()
         self.sequences.append(seq)
 
     @property
@@ -269,10 +270,10 @@ class NGramModel(SequenceModel):
             ids.append(at)
         return ids
 
-    def _unnormalised(self, ids: Sequence[int]) -> np.ndarray:
-        """Sum of the weighted components given the context ids of
-        ``_context_ids``; an order whose context was not found keeps the
-        smoothed floor ``alpha / (alpha * V)``."""
+    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
+        """The sum of the weighted components; an order whose context was
+        not found keeps the smoothed floor ``alpha / (alpha * V)``."""
+        ids = self._context_ids(history)
         index, denom_base = self.index, self.alpha * self.vocab_size
         p = np.zeros(self.vocab_size)
         for m, weight in enumerate(self.weights):
@@ -288,15 +289,11 @@ class NGramModel(SequenceModel):
                 p += weight * component / denom
         return p
 
-    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        p = self._unnormalised(self._context_ids(history))
-        return p / p.sum()
-
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
         """Each token's probability by the per-order terms of
-        ``_unnormalised`` summed in the same order and divided by the same
-        sum, so entry ``i`` has the bits of the dense distribution's; the
-        context ids of every step are looked up together, level by level."""
+        ``next_token_distribution`` summed in the same order, so entry ``i``
+        has the bits of the dense distribution's; the context ids of every
+        step are looked up together, level by level."""
         index, vocab = self.index, self.vocab_size
         tail = list(context[max(0, len(context) - self.order + 1) :])
         history = np.array([*tail, *continuation], dtype=np.int64)
@@ -324,15 +321,7 @@ class NGramModel(SequenceModel):
                 at = _find(level.grams, ids[m, seen] * vocab + target[seen])
                 count[seen] = np.where(at >= 0, level.counts[at], 0)
                 p += weight * (self.alpha + count) / (total + denom_base)
-        depth = (ids >= 0).sum(axis=0)  # context levels found at each step
-        deepest = ids[np.maximum(depth - 1, 0), np.arange(len(target))]
-        norms = np.empty(len(target))
-        for i, key in enumerate(zip(depth.tolist(), deepest.tolist())):
-            norm = self._norms.get(key)
-            if norm is None:
-                norm = self._norms[key] = self._unnormalised(ids[: key[0], i].tolist()).sum()
-            norms[i] = norm
-        return p / norms
+        return p
 
     def sequence_log_likelihood(self, sequence: Sequence[int]) -> float:
         total = 0.0
@@ -363,6 +352,10 @@ class NGramModel(SequenceModel):
             if not (isinstance(data, dict) and is_valid(data.get(key))):
                 raise ChallengeError(f"model file field {key!r} is missing or of the wrong type "
                                      "(older files hold count tables); re-run train-model")
+        # Nothing renormalises the distribution, so the weights must already sum to 1.
+        total = sum(data["weights"])
+        if not abs(total - 1.0) <= DISTRIBUTION_TOLERANCE:
+            raise ChallengeError(f"model file field 'weights' sums to {total!r}, not 1")
         model = cls(data["order"], data["vocab_size"], data["alpha"], data["weights"])
         # The saved weights were normalised when the model was built; a
         # second pass can move them by an ulp and change every distribution.
@@ -425,11 +418,15 @@ class LineProtocolModel(SequenceModel):
         self.vocab_size = vocab_size
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        self.writer.write(" ".join(map(str, history)) + "\n")
-        self.writer.flush()
-        line = self.reader.readline()
+        try:
+            self.writer.write(" ".join(map(str, history)) + "\n")
+            self.writer.flush()
+        except BrokenPipeError:  # the model stopped reading
+            line = ""
+        else:
+            line = self.reader.readline()
         if not line:
-            raise ModelProtocolError("external model closed the stream")
+            raise ModelProtocolError(self._closed_message())
         fields = line.split()
         if fields and fields[0] == "*":
             p = np.zeros(self.vocab_size)
@@ -460,6 +457,9 @@ class LineProtocolModel(SequenceModel):
             )
         return p
 
+    def _closed_message(self) -> str:
+        return "external model closed the stream"
+
 
 class SubprocessModel(LineProtocolModel):
     """Line-protocol model backed by a child process."""
@@ -474,11 +474,24 @@ class SubprocessModel(LineProtocolModel):
         )
         super().__init__(self._proc.stdout, self._proc.stdin, vocab_size)
 
+    def _closed_message(self) -> str:
+        """Names the child's exit code once it has exited (within
+        CLOSE_TIMEOUT_S seconds of closing the stream)."""
+        try:
+            code = self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return super()._closed_message()
+        return (f"external model {shlex.join(self._proc.args)!r} closed the stream "
+                f"and exited with code {code}")
+
     def close(self) -> None:
         """Close the child's input and wait for it to exit; a child still
         running after CLOSE_TIMEOUT_S seconds is killed."""
         if self._proc.stdin:
-            self._proc.stdin.close()
+            try:
+                self._proc.stdin.close()
+            except BrokenPipeError:  # the child exited with a line unread
+                pass
         try:
             self._proc.wait(timeout=CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:

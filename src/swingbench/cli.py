@@ -381,6 +381,7 @@ def cmd_generate(args) -> int:
         "model_file": Path(args.model_file).name,
         "bars": args.bars,
         "count": args.count,
+        "max_tokens": args.max_tokens,
         "temperature": args.temperature,
         "seed": args.seed,
     }
@@ -500,11 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample token sequences from a model")
     p.add_argument("--model-file", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bars", type=int, default=32)
+    p.add_argument("--bars", type=_positive_int, default=32)
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tokens", type=int, default=20000)
+    p.add_argument("--max-tokens", type=_positive_int, default=20000)
     p.set_defaults(fn=cmd_generate)
 
     return parser

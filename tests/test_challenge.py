@@ -219,6 +219,19 @@ def test_ngram_score_is_the_dense_entry(case):
     _assert_score_is_the_dense_entry(model, context, continuation)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_ngram_cases())
+def test_ngram_distribution_sums_to_one(case):
+    # Nothing renormalises: each add-alpha component sums to 1 and so do the weights.
+    model, context, continuation = case
+    history = [*context, *continuation]
+    for _ in range(2):  # before and after counting more
+        for cut in range(len(history) + 1):
+            p = model.next_token_distribution(history[:cut])
+            assert abs(p.sum() - 1.0) <= DISTRIBUTION_TOLERANCE
+        model.observe(history)
+
+
 def _index_tables(model):
     """The model's count index read back as the oracle's dict tables; the
     context totals are checked on the way."""
@@ -407,6 +420,10 @@ def _model_file(**changes):
         ({"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5],
           "counts": [{"": {"0": 2, "1": 2}}, {"0": {"1": 2}, "1": {"0": 1}}]},
          "re-run train-model"),
+        # nothing renormalises the distribution, so the weights must sum to 1
+        (_model_file(weights=[1, 1]), "'weights' sums to 2"),
+        # alpha * vocab_size overflows to inf: every probability would be 0
+        (_model_file(alpha=1e308), r"alpha \* vocab_size finite"),
     ],
 )
 def test_bad_model_file_raises_named_error(tmp_path, data, message):
@@ -729,6 +746,21 @@ def test_line_protocol_yields_a_distribution_or_a_named_error(line, history):
     assert np.isfinite(p).all()
     assert ((p >= 0) & (p <= 1)).all()
     assert abs(p.sum() - 1.0) <= DISTRIBUTION_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "script,reads",
+    [
+        ("import sys; sys.stdin.readline(); sys.exit(3)", True),  # the read comes back empty
+        ("import sys; sys.exit(3)", False),  # the write meets a broken pipe
+    ],
+)
+def test_subprocess_model_names_the_exit_code_of_a_child_that_exited(script, reads):
+    with SubprocessModel([sys.executable, "-c", script], 5) as model:
+        if not reads:
+            model._proc.wait()
+        with pytest.raises(ModelProtocolError, match="closed the stream and exited with code 3"):
+            model.next_token_distribution([0, 1])
 
 
 def test_subprocess_model_matches_builtin_uniform(questions):

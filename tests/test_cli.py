@@ -329,6 +329,23 @@ def test_generate_count_below_one_is_a_usage_error(count, capsys):
     assert "--count: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--bars", "-5"], ["--bars", "0"], ["--max-tokens", "0"]])
+def test_generate_bars_and_max_tokens_below_one_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["generate", "--model-file", "m.json", "--out", "o", *argv])
+    assert exc.value.code == 2
+    assert f"{argv[0]}: must be at least 1" in capsys.readouterr().err
+
+
+def test_generate_header_states_max_tokens(tmp_path, motif_file):
+    model_path = tmp_path / "model.json"
+    run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 2)
+    out = tmp_path / "gen"
+    assert run("generate", "--model-file", model_path, "--out", out, "--bars", 1,
+               "--max-tokens", 600) == 0
+    assert "# cfg max_tokens=600" in (out / "gen-000.tokens").read_text().splitlines()
+
+
 @pytest.mark.parametrize("temperature", ["nan", "inf"])
 def test_generate_non_finite_temperature_is_a_named_error(tmp_path, motif_file, capsys,
                                                           temperature):
@@ -433,6 +450,16 @@ def test_external_model_that_ignores_end_of_input_is_killed(
     assert "did not exit" in err and str(script) in err
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(int(pid_file.read_text()), 0)
+
+
+def test_external_model_that_exits_early_names_its_exit_code(tmp_path, motif_file, capsys):
+    command = f"{sys.executable} -c 'import sys; sys.exit(3)'"
+    code = run(
+        "challenge", "--corpus", motif_file, "--out", tmp_path / "ext",
+        "--model", "external", "--external-cmd", command, "--count", 2, "--seed", 1,
+    )
+    assert code == 1
+    assert "exited with code 3" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy():
