@@ -600,16 +600,13 @@ def score_continuation(
     prompt: Sequence[int],
     candidate: Sequence[int],
     length: int | None = None,
-    sampled_prefix: bool = False,
 ) -> float:
     """Mean per-token probability of a candidate continuation.
 
     The candidate is truncated to ``length`` tokens (its own length by
     default).  Under teacher forcing the history grows with the
     candidate's own tokens, and the model's ``score`` gives all their
-    probabilities in one call; with ``sampled_prefix=True`` it grows with
-    tokens sampled from the model instead, seeded with 0, one checked
-    distribution per step.
+    probabilities in one call.
     """
     candidate = list(candidate)
     if length is None:
@@ -619,35 +616,27 @@ def score_continuation(
     candidate = candidate[:length]
     if not (0 <= min(candidate) and max(candidate) < model.vocab_size):
         raise ChallengeError(f"candidate token id outside [0, {model.vocab_size})")
+    probs = np.asarray(model.score(prompt, candidate), dtype=float)
+    if probs.shape != (len(candidate),):
+        raise ChallengeError(
+            f"model scored shape {probs.shape}, expected ({len(candidate)},)"
+        )
+    # Negated comparisons: NaN fails both checks, inf the range check.
+    if not ((probs >= 0) & (probs <= 1)).all():
+        raise ChallengeError("model scored probabilities outside [0, 1] or NaN")
     total = 0.0
-    if not sampled_prefix:
-        probs = np.asarray(model.score(prompt, candidate), dtype=float)
-        if probs.shape != (len(candidate),):
-            raise ChallengeError(
-                f"model scored shape {probs.shape}, expected ({len(candidate)},)"
-            )
-        # Negated comparisons: NaN fails both checks, inf the range check.
-        if not ((probs >= 0) & (probs <= 1)).all():
-            raise ChallengeError("model scored probabilities outside [0, 1] or NaN")
-        for p in probs:
-            total += float(p)
-        return total / len(candidate)
-    rng = np.random.default_rng(0)
-    history = list(prompt)
-    for token in candidate:
-        p = checked_distribution(model, history)
-        total += float(p[token])
-        history.append(int(rng.choice(model.vocab_size, p=p)))
+    for p in probs:
+        total += float(p)
     return total / len(candidate)
 
 
 def answer_question(
-    model: SequenceModel, question: ChallengeQuestion, sampled_prefix: bool = False
+    model: SequenceModel, question: ChallengeQuestion
 ) -> tuple[int, bool, list[float]]:
     """Score all four candidates and answer by argmax (lowest index wins ties)."""
     level = question.truncation_length
     scores = [
-        score_continuation(model, question.prompt, c, length=level, sampled_prefix=sampled_prefix)
+        score_continuation(model, question.prompt, c, length=level)
         for c in question.candidates
     ]
     chosen = int(np.argmax(scores))
@@ -663,7 +652,6 @@ class ChallengeResult:
 def run_challenge(
     model: SequenceModel,
     questions: Sequence[ChallengeQuestion],
-    sampled_prefix: bool = False,
 ) -> ChallengeResult:
     """Answer every question; the log keeps all four probabilities per row."""
     if not questions:
@@ -671,7 +659,7 @@ def run_challenge(
     rows = []
     correct_count = 0
     for qid, question in enumerate(questions):
-        chosen, correct, scores = answer_question(model, question, sampled_prefix)
+        chosen, correct, scores = answer_question(model, question)
         correct_count += int(correct)
         rows.append(
             {

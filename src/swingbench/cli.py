@@ -3,8 +3,8 @@ train-model, generate.
 
 The ``*.tokens``, ``summary.tsv``, ``report.tsv`` and ``challenge.tsv``
 files start with a provenance header, and MIDI files carry it as a text
-meta event: the full run configuration (defaults included) and a SHA-256
-of each input file.  ``vocab.tsv``, model files, ``*.scape.txt`` and
+meta event: every setting that applies to the run and a SHA-256 of each
+input file.  ``vocab.tsv``, model files, ``*.scape.txt`` and
 ``.pgm`` images carry none.  Identical configuration and inputs yield
 byte-identical outputs; all randomness flows from the single --seed flag.
 """
@@ -320,6 +320,13 @@ def cmd_challenge(args) -> int:
         raise CliError(
             f"--model-file holds an n-gram model; it cannot be used with --model {args.model}"
         )
+    if args.external_cmd is not None and args.model != "external":
+        raise CliError(
+            f"--external-cmd starts an external model; it cannot be used with --model {args.model}"
+        )
+    # str.splitlines knows every line break; one would split the header line
+    if args.external_cmd and args.external_cmd.splitlines() != [args.external_cmd]:
+        raise CliError("--external-cmd must not contain a line break")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sequences, _, input_files = _token_sequences(args)
@@ -328,7 +335,7 @@ def cmd_challenge(args) -> int:
     )
     model = _build_model(args, sequences)
     try:
-        result = chal.run_challenge(model, questions, sampled_prefix=args.sampled_prefix)
+        result = chal.run_challenge(model, questions)
     finally:
         if isinstance(model, chal.SubprocessModel):
             model.close()
@@ -336,15 +343,17 @@ def cmd_challenge(args) -> int:
     config = {
         "command": "challenge",
         "model": args.model,
-        # a model file's own settings, not the flags it overrides
-        "order": model.order if args.model_file else args.order,
-        "alpha": model.alpha if args.model_file else args.alpha,
         "count": args.count,
         "seed": args.seed,
-        "sampled_prefix": args.sampled_prefix,
         "no_structure": args.no_structure,
         "source": Path(args.corpus or args.tokens_dir).name,
     }
+    if args.model == "ngram":
+        # a model file's own settings, not the flags it overrides
+        config["order"] = model.order
+        config["alpha"] = model.alpha
+    elif args.model == "external":
+        config["external_cmd"] = args.external_cmd
     lines = ["question\tP0\tP1\tP2\tP3\tchosen\ttrue\tcorrect"]
     for row in result.rows:
         scores = "\t".join(f"{p:.6f}" for p in row["scores"])
@@ -486,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sampled-prefix", action="store_true",
-                   help="condition on sampled tokens instead of teacher forcing")
     p.set_defaults(fn=cmd_challenge)
 
     p = sub.add_parser("train-model", help="train the n-gram baseline")

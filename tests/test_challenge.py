@@ -585,18 +585,6 @@ def test_run_challenge_log_shape(questions, motif_sequences):
     assert all(len(r["scores"]) == 4 for r in result.rows)
 
 
-def test_sampled_prefix_mode_runs(questions):
-    model = UniformModel(V.size)
-    score = score_continuation(
-        model,
-        questions[0].prompt,
-        questions[0].candidates[0],
-        length=10,
-        sampled_prefix=True,
-    )
-    assert score == pytest.approx(1.0 / V.size)
-
-
 # --- generation -------------------------------------------------------------------
 
 

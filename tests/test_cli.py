@@ -424,6 +424,86 @@ def test_challenge_external_model(tmp_path, motif_file):
     assert strip(out) == strip(uniform_out)
 
 
+def _uniform_responder(tmp_path) -> Path:
+    from swingbench.tokenizer import DEFAULT_VOCABULARY as V
+
+    script = tmp_path / "uniform_model.py"
+    script.write_text(
+        "import sys\n"
+        f"V = {V.size}\n"
+        "for line in sys.stdin:\n"
+        "    print(' '.join(['%.10g' % (1.0 / V)] * V), flush=True)\n"
+    )
+    return script
+
+
+def _cfg_lines(out: Path) -> list[str]:
+    return [l for l in (out / "challenge.tsv").read_text().splitlines() if l.startswith("# cfg ")]
+
+
+def test_sampled_prefix_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["challenge", "--corpus", "c.jsonl", "--out", "o",
+                                   "--sampled-prefix"])
+    assert exc.value.code == 2
+    assert "--sampled-prefix" in capsys.readouterr().err
+
+
+CHALLENGE_CFG_KEYS = {"command", "model", "count", "seed", "no_structure", "source"}
+
+
+@pytest.mark.parametrize("model, extra_keys", [
+    ("ngram", {"order", "alpha"}),
+    ("uniform", set()),
+    ("oracle", set()),
+    ("external", {"external_cmd"}),
+])
+def test_challenge_header_lists_only_the_settings_that_apply(
+    tmp_path, motif_file, model, extra_keys
+):
+    extra = []
+    if model == "external":
+        extra = ["--external-cmd", f"{sys.executable} {_uniform_responder(tmp_path)}"]
+    out = tmp_path / "chal"
+    assert run("challenge", "--corpus", motif_file, "--out", out, "--model", model,
+               "--count", 2, "--seed", 1, *extra) == 0
+    keys = [line[len("# cfg "):].split("=", 1)[0] for line in _cfg_lines(out)]
+    assert sorted(keys) == sorted(CHALLENGE_CFG_KEYS | extra_keys)
+
+
+def test_challenge_header_records_the_external_command(tmp_path, motif_file):
+    script = _uniform_responder(tmp_path)
+    headers = []
+    for i, command in enumerate([f"{sys.executable} {script}", f"{sys.executable} -u {script}"]):
+        out = tmp_path / f"ext{i}"
+        assert run("challenge", "--corpus", motif_file, "--out", out, "--model", "external",
+                   "--external-cmd", command, "--count", 2, "--seed", 1) == 0
+        cfg = _cfg_lines(out)
+        assert f"# cfg external_cmd={command}" in cfg
+        headers.append(cfg)
+    assert headers[0] != headers[1]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_external_cmd_with_a_line_break_is_refused(tmp_path, motif_file, capsys, newline):
+    command = f"{sys.executable} {_uniform_responder(tmp_path)}{newline}# cfg seed=9"
+    code = run("challenge", "--corpus", motif_file, "--out", tmp_path / "out",
+               "--model", "external", "--external-cmd", command, "--count", 2)
+    assert code == 1
+    assert "--external-cmd must not contain a line break" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model", ["ngram", "uniform", "oracle"])
+def test_external_cmd_with_another_model_is_a_usage_error(tmp_path, motif_file, capsys, model):
+    code = run("challenge", "--corpus", motif_file, "--model", model, "--external-cmd", "true",
+               "--out", tmp_path / "out", "--count", 2)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--external-cmd" in err and f"cannot be used with --model {model}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_external_model_that_ignores_end_of_input_is_killed(
     tmp_path, motif_file, capsys, monkeypatch
 ):
