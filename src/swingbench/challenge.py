@@ -369,7 +369,11 @@ class NGramModel(SequenceModel):
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ChallengeError(f"{path} is not an n-gram model file ({exc})") from None
+        return cls.from_dict(data)
 
 
 # Model file field -> check of its JSON value (``type``, so true/false do not pass as ints).

@@ -40,6 +40,10 @@ class CliError(RuntimeError):
     pass
 
 
+DEFAULT_ORDER = 5
+DEFAULT_ALPHA = 0.01
+
+
 # --- provenance -------------------------------------------------------------
 
 
@@ -162,6 +166,9 @@ def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
             for solo in solos
         ]
         return seqs, [s.id for s in solos], [path]
+    if args.no_structure:
+        raise CliError("--no-structure applies when encoding a --corpus; "
+                       "it cannot be used with --tokens-dir")
     files = _token_files(Path(args.tokens_dir))
     seqs = [VOCAB.tokens_to_ids(read_tokens(f)) for f in files]
     return seqs, [f.stem for f in files], files
@@ -312,7 +319,9 @@ def _build_model(args, sequences: list[list[int]]):
         return chal.SubprocessModel(shlex.split(args.external_cmd), VOCAB.size)
     if args.model_file:
         return _load_ngram(args.model_file)
-    return chal.train_ngram(sequences, order=args.order, vocab_size=VOCAB.size, alpha=args.alpha)
+    order = DEFAULT_ORDER if args.order is None else args.order
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+    return chal.train_ngram(sequences, order=order, vocab_size=VOCAB.size, alpha=alpha)
 
 
 def cmd_challenge(args) -> int:
@@ -324,12 +333,20 @@ def cmd_challenge(args) -> int:
         raise CliError(
             f"--external-cmd starts an external model; it cannot be used with --model {args.model}"
         )
+    ngram_flags = [flag for flag, value in (("--order", args.order), ("--alpha", args.alpha))
+                   if value is not None]
+    if ngram_flags and args.model != "ngram":
+        raise CliError(f"{' and '.join(ngram_flags)} cannot be used with --model {args.model}, "
+                       "which trains no n-gram model")
+    if ngram_flags and args.model_file:
+        raise CliError(f"{' and '.join(ngram_flags)} cannot be used with --model-file, "
+                       "whose model keeps its own settings")
     # str.splitlines knows every line break; one would split the header line
     if args.external_cmd and args.external_cmd.splitlines() != [args.external_cmd]:
         raise CliError("--external-cmd must not contain a line break")
+    sequences, _, input_files = _token_sequences(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sequences, _, input_files = _token_sequences(args)
     questions = chal.build_questions(
         sequences, count=args.count, seed=args.seed, bar_token_id=VOCAB.bar_token_id
     )
@@ -491,8 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="ngram")
     p.add_argument("--model-file", help="pretrained n-gram model JSON")
     p.add_argument("--external-cmd", help="command for the line-protocol model")
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--order", type=int,
+                   help=f"n-gram order, --model ngram only (default {DEFAULT_ORDER})")
+    p.add_argument("--alpha", type=float,
+                   help=f"add-alpha smoothing, --model ngram only (default {DEFAULT_ALPHA})")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_challenge)
@@ -501,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     _add_no_structure_arg(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.set_defaults(fn=cmd_train_model)
 
     p = sub.add_parser("generate", help="sample token sequences from a model")

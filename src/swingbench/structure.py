@@ -20,10 +20,26 @@ both floored at zero: subtracting ``|segment|`` discounts the trivial
 self-match, so a segment that repeats nowhere scores 0.  The scape plot
 arranges fitness by (duration, center); the structureness indicator is
 its maximum within a duration band.
+
+The path-family DP runs as a small C kernel (``_sweep.c``) that is
+compiled on first use with ``cc`` and native CPU flags, cached in this
+package's ``__pycache__`` under a name that hashes the source, the flags
+and the CPU's feature flags, and loaded with ``ctypes``.  Without a
+compiler, or when the build fails, times out or cannot write the cache,
+the numpy ``_sweep`` runs instead and gives bit-identical numbers about
+10x slower; one line on stderr then names the reason, so that line shows
+which path ran.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -148,9 +164,9 @@ def compute_ssm(
 
 # --- optimal path family fitness -------------------------------------------
 
-# Upper bound on the DP lanes swept together (one chunk); a chunk holds at
-# least one segment, so the DP state is O(max(_CHUNK_CELLS, N)) floats
-# whatever the number of segments.
+# Upper bound on the DP lanes numpy ``_sweep`` sweeps together (one chunk);
+# a chunk holds at least one segment, so its DP state is
+# O(max(_CHUNK_CELLS, N)) floats whatever the number of segments.
 _CHUNK_CELLS = 1 << 14
 
 # Path cell count L and covered rows G travel packed as L << 32 | G, so one
@@ -267,6 +283,126 @@ def _sweep(
     return _escape(prev, prev_c, esc, last)
 
 
+# --- the compiled DP -----------------------------------------------------------
+
+_KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+_CC = "cc"
+# -ffp-contract=off: the kernel only adds and compares, and must round as numpy does.
+_CC_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+_BUILD_TIMEOUT_S = 120.0
+
+
+class _KernelUnavailable(Exception):
+    """Why the compiled DP cannot run in this process."""
+
+
+def _cpu_flags() -> str:
+    """The CPU's feature flags, which decide what ``-march=native`` emits."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
+def _kernel_path() -> Path:
+    """Build the kernel into the cache unless it is there; return its path."""
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError as exc:
+        raise _KernelUnavailable(f"cannot read the kernel source: {exc}") from None
+    key = hashlib.sha256(
+        b"\0".join([source, " ".join(_CC_FLAGS).encode(), _cpu_flags().encode()])
+    ).hexdigest()[:16]
+    lib = _KERNEL_CACHE / f"_sweep-{key}.so"
+    if lib.is_file():
+        return lib
+    cc = shutil.which(_CC)
+    if cc is None:
+        raise _KernelUnavailable(f"no C compiler {_CC!r} on PATH")
+    # concurrent first runs each build their own file; the last rename wins
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        _KERNEL_CACHE.mkdir(exist_ok=True)
+        done = subprocess.run(
+            [cc, *_CC_FLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=_BUILD_TIMEOUT_S,
+        )
+        if done.returncode != 0:
+            lines = done.stderr.strip().splitlines() or [f"exit code {done.returncode}"]
+            raise _KernelUnavailable(f"{_CC} failed: {lines[0]}")
+        os.replace(tmp, lib)
+    except subprocess.TimeoutExpired:
+        raise _KernelUnavailable(f"{_CC} took over {_BUILD_TIMEOUT_S:g} s") from None
+    except OSError as exc:
+        raise _KernelUnavailable(f"cannot build into {_KERNEL_CACHE}: {exc}") from None
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+    return lib
+
+
+@functools.cache
+def _kernel():
+    """The compiled DP, or None after one stderr line saying why numpy runs."""
+    import ctypes
+
+    try:
+        fn = ctypes.CDLL(str(_kernel_path())).swingbench_sweep
+    except (_KernelUnavailable, OSError) as exc:  # OSError: the library does not load
+        print(f"swingbench: scape DP runs in numpy, about 10x slower ({exc})", file=sys.stderr)
+        return None
+    doubles = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    int64s = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    fn.argtypes = [
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
+        ctypes.c_int64,
+        int64s,
+        int64s,
+        ctypes.c_int64,
+        doubles,
+        int64s,
+    ]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _family_stats(
+    ssm: np.ndarray, durations: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_sweep(ssm, durations, starts)``, from the compiled kernel when it
+    is available, else from ``_sweep`` over chunks of about ``_CHUNK_CELLS``
+    lanes."""
+    n = ssm.shape[0]
+    if durations.shape != starts.shape or not np.all(
+        (durations >= 1) & (starts >= 0) & (starts + durations <= n)
+    ):
+        raise ValueError(f"segments outside the {n}-frame SSM")
+    sigma = np.empty(len(durations))
+    packed = np.empty(len(durations), dtype=np.int64)
+    kernel = _kernel()
+    if kernel is not None:
+        if kernel(np.ascontiguousarray(ssm), n, durations, starts, len(durations), sigma, packed):
+            raise MemoryError("scape DP: cannot allocate its row buffers")
+        return sigma, packed
+    lane_ends = np.cumsum(durations + 1)
+    lo = 0
+    while lo < len(lane_ends):
+        used = lane_ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(lane_ends, used + _CHUNK_CELLS, side="right"))
+        hi = max(hi, lo + 1)
+        sigma[lo:hi], packed[lo:hi] = _sweep(ssm, durations[lo:hi], starts[lo:hi])
+        lo = hi
+    return sigma, packed
+
+
 def _fitness_from_stats(
     sigma: np.ndarray, packed: np.ndarray, durations: np.ndarray, n: int
 ) -> np.ndarray:
@@ -290,7 +426,7 @@ def segment_fitness(ssm: np.ndarray, start: int, end: int) -> float:
     if not 0 <= start <= end < n:
         raise ValueError(f"invalid segment [{start}, {end}] for {n} frames")
     durations = np.array([end - start + 1], dtype=np.int64)
-    sigma, packed = _sweep(ssm, durations, np.array([start], dtype=np.int64))
+    sigma, packed = _family_stats(ssm, durations, np.array([start], dtype=np.int64))
     return float(_fitness_from_stats(sigma, packed, durations, n)[0])
 
 
@@ -300,8 +436,7 @@ def scape_plot(ssm: np.ndarray, stride: int = 1) -> np.ndarray:
     Row ``i`` (0-based) holds segments of duration ``i + 1`` frames;
     column ``j`` is the segment's center frame, rounding half up.  Cells
     whose segment would exceed the piece are zero.  ``stride`` subsamples
-    both the duration and start grids for large pieces.  The segments are
-    swept in chunks of about ``_CHUNK_CELLS`` DP lanes.
+    both the duration and start grids for large pieces.
     """
     ssm = _check_ssm(ssm)
     n = ssm.shape[0]
@@ -315,17 +450,9 @@ def scape_plot(ssm: np.ndarray, stride: int = 1) -> np.ndarray:
         np.arange(len(seg_durations))
         - np.repeat(np.cumsum(per_duration) - per_duration, per_duration)
     )
-    lane_ends = np.cumsum(seg_durations + 1)
-    lo = 0
-    while lo < len(lane_ends):
-        used = lane_ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(lane_ends, used + _CHUNK_CELLS, side="right"))
-        hi = max(hi, lo + 1)
-        chunk_durations, chunk_starts = seg_durations[lo:hi], seg_starts[lo:hi]
-        sigma, packed = _sweep(ssm, chunk_durations, chunk_starts)
-        fit = _fitness_from_stats(sigma, packed, chunk_durations, n)
-        plot[chunk_durations - 1, chunk_starts + chunk_durations // 2] = fit
-        lo = hi
+    sigma, packed = _family_stats(ssm, seg_durations, seg_starts)
+    fit = _fitness_from_stats(sigma, packed, seg_durations, n)
+    plot[seg_durations - 1, seg_starts + seg_durations // 2] = fit
     return plot
 
 

@@ -292,6 +292,25 @@ def test_bad_model_file_errors(tmp_path, motif_file, capsys, command, data, mess
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("command", ["generate", "challenge"])
+@pytest.mark.parametrize(
+    "content",
+    [b"", b"\x89PNG\r\n\x1a\n\x00\xff", b'{"order": 2, "vocab_size": 5, "alp', b"[" * 100_000],
+    ids=["empty", "binary", "truncated", "nested-too-deep"],
+)
+def test_model_file_that_is_not_json_is_a_named_error(
+    tmp_path, motif_file, capsys, command, content
+):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    source = [] if command == "generate" else ["--corpus", motif_file, "--count", 2]
+    code = run(command, "--model-file", model_path, "--out", tmp_path / "out", *source)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_path} is not an n-gram model file ("), err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [["report", "--corpus", "c.jsonl", "--out", "o"],
@@ -309,6 +328,20 @@ def test_no_structure_accepted_where_a_corpus_is_encoded(command):
         [command, "--corpus", "c.jsonl", "--out", "o", "--no-structure"]
     )
     assert args.no_structure
+
+
+@pytest.mark.parametrize("command", ["challenge", "train-model"])
+def test_no_structure_with_tokens_dir_is_a_named_error(tmp_path, motif_file, capsys, command):
+    tok = tmp_path / "tok"
+    assert run("tokenize", "--corpus", motif_file, "--out", tok) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(command, "--tokens-dir", tok, "--out", out, "--no-structure") == 1
+    assert capsys.readouterr().err == (
+        "error: --no-structure applies when encoding a --corpus; "
+        "it cannot be used with --tokens-dir\n"
+    )
+    assert not out.exists()
 
 
 def test_generate_deterministic(tmp_path, motif_file):
@@ -550,3 +583,46 @@ def test_cli_import_does_not_load_scipy():
         "assert 'scipy' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@pytest.mark.parametrize("model", ["oracle", "uniform", "external"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--order", "5"], "--order"), (["--alpha", "0.01"], "--alpha"),
+     (["--alpha", "3", "--order", "7"], "--order and --alpha")],
+)
+def test_ngram_settings_with_another_model_are_a_named_error(
+    tmp_path, motif_file, capsys, model, flags, named
+):
+    extra = ["--external-cmd", "true"] if model == "external" else []
+    out = tmp_path / "out"
+    code = run("challenge", "--corpus", motif_file, "--model", model, *extra, *flags,
+               "--out", out, "--count", 2)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {named} cannot be used with --model {model}, which trains no n-gram model\n"
+    )
+    assert not out.exists()
+
+
+def test_ngram_settings_with_a_model_file_are_a_named_error(tmp_path, motif_file, capsys):
+    model_path = tmp_path / "o2.json"
+    run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 2)
+    out = tmp_path / "out"
+    code = run("challenge", "--corpus", motif_file, "--model-file", model_path, "--order", 5,
+               "--out", out, "--count", 2)
+    assert code == 1
+    assert "--order cannot be used with --model-file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ngram_challenge_header_keeps_its_defaults(tmp_path, motif_file):
+    default, explicit = tmp_path / "default", tmp_path / "explicit"
+    common = ["challenge", "--corpus", motif_file, "--count", 2, "--seed", 1]
+    assert run(*common, "--out", default) == 0
+    assert run(*common, "--out", explicit, "--order", 5, "--alpha", 0.01) == 0
+    assert (default / "challenge.tsv").read_bytes() == (explicit / "challenge.tsv").read_bytes()
+    assert _cfg_lines(default) == [
+        "# cfg alpha=0.01", "# cfg command=challenge", "# cfg count=2", "# cfg model=ngram",
+        "# cfg no_structure=False", "# cfg order=5", "# cfg seed=1", "# cfg source=motifs.jsonl",
+    ]

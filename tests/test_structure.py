@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_ssm
 from oracles import fitness_oracle
+from swingbench import structure
 from swingbench.corpus import transpose_solo
 from swingbench.structure import (
     ChromaSequence,
@@ -241,14 +243,119 @@ TIE_HEAVY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("stride", sorted(TIE_HEAVY_DIGESTS))
-def test_scape_plot_tie_order_pinned(stride):
-    rng = np.random.default_rng(7)
-    v = rng.choice([-2.0, 0.5, 1.0], size=(24, 24))
+@pytest.fixture(scope="module")
+def kernel():
+    if structure._kernel() is None:
+        pytest.skip("the compiled scape DP could not be built here; stderr says why")
+
+
+@pytest.fixture
+def numpy_dp(monkeypatch, tmp_path):
+    """Make the kernel build fail as on a host without ``cc``, so ``_sweep`` runs."""
+    monkeypatch.setattr(structure, "_CC", "swingbench-test-no-such-cc")
+    monkeypatch.setattr(structure, "_KERNEL_CACHE", tmp_path / "__pycache__")
+    structure._kernel.cache_clear()
+    yield
+    structure._kernel.cache_clear()
+
+
+def _symmetric(rng, n, values=None):
+    v = rng.uniform(-1.0, 1.0, (n, n)) if values is None else rng.choice(values, size=(n, n))
     m = np.triu(v) + np.triu(v, 1).T
     np.fill_diagonal(m, 1.0)
-    digest = hashlib.sha256(scape_plot(m, stride).tobytes()).hexdigest()
-    assert digest == TIE_HEAVY_DIGESTS[stride]
+    return m
+
+
+def _tie_heavy_digest(stride):
+    m = _symmetric(np.random.default_rng(7), 24, [-2.0, 0.5, 1.0])
+    return hashlib.sha256(scape_plot(m, stride).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("stride", sorted(TIE_HEAVY_DIGESTS))
+def test_scape_plot_tie_order_pinned(stride):
+    # the default path: the compiled kernel wherever it builds
+    assert _tie_heavy_digest(stride) == TIE_HEAVY_DIGESTS[stride]
+
+
+@pytest.mark.parametrize("stride", sorted(TIE_HEAVY_DIGESTS))
+def test_scape_plot_tie_order_pinned_in_numpy(stride, numpy_dp):
+    assert _tie_heavy_digest(stride) == TIE_HEAVY_DIGESTS[stride]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    stride=st.integers(1, 3),
+    values=st.sampled_from([None, (-2.0, 0.0, 1.0), (-2.0, 0.5, 1.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_kernel_equals_sweep_bit_for_bit(kernel, n, stride, values, seed):
+    m = _symmetric(np.random.default_rng(seed), n, values)
+    durations = np.array(
+        [d for d in range(1, n + 1, stride) for _ in range(0, n - d + 1, stride)], dtype=np.int64
+    )
+    starts = np.array(
+        [s for d in range(1, n + 1, stride) for s in range(0, n - d + 1, stride)], dtype=np.int64
+    )
+    sigma, packed = structure._family_stats(m, durations, starts)
+    ref_sigma, ref_packed = structure._sweep(m, durations, starts)
+    assert sigma.tobytes() == ref_sigma.tobytes()
+    assert packed.tobytes() == ref_packed.tobytes()
+
+
+def test_family_stats_rejects_segments_outside_the_ssm():
+    m = np.eye(5)
+    for durations, starts in (([3], [3]), ([0], [1]), ([2], [-1]), ([1, 2], [0])):
+        with pytest.raises(ValueError, match="outside"):
+            structure._family_stats(
+                m, np.array(durations, dtype=np.int64), np.array(starts, dtype=np.int64)
+            )
+
+
+def test_kernel_library_name_hashes_the_cpu_flags(kernel, monkeypatch, tmp_path):
+    monkeypatch.setattr(structure, "_KERNEL_CACHE", tmp_path)
+    built = structure._kernel_path()
+    assert built.parent == tmp_path and built.name.startswith("_sweep-")
+    assert structure._kernel_path() == built  # cached: no second build
+    monkeypatch.setattr(structure, "_cpu_flags", lambda: "flags : another cpu")
+    other = structure._kernel_path()
+    assert other != built
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([built.name, other.name])
+
+
+@pytest.mark.parametrize(
+    "patch, reason",
+    [
+        ({"_CC": "swingbench-test-no-such-cc"},
+         "no C compiler 'swingbench-test-no-such-cc' on PATH"),
+        ({"_CC_FLAGS": ("-fno-such-flag-in-any-cc",)}, "cc failed: "),
+        ({"_BUILD_TIMEOUT_S": 1e-6}, "cc took over 1e-06 s"),
+        ({}, "cannot build into "),  # the cache directory lies under a file
+    ],
+    ids=["no-cc", "build-fails", "build-times-out", "cache-not-writable"],
+)
+def test_dp_falls_back_to_numpy_and_says_why_once(patch, reason, monkeypatch, tmp_path, capsys):
+    m = _symmetric(np.random.default_rng(5), 30)
+    expected = {stride: scape_plot(m, stride) for stride in (1, 2)}  # the kernel's, if built
+    if "_CC" not in patch and shutil.which(structure._CC) is None:
+        pytest.skip(f"no C compiler {structure._CC!r} on PATH, so the build fails earlier")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = tmp_path / "__pycache__" if patch else blocker / "__pycache__"
+    monkeypatch.setattr(structure, "_KERNEL_CACHE", cache)
+    for name, value in patch.items():
+        monkeypatch.setattr(structure, name, value)
+    structure._kernel.cache_clear()
+    capsys.readouterr()
+    try:
+        for stride, plot in expected.items():
+            assert scape_plot(m, stride).tobytes() == plot.tobytes()
+        err = capsys.readouterr().err.splitlines()
+    finally:
+        structure._kernel.cache_clear()
+    assert len(err) == 1, err
+    assert "scape DP runs in numpy" in err[0] and reason in err[0], err
+    assert not list(tmp_path.glob("**/*.tmp"))
 
 
 @st.composite
@@ -278,7 +385,9 @@ def test_property_scape_plot_cells_match_segment_fitness_and_oracle(m):
             assert cell == pytest.approx(fitness_oracle(m, s, e), abs=1e-6)
 
 
-def test_scape_plot_memory_is_bounded():
+def test_scape_plot_memory_is_bounded(numpy_dp):
+    # tracemalloc sees numpy's arrays but not the kernel's C buffers
+    # (7 * 8 * N eight-byte words), so this bounds the numpy fallback's chunking
     m = random_ssm(np.random.default_rng(41), 160)
     tracemalloc.start()
     try:
