@@ -27,7 +27,8 @@ package's ``__pycache__`` under a name that hashes the source, the flags
 and the CPU's feature flags, and loaded with ``ctypes``.  Without a
 compiler, or when the build fails, times out or cannot write the cache,
 the numpy ``_sweep`` runs instead and gives bit-identical numbers about
-10x slower; one line on stderr then names the reason, so that line shows
+10x slower (measured 14-26x at 100-300 frames and 10.7x at 500 frames with
+stride 2); one line on stderr then names the reason, so that line shows
 which path ran.
 """
 

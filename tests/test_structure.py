@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,8 +390,8 @@ def test_property_scape_plot_cells_match_segment_fitness_and_oracle(m):
 
 
 def test_scape_plot_memory_is_bounded(numpy_dp):
-    # tracemalloc sees numpy's arrays but not the kernel's C buffers
-    # (7 * 8 * N eight-byte words), so this bounds the numpy fallback's chunking
+    # tracemalloc sees numpy's arrays but not the kernel's C buffers, so this
+    # bounds the numpy fallback's chunking; the kernel has its own test below
     m = random_ssm(np.random.default_rng(41), 160)
     tracemalloc.start()
     try:
@@ -396,6 +400,45 @@ def test_scape_plot_memory_is_bounded(numpy_dp):
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+# Run in a child, whose peak RSS has not been raised by other tests: the
+# growth of the peak over one kernel call on buffers that already exist.
+_KERNEL_RSS_CHILD = """
+import resource, sys
+import numpy as np
+from swingbench import structure
+
+n, count = int(sys.argv[1]), int(sys.argv[2])
+m = np.ones((n, n))
+# count two-frame segments, then one that spans the SSM
+durations = np.full(count + 1, 2, dtype=np.int64)
+durations[-1] = n
+starts = np.arange(count + 1, dtype=np.int64) % (n - 1)
+starts[-1] = 0
+sigma = np.full(count + 1, 0.5)
+packed = np.full(count + 1, 1, dtype=np.int64)
+kernel = structure._kernel()
+assert kernel(m, n, durations[:1], starts[:1], 1, sigma[:1], packed[:1]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert kernel(m, n, durations, starts, count + 1, sigma, packed) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_kernel_memory_is_bounded_by_the_longest_segment(kernel):
+    # the kernel's row buffers are 7 * 8 words per column of the longest
+    # segment, whatever the number of segments: 8 bytes more per segment
+    # would add 3.2 MB here
+    n, count = 1500, 400_000
+    src = str(Path(structure.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _KERNEL_RSS_CHILD, str(n), str(count)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    growth_bytes = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
+    assert growth_bytes < 7 * 8 * n * 8 + 1_000_000
 
 
 def test_scape_plot_stride_subsamples():

@@ -1,22 +1,25 @@
 """Seeded timings of the scape-plot DP, compiled kernel against numpy.
 
-    python3 tools/bench_kernel.py fixed-n --out scape.json [--seed 0]
-    python3 tools/bench_kernel.py yardstick --out yardstick.json [--seed 0] [--solos 456]
+    python3 tools/bench_kernel.py fixed-n --out scape.json
+    python3 tools/bench_kernel.py yardstick --out yardstick.json
     python3 tools/bench_kernel.py assemble --parent P.jsonl --change C.jsonl \\
         --fixed-n scape.json --yardstick yardstick.json --out BENCH.json
 
 Run from the repository root; the package is imported from ``src``.
 
 ``fixed-n`` times ``scape_plot`` on seeded random symmetric SSMs at
-N = 100, 200 and 300 frames, through the compiled kernel and through
+N = 100, 200 and 300 frames with stride 1, and at N = 500 with stride 2
+(the stride ``report`` uses above 400 frames, whose segment groups the
+kernel gathers row by row), through the compiled kernel and through
 numpy ``_sweep`` (the kernel is switched off inside this script only),
 and checks that both plots are bit-identical.  The library is built or
 loaded before timing; build time is reported on its own.
 
-``yardstick`` runs ``report`` over ``--solos`` random solos at 120 bpm,
-each 100-150 bars (200-300 one-second frames, lengths drawn uniformly),
-in one child process: wall time and peak RSS from ``os.wait4``, and the
-wall time of each analysis stage from wrappers installed in the child.
+``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
+holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
+drawn uniformly), in one child process: wall time and peak RSS from
+``os.wait4``, and the wall time of each analysis stage from wrappers
+installed in the child.
 
 ``assemble`` puts both files together with the ``results.jsonl`` records
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
@@ -44,7 +47,10 @@ from swingbench import cli, metrics, structure  # noqa: E402
 from swingbench.corpus import save_corpus  # noqa: E402
 from swingbench.synthetic import random_solo  # noqa: E402
 
-SIZES = (100, 200, 300)
+# (frames, stride) of the fixed-N points
+SIZES = ((100, 1), (200, 1), (300, 1), (500, 2))
+SOLOS = 456
+SEED = 0
 # Stages of ``report --corpus`` timed in the yardstick child: (module, name).
 STAGES = [
     (cli, "load_corpus"),
@@ -72,7 +78,7 @@ def timed(fn, repeats: int) -> tuple[list[float], np.ndarray]:
     return times, result
 
 
-def fixed_n(seed: int) -> dict:
+def fixed_n() -> dict:
     start = time.perf_counter()
     kernel = structure._kernel()
     load_s = time.perf_counter() - start
@@ -80,17 +86,18 @@ def fixed_n(seed: int) -> dict:
         raise SystemExit("error: the compiled kernel is not available; stderr says why")
     kernel_fn = structure._kernel
     points = []
-    for n in SIZES:
-        m = random_ssm(n, seed + n)
-        k_times, k_plot = timed(lambda: structure.scape_plot(m), 5)
+    for n, stride in SIZES:
+        m = random_ssm(n, SEED + n)
+        k_times, k_plot = timed(lambda: structure.scape_plot(m, stride), 5)
         structure._kernel = lambda: None
         try:
-            n_times, n_plot = timed(lambda: structure.scape_plot(m), 3)
+            n_times, n_plot = timed(lambda: structure.scape_plot(m, stride), 3)
         finally:
             structure._kernel = kernel_fn
         k_med, n_med = statistics.median(k_times), statistics.median(n_times)
         points.append({
             "frames": n,
+            "stride": stride,
             "kernel_s": k_times,
             "numpy_s": n_times,
             "kernel_median_s": k_med,
@@ -98,11 +105,11 @@ def fixed_n(seed: int) -> dict:
             "speedup": n_med / k_med,
             "bit_identical": k_plot.tobytes() == n_plot.tobytes(),
         })
-        print(f"N={n}: kernel {k_med:.3f} s, numpy {n_med:.3f} s, {n_med / k_med:.1f}x, "
-              f"identical {points[-1]['bit_identical']}", file=sys.stderr)
+        print(f"N={n} stride {stride}: kernel {k_med:.3f} s, numpy {n_med:.3f} s, "
+              f"{n_med / k_med:.1f}x, identical {points[-1]['bit_identical']}", file=sys.stderr)
     return {
-        "ssm": "uniform(-1, 1) symmetrised, unit diagonal; seed = --seed + N",
-        "seed": seed,
+        "ssm": "uniform(-1, 1) symmetrised, unit diagonal; seed = SEED + N",
+        "seed": SEED,
         "first_call_s": load_s,
         "first_call_note": "build or load of the library in this process, before any timing",
         "points": points,
@@ -133,9 +140,9 @@ def yardstick_child(corpus: str, out: str, stages_file: str) -> int:
     return code
 
 
-def yardstick(seed: int, solos: int) -> dict:
-    rng = np.random.default_rng(seed)
-    bars = [int(b) for b in rng.integers(100, 151, size=solos)]
+def yardstick() -> dict:
+    rng = np.random.default_rng(SEED)
+    bars = [int(b) for b in rng.integers(100, 151, size=SOLOS)]
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "yardstick.jsonl"
         pieces = [
@@ -156,8 +163,8 @@ def yardstick(seed: int, solos: int) -> dict:
             raise SystemExit(f"error: report exited with code {proc.returncode}")
         stages = json.loads(stages_file.read_text(encoding="utf-8"))
     return {
-        "solos": solos,
-        "seed": seed,
+        "solos": SOLOS,
+        "seed": SEED,
         "length_mix": "random_solo at 120 bpm, bars uniform in 100..150 (seeded), "
                       "so 200-300 frames at 1 Hz",
         "frames": {"min": min(frames), "median": statistics.median(frames), "max": max(frames),
@@ -172,9 +179,10 @@ def yardstick(seed: int, solos: int) -> dict:
 
 def numpy_estimate(fixed: dict, frames: list[int]) -> dict:
     """Scape DP time of the yardstick under numpy, from the fixed-N points:
-    a power law fitted through them in log-log space."""
-    n = np.log([p["frames"] for p in fixed["points"]])
-    t = np.log([p["numpy_median_s"] for p in fixed["points"]])
+    a power law fitted through the stride-1 points in log-log space."""
+    points = [p for p in fixed["points"] if p["stride"] == 1]
+    n = np.log([p["frames"] for p in points])
+    t = np.log([p["numpy_median_s"] for p in points])
     slope, intercept = np.polyfit(n, t, 1)
     total = float(np.sum(np.exp(intercept) * np.asarray(frames, dtype=float) ** slope))
     return {"exponent": float(slope), "scape_dp_s": total,
@@ -212,13 +220,8 @@ def assemble(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("fixed-n")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p = sub.add_parser("yardstick")
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--solos", type=int, default=456)
+    for name in ("fixed-n", "yardstick"):
+        sub.add_parser(name).add_argument("--out", type=Path, required=True)
     p = sub.add_parser("yardstick-child")
     p.add_argument("corpus")
     p.add_argument("report_out")
@@ -231,9 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "yardstick-child":
         return yardstick_child(args.corpus, args.report_out, args.stages_file)
     if args.command == "fixed-n":
-        result = fixed_n(args.seed)
+        result = fixed_n()
     elif args.command == "yardstick":
-        result = yardstick(args.seed, args.solos)
+        result = yardstick()
     else:
         result = assemble(args)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
