@@ -21,9 +21,12 @@ token.
 from __future__ import annotations
 
 import json
+import os
+import select
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -38,6 +41,8 @@ ORACLE_EPSILON = 1e-6
 PROMPT_BARS = CONTINUATION_BARS = 8
 # Seconds a child model may take to exit after its input is closed.
 CLOSE_TIMEOUT_S = 10.0
+# Seconds a child model may take to send a whole reply line.
+READ_TIMEOUT_S = 60.0
 
 
 class ChallengeError(ValueError):
@@ -428,7 +433,7 @@ class LineProtocolModel(SequenceModel):
         except BrokenPipeError:  # the model stopped reading
             line = ""
         else:
-            line = self.reader.readline()
+            line = self._read_line()
         if not line:
             raise ModelProtocolError(self._closed_message())
         fields = line.split()
@@ -461,6 +466,9 @@ class LineProtocolModel(SequenceModel):
             )
         return p
 
+    def _read_line(self) -> str:
+        return self.reader.readline()
+
     def _closed_message(self) -> str:
         return "external model closed the stream"
 
@@ -477,6 +485,26 @@ class SubprocessModel(LineProtocolModel):
             bufsize=1,
         )
         super().__init__(self._proc.stdout, self._proc.stdin, vocab_size)
+        self._unread = bytearray()  # bytes the child sent past the last reply line
+        self._poll = select.poll()
+        self._poll.register(self._proc.stdout, select.POLLIN)
+
+    def _read_line(self) -> str:
+        """The next reply line, read from the pipe itself so that the wait is
+        bounded: the whole line must arrive within READ_TIMEOUT_S seconds."""
+        deadline = time.monotonic() + READ_TIMEOUT_S
+        while b"\n" not in self._unread:
+            if not self._poll.poll(max(0.0, 1000.0 * (deadline - time.monotonic()))):
+                raise ModelProtocolError(
+                    f"external model {shlex.join(self._proc.args)!r} sent no whole reply "
+                    f"line within {READ_TIMEOUT_S:g} s"
+                )
+            chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
+            if not chunk:  # end of stream: the last line may lack its line break
+                break
+            self._unread += chunk
+        line, newline, self._unread = self._unread.partition(b"\n")
+        return (line + newline).decode(errors="replace")
 
     def _closed_message(self) -> str:
         """Names the child's exit code once it has exited (within
@@ -509,8 +537,13 @@ class SubprocessModel(LineProtocolModel):
     def __enter__(self) -> "SubprocessModel":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Close the child; an error already under way outranks one from closing."""
+        try:
+            self.close()
+        except ModelProtocolError:
+            if exc is None:
+                raise
 
 
 # --- questions ---------------------------------------------------------------

@@ -12,7 +12,9 @@ byte-identical outputs; all randomness flows from the single --seed flag.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import re
 import shlex
 import sys
 from dataclasses import dataclass
@@ -76,10 +78,16 @@ def _fmt(value: float | None, decimals: int) -> str:
 
 
 def _parse_bands(text: str) -> list[tuple[int, int | None]]:
+    """``lo:hi,...`` (``lo:`` is open-ended) as duration bands, 1 <= lo <= hi."""
     bands = []
     for part in text.split(","):
-        lo_text, _, hi_text = part.partition(":")
-        bands.append((int(lo_text), int(hi_text) if hi_text else None))
+        match = re.fullmatch(r"([0-9]+):([0-9]*)", part)
+        lo = int(match[1]) if match else 0
+        hi = int(match[2]) if match and match[2] else None
+        if lo < 1 or (hi is not None and hi < lo):
+            raise CliError(f"--bands: {part!r} is not a band lo:hi or lo: "
+                           "with 1 <= lo <= hi")
+        bands.append((lo, hi))
     return bands
 
 
@@ -153,7 +161,7 @@ def _load_pieces(args) -> tuple[list[Piece], list[Path]]:
 
 
 def _piece_scape(piece: Piece, args) -> np.ndarray:
-    return structure.scape_plot_for_chroma(piece.chroma, args.tau, args.delta, args.stride)
+    return structure.scape_plot_for_chroma(piece.chroma, args.tau, args.delta)
 
 
 def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
@@ -222,17 +230,16 @@ def cmd_detokenize(args) -> int:
 
 
 def cmd_report(args) -> int:
+    bands = _parse_bands(args.bands)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pieces, input_files = _load_pieces(args)
-    bands = _parse_bands(args.bands)
     config = {
         "command": "report",
         "bands": args.bands,
         "tau": args.tau,
         "delta": args.delta,
         "frame_rate": args.frame_rate,
-        "stride": args.stride if args.stride is not None else "auto",
         "chord_collapse": True,
         "entropy_windows": "1,4",
         "scape_images": args.scape_images,
@@ -351,11 +358,8 @@ def cmd_challenge(args) -> int:
         sequences, count=args.count, seed=args.seed, bar_token_id=VOCAB.bar_token_id
     )
     model = _build_model(args, sequences)
-    try:
+    with model if isinstance(model, chal.SubprocessModel) else contextlib.nullcontext():
         result = chal.run_challenge(model, questions)
-    finally:
-        if isinstance(model, chal.SubprocessModel):
-            model.close()
 
     config = {
         "command": "challenge",
@@ -461,8 +465,6 @@ def _add_scape_args(p: argparse.ArgumentParser) -> None:
                    help="penalty replacing sub-threshold similarities (default %(default)s)")
     p.add_argument("--frame-rate", type=float, default=1.0,
                    help="chroma frames per second (default %(default)s)")
-    p.add_argument("--stride", type=int, default=None,
-                   help="scape grid stride (default: 1, or 2 above 400 frames)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,7 +29,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .chords import ChordError, ChordSymbol, parse_chord, transpose_chord_string
 
@@ -133,14 +133,11 @@ class Solo:
         return [(onset, end, symbol) for (onset, symbol), end in zip(starts, ends)]
 
 
-def validate_solo(
-    solo: Solo, mlu_labels: Sequence[str] | None = DEFAULT_MLU_LABELS
-) -> list[str]:
+def validate_solo(solo: Solo) -> list[str]:
     """Return every invariant violation of a solo (empty list if valid).
 
     Violations are data, not exceptions: callers decide whether to reject.
-    ``mlu_labels`` is the allow-list for midlevel-unit labels; pass None to
-    accept any label.
+    Midlevel-unit labels must be in ``DEFAULT_MLU_LABELS``.
     """
     out: list[str] = []
     for i, n in enumerate(solo.notes):
@@ -153,11 +150,7 @@ def validate_solo(
             out.append(f"{where}: pitch {n.pitch} outside 0-127")
         if not math.isfinite(n.loudness_db):
             out.append(f"{where}: loudness_db must be finite")
-        if (
-            n.mlu_label is not None
-            and mlu_labels is not None
-            and n.mlu_label not in mlu_labels
-        ):
+        if n.mlu_label is not None and n.mlu_label not in DEFAULT_MLU_LABELS:
             out.append(f"{where}: mlu_label {n.mlu_label!r} not in allow-list")
     for a, b in zip(solo.notes, solo.notes[1:]):
         if b.onset_sec < a.onset_sec:

@@ -27,13 +27,14 @@ package's ``__pycache__`` under a name that hashes the source, the flags
 and the CPU's feature flags, and loaded with ``ctypes``.  Without a
 compiler, or when the build fails, times out or cannot write the cache,
 the numpy ``_sweep`` runs instead and gives bit-identical numbers about
-10x slower (measured 14-26x at 100-300 frames and 10.7x at 500 frames with
-stride 2); one line on stderr then names the reason, so that line shows
+10x slower (measured 13-16x at 100-500 frames; 500 frames take 8.2 s with
+the kernel); one line on stderr then names the reason, so that line shows
 which path ran.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -347,6 +348,12 @@ def _kernel_path() -> Path:
     finally:
         if tmp.exists():
             tmp.unlink()
+    # builds for an older source, other flags or another CPU; "*.tmp" files
+    # of builds under way do not match
+    for stale in _KERNEL_CACHE.glob("_sweep-*.so"):
+        if stale != lib:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return lib
 
 
@@ -431,26 +438,19 @@ def segment_fitness(ssm: np.ndarray, start: int, end: int) -> float:
     return float(_fitness_from_stats(sigma, packed, durations, n)[0])
 
 
-def scape_plot(ssm: np.ndarray, stride: int = 1) -> np.ndarray:
+def scape_plot(ssm: np.ndarray) -> np.ndarray:
     """Fitness of every segment, arranged by (duration, center).
 
     Row ``i`` (0-based) holds segments of duration ``i + 1`` frames;
     column ``j`` is the segment's center frame, rounding half up.  Cells
-    whose segment would exceed the piece are zero.  ``stride`` subsamples
-    both the duration and start grids for large pieces.
+    whose segment would exceed the piece are zero.
     """
     ssm = _check_ssm(ssm)
     n = ssm.shape[0]
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     plot = np.zeros((n, n))
-    durations = np.arange(1, n + 1, stride, dtype=np.int64)
-    per_duration = (n - durations) // stride + 1
-    seg_durations = np.repeat(durations, per_duration)
-    seg_starts = stride * (
-        np.arange(len(seg_durations))
-        - np.repeat(np.cumsum(per_duration) - per_duration, per_duration)
-    )
+    # every duration d = 1..n, each at every start 0..n-d
+    seg_durations = np.repeat(np.arange(1, n + 1, dtype=np.int64), np.arange(n, 0, -1))
+    seg_starts = np.concatenate([np.arange(n - d + 1, dtype=np.int64) for d in range(1, n + 1)])
     sigma, packed = _family_stats(ssm, seg_durations, seg_starts)
     fit = _fitness_from_stats(sigma, packed, seg_durations, n)
     plot[seg_durations - 1, seg_starts + seg_durations // 2] = fit
@@ -478,14 +478,9 @@ def scape_plot_for_chroma(
     chroma: ChromaSequence,
     threshold: float = DEFAULT_SSM_THRESHOLD,
     penalty: float = DEFAULT_SSM_PENALTY,
-    stride: int | None = None,
 ) -> np.ndarray:
-    """Scape plot of a chroma sequence; the default stride is 1, or 2
-    above 400 frames."""
-    ssm = compute_ssm(chroma, threshold, penalty)
-    if stride is None:
-        stride = 1 if len(chroma) <= 400 else 2
-    return scape_plot(ssm, stride=stride)
+    """Scape plot of a chroma sequence."""
+    return scape_plot(compute_ssm(chroma, threshold, penalty))
 
 
 def band_indicators(

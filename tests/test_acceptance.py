@@ -173,7 +173,7 @@ def test_criterion_5_scape_oracle_and_runtime():
     big = random_ssm(np.random.default_rng(506), 200)
     big[big < 0.2] = -2.0
     t0 = time.perf_counter()
-    plot = structure.scape_plot(big, stride=1)
+    plot = structure.scape_plot(big)
     elapsed = time.perf_counter() - t0
     fast = elapsed < 60.0
 

@@ -751,6 +751,22 @@ def test_subprocess_model_names_the_exit_code_of_a_child_that_exited(script, rea
             model.next_token_distribution([0, 1])
 
 
+def test_subprocess_model_reads_replies_however_the_child_writes_them():
+    # two replies in one write, then a last one that ends the stream unterminated
+    script = (
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('* 0:1\\n* 1:1\\n')\n"
+        "sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.write('* 2:1')\n"
+    )
+    with SubprocessModel([sys.executable, "-c", script], 3) as model:
+        chosen = [int(np.argmax(model.next_token_distribution([i]))) for i in range(3)]
+    assert chosen == [0, 1, 2]
+
+
 def test_subprocess_model_matches_builtin_uniform(questions):
     script = (
         "import sys\n"

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,41 @@ def test_report_rejects_bad_frame_rate(tmp_path, corpus_file, capsys, rate):
     assert "frame rate must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "scape"])
+def test_stride_is_a_usage_error(tmp_path, corpus_file, capsys, command):
+    piece = ["--piece", "rand-000"] if command == "scape" else []
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--corpus", corpus_file, *piece, "--out", tmp_path / "out", "--stride", 2)
+    assert exc.value.code == 2
+    assert "--stride" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_header_lists_its_settings(tmp_path, corpus_file):
+    out = tmp_path / "rep"
+    assert run("report", "--corpus", corpus_file, "--out", out) == 0
+    keys = [line[len("# cfg "):].split("=", 1)[0]
+            for line in (out / "report.tsv").read_text().splitlines()
+            if line.startswith("# cfg ")]
+    assert keys == ["bands", "chord_collapse", "command", "delta", "entropy_windows",
+                    "frame_rate", "scape_images", "source", "tau"]
+
+
+@pytest.mark.parametrize("bands, bad", [
+    ("8:3", "8:3"),  # hi below lo
+    ("3:8,0:5", "0:5"),  # no duration 0
+    ("3:8,x", "x"),  # not a band
+    ("3:8,8", "8"),  # no colon
+    ("3:8,,15:", ""),  # empty
+    ("3:-8", "3:-8"),
+])
+def test_report_refuses_a_band_that_cannot_exist(tmp_path, corpus_file, capsys, bands, bad):
+    out = tmp_path / "rep"
+    assert run("report", "--corpus", corpus_file, "--out", out, "--bands", bands) == 1
+    assert f"error: --bands: {bad!r} is not a band" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grammar_error_names_the_token_file(tmp_path, capsys):
     tok = tmp_path / "tok"
     tok.mkdir()
@@ -170,7 +206,7 @@ PINNED_OUTPUTS = {
         "report/form-001.pgm": "edf35a4cd2a471529cb37fa58127a7064a0bea626b3950858c5631ec56c90b0e",
         "report/rand-000.pgm": "c24b04dda57976075d4634dfdf1b153c582f740a31923535168ec82d971e973f",
         "report/rand-001.pgm": "52350d2530508a08e778fc725f9a7df673fb6f0b095dd11eda02116566f7d0e2",
-        "report/report.tsv": "6951b66a6fface3082d33d8c8de057607b9ca551c9acdc9a62963eb078b965cd",
+        "report/report.tsv": "b43e26fafa1d08b820512276d52de6b5615fc8a3cb0c2f2c22ef760dea7d1a0a",
         "scape/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
         "scape/form-000.scape.txt": "04f54a7c0765c8243fcf4ae9cb1f91efac19d4ce326fbaf201f6227ed87f9cf6",
         "scape/rand-001.pgm": "52350d2530508a08e778fc725f9a7df673fb6f0b095dd11eda02116566f7d0e2",
@@ -181,7 +217,7 @@ PINNED_OUTPUTS = {
         "report/form-001.pgm": "edf35a4cd2a471529cb37fa58127a7064a0bea626b3950858c5631ec56c90b0e",
         "report/rand-000.pgm": "d91462919c56062de867fccc45a89b88c78a216d85e4a363c1f291668272bbf9",
         "report/rand-001.pgm": "0a98128f4f8c7464152a019d0681e804b78e7359c62f46e0755e702682e51807",
-        "report/report.tsv": "133b77dd24f00ca5836d3c65232ac482c57ecc8a34258e44133c97dce3263fe3",
+        "report/report.tsv": "4f639ad15d2751908390e36dba1084bf3c48d1a01c460fe7a92324bc79b1f7d9",
         "scape/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
         "scape/form-000.scape.txt": "04f54a7c0765c8243fcf4ae9cb1f91efac19d4ce326fbaf201f6227ed87f9cf6",
         "scape/rand-001.pgm": "0a98128f4f8c7464152a019d0681e804b78e7359c62f46e0755e702682e51807",
@@ -561,6 +597,34 @@ def test_external_model_that_ignores_end_of_input_is_killed(
     assert code == 1
     err = capsys.readouterr().err
     assert "did not exit" in err and str(script) in err
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.mark.parametrize("reply", ["", "0.5 0.5"], ids=["never-answers", "half-a-line"])
+def test_external_model_that_stalls_times_out(tmp_path, motif_file, capsys, monkeypatch, reply):
+    monkeypatch.setattr(chal, "READ_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(chal, "CLOSE_TIMEOUT_S", 0.2)
+    pid_file = tmp_path / "pid"
+    script = tmp_path / "stalled_model.py"
+    script.write_text(
+        "import os, sys, time\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "sys.stdin.readline()\n"
+        f"sys.stdout.write({reply!r})\n"
+        "sys.stdout.flush()\n"
+        "time.sleep(30)\n"
+    )
+    start = time.monotonic()
+    code = run(
+        "challenge", "--corpus", motif_file, "--out", tmp_path / "ext",
+        "--model", "external", "--external-cmd", f"{sys.executable} {script}",
+        "--count", 2, "--seed", 1,
+    )
+    assert time.monotonic() - start < 10
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(script) in err and "sent no whole reply line within 0.2 s" in err
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(int(pid_file.read_text()), 0)
 

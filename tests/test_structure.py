@@ -89,7 +89,7 @@ def test_chroma_rejects_bad_frame_rate(rate, aaba_solo):
 
 def test_scape_plot_for_chroma_matches_scape_plot(aaba_solo):
     chroma = chroma_from_solo(aaba_solo)
-    expected = scape_plot(compute_ssm(chroma, 0.3, -1.0), stride=1)
+    expected = scape_plot(compute_ssm(chroma, 0.3, -1.0))
     np.testing.assert_array_equal(scape_plot_for_chroma(chroma, 0.3, -1.0), expected)
 
 
@@ -236,15 +236,11 @@ def test_scape_plot_rejects_non_square():
         segment_fitness(np.zeros(4), 0, 1)
 
 
-# SHA-256 of scape_plot(m, stride).tobytes() on a tie-heavy SSM (three
-# distinct values, so equal-score path families abound): pins the tie
-# order escape over path end and (1,1) over (2,1) over (1,2), whose
-# counters decide the fitness of tied families.
-TIE_HEAVY_DIGESTS = {
-    1: "f71e8e34c7a392dd0fd6101b0a2a64865b242d723c125314d6a0fc9dc89579e6",
-    2: "6bc0c83ded4c76a6e57a5c9b9430034943cee09c77c116b968b44056d63afb1e",
-    3: "ca6a54995f111302bc4d2161bb43cd0c578645583a543040d9b24c84456b4e06",
-}
+# SHA-256 of scape_plot(m).tobytes() on a tie-heavy SSM (three distinct
+# values, so equal-score path families abound): pins the tie order escape
+# over path end and (1,1) over (2,1) over (1,2), whose counters decide the
+# fitness of tied families.
+TIE_HEAVY_DIGEST = "f71e8e34c7a392dd0fd6101b0a2a64865b242d723c125314d6a0fc9dc89579e6"
 
 
 @pytest.fixture(scope="module")
@@ -270,37 +266,38 @@ def _symmetric(rng, n, values=None):
     return m
 
 
-def _tie_heavy_digest(stride):
+def _tie_heavy_digest():
     m = _symmetric(np.random.default_rng(7), 24, [-2.0, 0.5, 1.0])
-    return hashlib.sha256(scape_plot(m, stride).tobytes()).hexdigest()
+    return hashlib.sha256(scape_plot(m).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("stride", sorted(TIE_HEAVY_DIGESTS))
-def test_scape_plot_tie_order_pinned(stride):
+def test_scape_plot_tie_order_pinned():
     # the default path: the compiled kernel wherever it builds
-    assert _tie_heavy_digest(stride) == TIE_HEAVY_DIGESTS[stride]
+    assert _tie_heavy_digest() == TIE_HEAVY_DIGEST
 
 
-@pytest.mark.parametrize("stride", sorted(TIE_HEAVY_DIGESTS))
-def test_scape_plot_tie_order_pinned_in_numpy(stride, numpy_dp):
-    assert _tie_heavy_digest(stride) == TIE_HEAVY_DIGESTS[stride]
+def test_scape_plot_tie_order_pinned_in_numpy(numpy_dp):
+    assert _tie_heavy_digest() == TIE_HEAVY_DIGEST
+
+
+def _segment_grid(n, step):
+    """Every ``step``-th duration at every ``step``-th start: for step > 1
+    the kernel's groups of 8 segments are not contiguous, so it gathers
+    them row by row."""
+    grid = [(d, s) for d in range(1, n + 1, step) for s in range(0, n - d + 1, step)]
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*grid))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 40),
-    stride=st.integers(1, 3),
+    step=st.integers(1, 3),
     values=st.sampled_from([None, (-2.0, 0.0, 1.0), (-2.0, 0.5, 1.0)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_property_kernel_equals_sweep_bit_for_bit(kernel, n, stride, values, seed):
+def test_property_kernel_equals_sweep_bit_for_bit(kernel, n, step, values, seed):
     m = _symmetric(np.random.default_rng(seed), n, values)
-    durations = np.array(
-        [d for d in range(1, n + 1, stride) for _ in range(0, n - d + 1, stride)], dtype=np.int64
-    )
-    starts = np.array(
-        [s for d in range(1, n + 1, stride) for s in range(0, n - d + 1, stride)], dtype=np.int64
-    )
+    durations, starts = _segment_grid(n, step)
     sigma, packed = structure._family_stats(m, durations, starts)
     ref_sigma, ref_packed = structure._sweep(m, durations, starts)
     assert sigma.tobytes() == ref_sigma.tobytes()
@@ -324,7 +321,20 @@ def test_kernel_library_name_hashes_the_cpu_flags(kernel, monkeypatch, tmp_path)
     monkeypatch.setattr(structure, "_cpu_flags", lambda: "flags : another cpu")
     other = structure._kernel_path()
     assert other != built
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([built.name, other.name])
+    assert [p.name for p in tmp_path.iterdir()] == [other.name]  # the other CPU's is stale
+
+
+def test_kernel_build_deletes_stale_libraries(kernel, monkeypatch, tmp_path):
+    stale = tmp_path / "_sweep-0123456789abcdef.so"
+    stale.write_bytes(b"a build of another kernel source")
+    monkeypatch.setattr(structure, "_KERNEL_CACHE", tmp_path)
+    structure._kernel.cache_clear()
+    try:
+        assert structure._kernel() is not None  # built into tmp_path and loaded
+    finally:
+        structure._kernel.cache_clear()
+    assert not stale.exists()
+    assert [p.name for p in tmp_path.iterdir()] == [structure._kernel_path().name]
 
 
 @pytest.mark.parametrize(
@@ -340,7 +350,12 @@ def test_kernel_library_name_hashes_the_cpu_flags(kernel, monkeypatch, tmp_path)
 )
 def test_dp_falls_back_to_numpy_and_says_why_once(patch, reason, monkeypatch, tmp_path, capsys):
     m = _symmetric(np.random.default_rng(5), 30)
-    expected = {stride: scape_plot(m, stride) for stride in (1, 2)}  # the kernel's, if built
+
+    def results():  # the full plot, and the gather path's groups
+        sigma, packed = structure._family_stats(m, *_segment_grid(30, 2))
+        return [a.tobytes() for a in (scape_plot(m), sigma, packed)]
+
+    expected = results()  # the kernel's, if built
     if "_CC" not in patch and shutil.which(structure._CC) is None:
         pytest.skip(f"no C compiler {structure._CC!r} on PATH, so the build fails earlier")
     blocker = tmp_path / "file"
@@ -352,8 +367,7 @@ def test_dp_falls_back_to_numpy_and_says_why_once(patch, reason, monkeypatch, tm
     structure._kernel.cache_clear()
     capsys.readouterr()
     try:
-        for stride, plot in expected.items():
-            assert scape_plot(m, stride).tobytes() == plot.tobytes()
+        assert results() == expected
         err = capsys.readouterr().err.splitlines()
     finally:
         structure._kernel.cache_clear()
@@ -439,16 +453,6 @@ def test_kernel_memory_is_bounded_by_the_longest_segment(kernel):
     )
     growth_bytes = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
     assert growth_bytes < 7 * 8 * n * 8 + 1_000_000
-
-
-def test_scape_plot_stride_subsamples():
-    rng = np.random.default_rng(29)
-    m = random_ssm(rng, 16)
-    full = scape_plot(m)
-    strided = scape_plot(m, stride=2)
-    nz = strided > 0
-    assert np.all(strided[nz] == full[nz])
-    assert np.all(strided[1::2] == 0.0)  # even durations skipped
 
 
 # --- structureness indicator ----------------------------------------------------

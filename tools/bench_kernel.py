@@ -8,12 +8,10 @@
 Run from the repository root; the package is imported from ``src``.
 
 ``fixed-n`` times ``scape_plot`` on seeded random symmetric SSMs at
-N = 100, 200 and 300 frames with stride 1, and at N = 500 with stride 2
-(the stride ``report`` uses above 400 frames, whose segment groups the
-kernel gathers row by row), through the compiled kernel and through
-numpy ``_sweep`` (the kernel is switched off inside this script only),
-and checks that both plots are bit-identical.  The library is built or
-loaded before timing; build time is reported on its own.
+N = 100, 200, 300 and 500 frames, through the compiled kernel and
+through numpy ``_sweep`` (the kernel is switched off inside this script
+only), and checks that both plots are bit-identical.  The library is
+built or loaded before timing; build time is reported on its own.
 
 ``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
 holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
@@ -47,8 +45,8 @@ from swingbench import cli, metrics, structure  # noqa: E402
 from swingbench.corpus import save_corpus  # noqa: E402
 from swingbench.synthetic import random_solo  # noqa: E402
 
-# (frames, stride) of the fixed-N points
-SIZES = ((100, 1), (200, 1), (300, 1), (500, 2))
+# frames of the fixed-N points
+SIZES = (100, 200, 300, 500)
 SOLOS = 456
 SEED = 0
 # Stages of ``report --corpus`` timed in the yardstick child: (module, name).
@@ -86,18 +84,17 @@ def fixed_n() -> dict:
         raise SystemExit("error: the compiled kernel is not available; stderr says why")
     kernel_fn = structure._kernel
     points = []
-    for n, stride in SIZES:
+    for n in SIZES:
         m = random_ssm(n, SEED + n)
-        k_times, k_plot = timed(lambda: structure.scape_plot(m, stride), 5)
+        k_times, k_plot = timed(lambda: structure.scape_plot(m), 5)
         structure._kernel = lambda: None
         try:
-            n_times, n_plot = timed(lambda: structure.scape_plot(m, stride), 3)
+            n_times, n_plot = timed(lambda: structure.scape_plot(m), 3)
         finally:
             structure._kernel = kernel_fn
         k_med, n_med = statistics.median(k_times), statistics.median(n_times)
         points.append({
             "frames": n,
-            "stride": stride,
             "kernel_s": k_times,
             "numpy_s": n_times,
             "kernel_median_s": k_med,
@@ -105,7 +102,7 @@ def fixed_n() -> dict:
             "speedup": n_med / k_med,
             "bit_identical": k_plot.tobytes() == n_plot.tobytes(),
         })
-        print(f"N={n} stride {stride}: kernel {k_med:.3f} s, numpy {n_med:.3f} s, "
+        print(f"N={n}: kernel {k_med:.3f} s, numpy {n_med:.3f} s, "
               f"{n_med / k_med:.1f}x, identical {points[-1]['bit_identical']}", file=sys.stderr)
     return {
         "ssm": "uniform(-1, 1) symmetrised, unit diagonal; seed = SEED + N",
@@ -179,14 +176,13 @@ def yardstick() -> dict:
 
 def numpy_estimate(fixed: dict, frames: list[int]) -> dict:
     """Scape DP time of the yardstick under numpy, from the fixed-N points:
-    a power law fitted through the stride-1 points in log-log space."""
-    points = [p for p in fixed["points"] if p["stride"] == 1]
-    n = np.log([p["frames"] for p in points])
-    t = np.log([p["numpy_median_s"] for p in points])
+    a power law fitted through them in log-log space."""
+    n = np.log([p["frames"] for p in fixed["points"]])
+    t = np.log([p["numpy_median_s"] for p in fixed["points"]])
     slope, intercept = np.polyfit(n, t, 1)
     total = float(np.sum(np.exp(intercept) * np.asarray(frames, dtype=float) ** slope))
     return {"exponent": float(slope), "scape_dp_s": total,
-            "method": "numpy medians at N = 100/200/300 fitted as a * N**b, summed over "
+            "method": "numpy medians at N = 100/200/300/500 fitted as a * N**b, summed over "
                       "the yardstick's piece lengths; an estimate, not a run"}
 
 
