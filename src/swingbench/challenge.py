@@ -26,6 +26,7 @@ import select
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -43,6 +44,8 @@ PROMPT_BARS = CONTINUATION_BARS = 8
 CLOSE_TIMEOUT_S = 10.0
 # Seconds a child model may take to send a whole reply line.
 READ_TIMEOUT_S = 60.0
+# Bytes of a child model's stderr quoted at the end of its error messages.
+STDERR_TAIL_BYTES = 2048
 
 
 class ChallengeError(ValueError):
@@ -425,10 +428,25 @@ class LineProtocolModel(SequenceModel):
         self.reader = reader
         self.writer = writer
         self.vocab_size = vocab_size
+        self._sent: list[int] = []  # the last request's history, copied
+        self._text = ""  # and its line, without the line break
+
+    def _request(self, history: Sequence[int]) -> str:
+        """The request line for ``history``.  Under teacher forcing each
+        history extends the last one, so only its new ids are formatted."""
+        known = len(self._sent)
+        if history[:known] == self._sent:
+            new = history[known:]
+            self._text = " ".join([self._text, *map(str, new)] if known else map(str, new))
+            self._sent += new
+        else:
+            self._text = " ".join(map(str, history))
+            self._sent = list(history)
+        return self._text + "\n"
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
         try:
-            self.writer.write(" ".join(map(str, history)) + "\n")
+            self.writer.write(self._request(history))
             self.writer.flush()
         except BrokenPipeError:  # the model stopped reading
             line = ""
@@ -474,16 +492,27 @@ class LineProtocolModel(SequenceModel):
 
 
 class SubprocessModel(LineProtocolModel):
-    """Line-protocol model backed by a child process."""
+    """Line-protocol model backed by a child process.
+
+    The child's stderr goes to an unnamed temporary file, which no amount
+    of output can fill the way it fills a pipe.  Its tail ends the error
+    messages about the child, and the whole file is copied to our stderr
+    when the model closes."""
 
     def __init__(self, command: Sequence[str], vocab_size: int):
-        self._proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self._proc = subprocess.Popen(
+                list(command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+                text=True,
+                bufsize=1,
+            )
+        except BaseException:
+            self._stderr.close()
+            raise
         super().__init__(self._proc.stdout, self._proc.stdin, vocab_size)
         self._unread = bytearray()  # bytes the child sent past the last reply line
         self._poll = select.poll()
@@ -497,7 +526,7 @@ class SubprocessModel(LineProtocolModel):
             if not self._poll.poll(max(0.0, 1000.0 * (deadline - time.monotonic()))):
                 raise ModelProtocolError(
                     f"external model {shlex.join(self._proc.args)!r} sent no whole reply "
-                    f"line within {READ_TIMEOUT_S:g} s"
+                    f"line within {READ_TIMEOUT_S:g} s{self._stderr_tail()}"
                 )
             chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
             if not chunk:  # end of stream: the last line may lack its line break
@@ -512,9 +541,18 @@ class SubprocessModel(LineProtocolModel):
         try:
             code = self._proc.wait(timeout=CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return super()._closed_message()
+            return super()._closed_message() + self._stderr_tail()
         return (f"external model {shlex.join(self._proc.args)!r} closed the stream "
-                f"and exited with code {code}")
+                f"and exited with code {code}{self._stderr_tail()}")
+
+    def _stderr_tail(self) -> str:
+        """The last STDERR_TAIL_BYTES of the child's stderr, as a clause.
+        ``pread`` leaves alone the file offset that the child writes at."""
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        tail = os.pread(fd, STDERR_TAIL_BYTES, max(0, size - STDERR_TAIL_BYTES))
+        text = tail.decode(errors="replace").strip()
+        return f"; its stderr ends: {text}" if text else ""
 
     def close(self) -> None:
         """Close the child's input and wait for it to exit; a child still
@@ -533,6 +571,19 @@ class SubprocessModel(LineProtocolModel):
                 f"external model {shlex.join(self._proc.args)!r} did not exit within "
                 f"{CLOSE_TIMEOUT_S:g} s of end of input; killed it"
             ) from None
+        finally:
+            self._proc.stdout.close()
+            self._copy_stderr()
+
+    def _copy_stderr(self) -> None:
+        """Copy the child's stderr to ours, once."""
+        if self._stderr.closed:
+            return
+        with self._stderr:
+            self._stderr.seek(0)
+            for line in self._stderr:
+                sys.stderr.write(line.decode(errors="replace"))
+            sys.stderr.flush()
 
     def __enter__(self) -> "SubprocessModel":
         return self

@@ -315,15 +315,32 @@ def _load_ngram(path: str) -> chal.NGramModel:
     return model
 
 
-def _build_model(args, sequences: list[list[int]]):
+def _external_command(text: str | None) -> list[str]:
+    """``--external-cmd`` split as a POSIX shell would, refused when it is
+    missing, names no command or holds a line break."""
+    # str.splitlines knows every line break; one would split the header line
+    if text and text.splitlines() != [text]:
+        raise CliError("--external-cmd must not contain a line break")
+    try:
+        command = shlex.split(text or "")
+    except ValueError as exc:  # an unclosed quotation or a trailing backslash
+        raise CliError(f"--external-cmd {text!r} cannot be split into words: {exc}") from None
+    if not command:
+        raise CliError("--external-cmd with a command is required with --model external")
+    return command
+
+
+def _build_model(args, sequences: list[list[int]], command: list[str] | None):
     if args.model == "uniform":
         return chal.UniformModel(VOCAB.size)
     if args.model == "oracle":
         return chal.CorpusOracleModel(sequences, VOCAB.size)
     if args.model == "external":
-        if not args.external_cmd:
-            raise CliError("--external-cmd is required with --model external")
-        return chal.SubprocessModel(shlex.split(args.external_cmd), VOCAB.size)
+        try:
+            return chal.SubprocessModel(command, VOCAB.size)
+        except OSError as exc:
+            raise CliError(f"--external-cmd {args.external_cmd!r}: cannot start "
+                           f"{command[0]!r}: {exc.strerror or exc}") from None
     if args.model_file:
         return _load_ngram(args.model_file)
     order = DEFAULT_ORDER if args.order is None else args.order
@@ -348,17 +365,15 @@ def cmd_challenge(args) -> int:
     if ngram_flags and args.model_file:
         raise CliError(f"{' and '.join(ngram_flags)} cannot be used with --model-file, "
                        "whose model keeps its own settings")
-    # str.splitlines knows every line break; one would split the header line
-    if args.external_cmd and args.external_cmd.splitlines() != [args.external_cmd]:
-        raise CliError("--external-cmd must not contain a line break")
+    command = _external_command(args.external_cmd) if args.model == "external" else None
     sequences, _, input_files = _token_sequences(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     questions = chal.build_questions(
         sequences, count=args.count, seed=args.seed, bar_token_id=VOCAB.bar_token_id
     )
-    model = _build_model(args, sequences)
+    model = _build_model(args, sequences, command)
+    out_dir = Path(args.out)
     with model if isinstance(model, chal.SubprocessModel) else contextlib.nullcontext():
+        out_dir.mkdir(parents=True, exist_ok=True)
         result = chal.run_challenge(model, questions)
 
     config = {

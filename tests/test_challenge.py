@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from oracles import ngram_count_tables
 from scipy import stats
 
+from swingbench import challenge
 from swingbench.challenge import (
     DISTRIBUTION_TOLERANCE,
+    STDERR_TAIL_BYTES,
     ChallengeError,
     ChallengeQuestion,
     CorpusOracleModel,
@@ -641,12 +643,13 @@ class _PipeEnd:
         self.fn = fn
         self.vocab_size = vocab_size
         self.pending: list[str] = []
+        self.requests: list[str] = []
 
     def write(self, text):
-        self.last_request = text
+        self.requests.append(text)
 
     def flush(self):
-        history = [int(x) for x in self.last_request.split()]
+        history = [int(x) for x in self.requests[-1].split()]
         self.pending.append(self.fn(history))
 
     def readline(self):
@@ -736,6 +739,42 @@ def test_line_protocol_yields_a_distribution_or_a_named_error(line, history):
     assert abs(p.sum() - 1.0) <= DISTRIBUTION_TOLERANCE
 
 
+_IDS = st.lists(st.integers(0, 442), max_size=8)
+_HISTORY_STEP = st.one_of(
+    st.lists(st.integers(0, 442), max_size=3).map(lambda ids: ("extend", ids)),
+    st.integers(0, 4).map(lambda n: ("truncate", n)),
+    _IDS.map(lambda ids: ("replace", ids)),
+    st.just(("replace", [])),
+    st.tuples(st.integers(0, 20), st.integers(0, 442)).map(lambda t: ("set", t)),
+    _IDS.map(lambda ids: ("tuple", ids)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_IDS, st.lists(_HISTORY_STEP, max_size=30))
+def test_line_protocol_writes_each_history_whole(start, steps):
+    # one list, extended, cut and changed in place between calls as
+    # SequenceModel.score extends its own, or replaced by another
+    pipe = _PipeEnd(lambda _: "*\n", V.size)
+    model = LineProtocolModel(pipe, pipe, vocab_size=V.size)
+    history, expected = list(start), []
+    for op, arg in [("extend", []), *steps]:
+        sent = history
+        if op == "extend":
+            history.extend(arg)
+        elif op == "truncate":
+            del history[max(0, len(history) - arg):]
+        elif op == "replace":
+            history = sent = list(arg)
+        elif op == "set" and history:
+            history[arg[0] % len(history)] = arg[1]
+        elif op == "tuple":
+            sent = tuple(history + arg)
+        model.next_token_distribution(sent)
+        expected.append(" ".join(map(str, sent)) + "\n")
+    assert pipe.requests == expected
+
+
 @pytest.mark.parametrize(
     "script,reads",
     [
@@ -779,3 +818,73 @@ def test_subprocess_model_matches_builtin_uniform(questions):
     builtin = run_challenge(UniformModel(V.size), questions[:3])
     for a, b in zip(result.rows, builtin.rows):
         assert a["scores"] == pytest.approx(b["scores"], abs=1e-9)
+
+
+class _SumModel(SequenceModel):
+    """Puts all mass on (sum of the history's ids) mod V."""
+
+    def __init__(self, vocab_size):
+        self.vocab_size = vocab_size
+
+    def next_token_distribution(self, history):
+        p = np.zeros(self.vocab_size)
+        p[sum(history) % self.vocab_size] = 1.0
+        return p
+
+
+def test_subprocess_model_sends_every_id_of_every_history():
+    # a dropped, doubled or stale id on the wire moves the child's answer
+    vocab = 7
+    rng = np.random.default_rng(5)
+    questions = [
+        ChallengeQuestion(
+            prompt=tuple(int(x) for x in rng.integers(0, vocab, int(rng.integers(0, 30)))),
+            candidates=tuple(tuple(int(x) for x in rng.integers(0, vocab, 12)) for _ in range(4)),
+            true_index=int(rng.integers(0, 4)),
+        )
+        for _ in range(8)
+    ]
+    script = (
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        f"    print('* %d:1' % (sum(map(int, line.split())) % {vocab}), flush=True)\n"
+    )
+    with SubprocessModel([sys.executable, "-c", script], vocab) as model:
+        result = run_challenge(model, questions)
+    expected = run_challenge(_SumModel(vocab), questions)
+    assert [row["scores"] for row in result.rows] == [row["scores"] for row in expected.rows]
+    assert len({s for row in expected.rows for s in row["scores"]}) > 3  # the rule is not flat
+
+
+def test_subprocess_model_error_ends_with_the_tail_of_its_stderr():
+    script = "import sys; sys.stderr.write('x' * 5000 + 'boom'); sys.exit(3)"
+    with SubprocessModel([sys.executable, "-c", script], 5) as model:
+        model._proc.wait()
+        with pytest.raises(ModelProtocolError) as info:
+            model.next_token_distribution([0, 1])
+    message = str(info.value)
+    assert "exited with code 3" in message and message.endswith("boom")
+    assert message.count("x") <= STDERR_TAIL_BYTES
+
+
+def test_subprocess_model_read_timeout_ends_with_the_tail_of_its_stderr(monkeypatch):
+    monkeypatch.setattr(challenge, "READ_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(challenge, "CLOSE_TIMEOUT_S", 0.2)
+    script = "import sys, time; sys.stderr.write('loading weights'); sys.stderr.flush(); time.sleep(30)"
+    with pytest.raises(ModelProtocolError, match="within 0.2 s; its stderr ends: loading weights"):
+        with SubprocessModel([sys.executable, "-c", script], 5) as model:
+            model.next_token_distribution([0])
+
+
+def test_subprocess_model_copies_its_stderr_to_ours_on_close(capfd):
+    # far more than a pipe holds, written before the first reply
+    script = (
+        "import sys\n"
+        "sys.stderr.write('chatter\\n' * 50000 + 'model ready\\n')\n"
+        "for line in sys.stdin:\n"
+        "    print('*', flush=True)\n"
+    )
+    with SubprocessModel([sys.executable, "-c", script], 3) as model:
+        assert model.next_token_distribution([1, 2]) == pytest.approx(np.full(3, 1 / 3))
+    err = capfd.readouterr().err
+    assert err.count("chatter\n") == 50000 and err.endswith("model ready\n")

@@ -630,13 +630,34 @@ def test_external_model_that_stalls_times_out(tmp_path, motif_file, capsys, monk
 
 
 def test_external_model_that_exits_early_names_its_exit_code(tmp_path, motif_file, capsys):
-    command = f"{sys.executable} -c 'import sys; sys.exit(3)'"
+    command = f"{sys.executable} -c 'import sys; sys.stderr.write(\"boom\"); sys.exit(3)'"
     code = run(
         "challenge", "--corpus", motif_file, "--out", tmp_path / "ext",
         "--model", "external", "--external-cmd", command, "--count", 2, "--seed", 1,
     )
     assert code == 1
-    assert "exited with code 3" in capsys.readouterr().err
+    assert "exited with code 3; its stderr ends: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("'unbalanced", "--external-cmd \"'unbalanced\" cannot be split into words"),
+        ("{missing}", "--external-cmd '{missing}': cannot start '{missing}'"),
+        ("", "--external-cmd with a command is required"),
+    ],
+    ids=["unbalanced-quote", "missing-program", "empty"],
+)
+def test_bad_external_cmd_is_named_and_makes_no_directory(
+    tmp_path, motif_file, capsys, command, message
+):
+    missing = tmp_path / "no-such-model"
+    out = tmp_path / "out"
+    code = run("challenge", "--corpus", motif_file, "--out", out, "--model", "external",
+               "--external-cmd", command.format(missing=missing), "--count", 2)
+    assert code == 1
+    assert message.format(missing=missing) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,9 +1,11 @@
-"""Seeded timings of the scape-plot DP, compiled kernel against numpy.
+"""Seeded timings of the scape-plot DP, compiled kernel against numpy, and
+of the external-model line protocol.
 
-    python3 tools/bench_kernel.py fixed-n --out scape.json
+    python3 tools/bench_kernel.py fixed-n --out fixed.json
     python3 tools/bench_kernel.py yardstick --out yardstick.json
     python3 tools/bench_kernel.py assemble --parent P.jsonl --change C.jsonl \\
-        --fixed-n scape.json --yardstick yardstick.json --out BENCH.json
+        --fixed-n fixed.json [--parent-fixed-n PARENT_FIXED.json] \\
+        --yardstick yardstick.json --out BENCH.json
 
 Run from the repository root; the package is imported from ``src``.
 
@@ -12,6 +14,10 @@ N = 100, 200, 300 and 500 frames, through the compiled kernel and
 through numpy ``_sweep`` (the kernel is switched off inside this script
 only), and checks that both plots are bit-identical.  The library is
 built or loaded before timing; build time is reported on its own.
+``fixed-n`` also times the line protocol: one ``SubprocessModel`` talking
+to ``perfbench/responder.py`` scores 300 seeded ids after a context of
+the first 100, 400 and 700 ids of the same seeded sequence, and reports
+microseconds per request.
 
 ``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
 holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
@@ -19,9 +25,11 @@ drawn uniformly), in one child process: wall time and peak RSS from
 ``os.wait4``, and the wall time of each analysis stage from wrappers
 installed in the child.
 
-``assemble`` puts both files together with the ``results.jsonl`` records
+``assemble`` puts these files together with the ``results.jsonl`` records
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
-of ``perfbench/compare.py`` on them.
+of ``perfbench/compare.py`` on them.  ``--parent-fixed-n`` is the output
+of ``fixed-n`` run in a checkout of the parent, whose line-protocol
+points are set beside the change's.
 """
 
 from __future__ import annotations
@@ -42,11 +50,17 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from swingbench import cli, metrics, structure  # noqa: E402
+from swingbench.challenge import SubprocessModel  # noqa: E402
 from swingbench.corpus import save_corpus  # noqa: E402
 from swingbench.synthetic import random_solo  # noqa: E402
+from swingbench.tokenizer import DEFAULT_VOCABULARY as VOCAB  # noqa: E402
 
 # frames of the fixed-N points
 SIZES = (100, 200, 300, 500)
+# context ids of the line-protocol points, and the ids scored after each
+CONTEXTS = (100, 400, 700)
+SCORED = 300
+RESPONDER = ROOT / "perfbench" / "responder.py"
 SOLOS = 456
 SEED = 0
 # Stages of ``report --corpus`` timed in the yardstick child: (module, name).
@@ -76,7 +90,29 @@ def timed(fn, repeats: int) -> tuple[list[float], np.ndarray]:
     return times, result
 
 
+def line_protocol() -> dict:
+    rng = np.random.default_rng(SEED)
+    ids = [int(x) for x in rng.integers(0, VOCAB.size, max(CONTEXTS) + SCORED)]
+    points = []
+    with SubprocessModel([sys.executable, str(RESPONDER)], VOCAB.size) as model:
+        model.score([], ids[:SCORED])  # the child is up and answering before timing
+        for n in CONTEXTS:
+            times, _ = timed(lambda: model.score(ids[:n], ids[n:n + SCORED]), 5)
+            us = [1e6 * t / SCORED for t in times]
+            points.append({"context_ids": n, "us_per_request": us,
+                           "median_us_per_request": statistics.median(us)})
+            print(f"line protocol, {n} + {SCORED} ids: {points[-1]['median_us_per_request']:.1f} "
+                  "us a request", file=sys.stderr)
+    return {
+        "responder": "perfbench/responder.py",
+        "ids": f"uniform over the {VOCAB.size} token ids; seed = SEED",
+        "scored_ids": SCORED,
+        "points": points,
+    }
+
+
 def fixed_n() -> dict:
+    protocol = line_protocol()
     start = time.perf_counter()
     kernel = structure._kernel()
     load_s = time.perf_counter() - start
@@ -110,6 +146,7 @@ def fixed_n() -> dict:
         "first_call_s": load_s,
         "first_call_note": "build or load of the library in this process, before any timing",
         "points": points,
+        "line_protocol": protocol,
     }
 
 
@@ -194,9 +231,14 @@ def assemble(args) -> dict:
         return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
                 if line.strip()]
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    fixed = json.loads(args.fixed_n.read_text(encoding="utf-8"))
-    yard = json.loads(args.yardstick.read_text(encoding="utf-8"))
+    def load(path: Path | None) -> dict | None:
+        return None if path is None else json.loads(path.read_text(encoding="utf-8"))
+
+    spec = load(ROOT / "BENCHMARK.json")
+    fixed, parent_fixed, yard = load(args.fixed_n), load(args.parent_fixed_n), load(args.yardstick)
+    protocol = {"change": fixed.pop("line_protocol")}
+    if parent_fixed:
+        protocol["parent"] = parent_fixed["line_protocol"]
     yard["numpy_estimate"] = numpy_estimate(fixed, yard["piece_frames"])
     return {
         "machine": {"cpus": os.cpu_count(), "python": sys.version.split()[0],
@@ -210,6 +252,7 @@ def assemble(args) -> dict:
         },
         "scape_fixed_n": fixed,
         "yardstick": yard,
+        "line_protocol": protocol,
     }
 
 
@@ -225,6 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("assemble")
     for name in ("--parent", "--change", "--fixed-n", "--yardstick", "--out"):
         p.add_argument(name, type=Path, required=True)
+    p.add_argument("--parent-fixed-n", type=Path)
     args = parser.parse_args(argv)
 
     if args.command == "yardstick-child":
