@@ -13,6 +13,7 @@ from __future__ import annotations
 import difflib
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class ChordError(ValueError):
@@ -142,6 +143,9 @@ def _pitch_class(letter: str, accidental: str) -> int:
     return (_ROOT_PITCH_CLASS[letter] + _ACCIDENTAL_SHIFT[accidental]) % 12
 
 
+# A corpus spells a few dozen distinct chords over thousands of beats, and
+# ChordSymbol is frozen, so one parse serves every beat that repeats it.
+@lru_cache(maxsize=4096)
 def parse_chord(symbol: str) -> ChordSymbol:
     """Parse a chord string like ``C7``, ``Dm7`` or ``C7/G``.
 

@@ -69,8 +69,7 @@ def provenance_header(config: dict, inputs: Sequence[Path]) -> list[str]:
 def _write_text(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write the provenance header, then ``lines``, one per line."""
     with path.open("w", encoding="utf-8") as fh:
-        for line in chain(header, lines):
-            fh.write(line + "\n")
+        fh.writelines(map("{}\n".format, chain(header, lines)))
 
 
 def _fmt(value: float | None, decimals: int) -> str:
@@ -187,9 +186,10 @@ def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
 
 def cmd_tokenize(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = Path(args.corpus)
     solos = load_corpus(corpus_path)
+    # every solo is encoded before --out is made, so a failure leaves nothing
+    encoded = [encode_solo(solo, include_structure=not args.no_structure) for solo in solos]
     config = {
         "command": "tokenize",
         "no_structure": args.no_structure,
@@ -197,10 +197,10 @@ def cmd_tokenize(args) -> int:
     }
     header = provenance_header(config, [corpus_path])
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    for solo in solos:
-        tokens = encode_solo(solo, include_structure=not args.no_structure)
-        _write_text(out_dir / f"{solo.id}.tokens", header, map(str, tokens))
+    for solo, tokens in zip(solos, encoded):
+        _write_text(out_dir / f"{solo.id}.tokens", header, VOCAB.texts(tokens))
         summary_rows.append((solo.id, len(solo.notes), len(solo.beats), len(tokens)))
 
     VOCAB.save(out_dir / "vocab.tsv")
@@ -218,12 +218,12 @@ def cmd_tokenize(args) -> int:
 
 def cmd_detokenize(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {"command": "detokenize", "chord_register": args.chord_register}
     for file in [Path(p) for p in args.tokens]:
         timeline = _decode_file(file)
         target = out_dir / (file.stem + ".mid")
         meta = "; ".join(provenance_header(config, [file]))
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_midi(timeline, target, chord_register=args.chord_register, meta_text=meta)
         print(f"wrote {target}")
     return 0
@@ -232,8 +232,8 @@ def cmd_detokenize(args) -> int:
 def cmd_report(args) -> int:
     bands = _parse_bands(args.bands)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pieces, input_files = _load_pieces(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "report",
         "bands": args.bands,
@@ -293,13 +293,13 @@ def cmd_report(args) -> int:
 
 def cmd_scape(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pieces, _ = _load_pieces(args)
     wanted = {p.piece_id: p for p in pieces}
     if args.piece not in wanted:
         raise CliError(f"piece {args.piece!r} not found; have {sorted(wanted)}")
     piece = wanted[args.piece]
     plot = _piece_scape(piece, args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     structure.write_scape_text(plot, out_dir / f"{piece.piece_id}.scape.txt")
     structure.write_scape_pgm(plot, out_dir / f"{piece.piece_id}.pgm")
     print(f"wrote scape plot for {piece.piece_id} ({plot.shape[0]} frames)")
@@ -419,7 +419,6 @@ def cmd_train_model(args) -> int:
 
 def cmd_generate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = _load_ngram(args.model_file)
     config = {
         "command": "generate",
@@ -442,10 +441,11 @@ def cmd_generate(args) -> int:
             max_tokens=args.max_tokens,
         )
         tokens, dropped = repair_token_stream(VOCAB.ids_to_tokens(ids))
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_text(
             out_dir / f"gen-{i:03d}.tokens",
             [*header, f"# piece {i} repaired_drops={dropped}"],
-            map(str, tokens),
+            VOCAB.texts(tokens),
         )
     print(f"generated {args.count} pieces of {args.bars} bars -> {out_dir}")
     return 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -133,6 +134,26 @@ class Solo:
         return [(onset, end, symbol) for (onset, symbol), end in zip(starts, ends)]
 
 
+def _note_violations(i: int, n: Note) -> list[str]:
+    """Every violation of note ``i`` taken alone."""
+    where = f"note {i} (onset {n.onset_sec})"
+    out = []
+    if not math.isfinite(n.onset_sec) or n.onset_sec < 0:
+        out.append(f"{where}: onset_sec must be finite and >= 0")
+    if not math.isfinite(n.duration_sec) or n.duration_sec <= 0:
+        out.append(f"{where}: duration_sec must be > 0")
+    if not 0 <= n.pitch <= 127:
+        out.append(f"{where}: pitch {n.pitch} outside 0-127")
+    if not math.isfinite(n.loudness_db):
+        out.append(f"{where}: loudness_db must be finite")
+    if n.mlu_label is not None and n.mlu_label not in DEFAULT_MLU_LABELS:
+        out.append(f"{where}: mlu_label {n.mlu_label!r} not in allow-list")
+    return out
+
+
+_MLU_LABEL_OR_NONE = frozenset((None, *DEFAULT_MLU_LABELS))
+
+
 def validate_solo(solo: Solo) -> list[str]:
     """Return every invariant violation of a solo (empty list if valid).
 
@@ -140,22 +161,16 @@ def validate_solo(solo: Solo) -> list[str]:
     Midlevel-unit labels must be in ``DEFAULT_MLU_LABELS``.
     """
     out: list[str] = []
+    inf = math.inf
     for i, n in enumerate(solo.notes):
-        where = f"note {i} (onset {n.onset_sec})"
-        if not math.isfinite(n.onset_sec) or n.onset_sec < 0:
-            out.append(f"{where}: onset_sec must be finite and >= 0")
-        if not math.isfinite(n.duration_sec) or n.duration_sec <= 0:
-            out.append(f"{where}: duration_sec must be > 0")
-        if not 0 <= n.pitch <= 127:
-            out.append(f"{where}: pitch {n.pitch} outside 0-127")
-        if not math.isfinite(n.loudness_db):
-            out.append(f"{where}: loudness_db must be finite")
-        if n.mlu_label is not None and n.mlu_label not in DEFAULT_MLU_LABELS:
-            out.append(f"{where}: mlu_label {n.mlu_label!r} not in allow-list")
-    for a, b in zip(solo.notes, solo.notes[1:]):
-        if b.onset_sec < a.onset_sec:
-            out.append("notes not sorted by onset")
-            break
+        # NaN fails every comparison, so this is the whole of _note_violations
+        if not (0.0 <= n.onset_sec < inf and 0.0 < n.duration_sec < inf
+                and 0 <= n.pitch <= 127 and -inf < n.loudness_db < inf
+                and n.mlu_label in _MLU_LABEL_OR_NONE):
+            out += _note_violations(i, n)
+    onsets = [n.onset_sec for n in solo.notes]
+    if any(map(operator.gt, onsets, onsets[1:])):
+        out.append("notes not sorted by onset")
 
     if not solo.beats:
         out.append("beat track is empty")
@@ -178,16 +193,14 @@ def validate_solo(solo: Solo) -> list[str]:
                 )
             if any(y.onset_sec <= x.onset_sec for x, y in zip(beats, beats[1:])):
                 out.append(f"bar {bar}: beat onsets not strictly increasing")
-        for a, b in zip(solo.beats, solo.beats[1:]):
-            if b.onset_sec <= a.onset_sec:
-                out.append("beat track onsets not strictly increasing")
-                break
+        beat_onsets = [b.onset_sec for b in solo.beats]
+        if any(map(operator.ge, beat_onsets, beat_onsets[1:])):
+            out.append("beat track onsets not strictly increasing")
         start, end = solo.span()
-        for i, n in enumerate(solo.notes):
-            if not start <= n.onset_sec <= end:
+        for i, onset in enumerate(onsets):
+            if not start <= onset <= end:
                 out.append(
-                    f"note {i} (onset {n.onset_sec}) outside beat-track span "
-                    f"[{start}, {end}]"
+                    f"note {i} (onset {onset}) outside beat-track span [{start}, {end}]"
                 )
         for b in solo.beats:
             if b.chord is not None:
@@ -250,42 +263,59 @@ def _field(row: list, idx: int, name: str, kind, where: str):
     raise CorpusError(f"{where}: field {name!r} has wrong type ({value!r})")
 
 
+def _note_from_row(row: list, where: str) -> Note:
+    mlu = row[5] if len(row) > 5 else None
+    if mlu is not None and not isinstance(mlu, str):
+        raise CorpusError(f"{where}: field 'mlu_label' has wrong type ({mlu!r})")
+    return Note(
+        onset_sec=_field(row, 0, "onset_sec", float, where),
+        duration_sec=_field(row, 1, "duration_sec", float, where),
+        pitch=_field(row, 2, "pitch", int, where),
+        loudness_db=_field(row, 3, "loudness_db", float, where),
+        phrase_start=_field(row, 4, "phrase_start", bool, where),
+        mlu_label=mlu,
+    )
+
+
+def _beat_from_row(row: list, where: str) -> Beat:
+    chord = row[4] if len(row) > 4 else None
+    if chord is not None and not isinstance(chord, str):
+        raise CorpusError(f"{where}: field 'chord' has wrong type ({chord!r})")
+    return Beat(
+        onset_sec=_field(row, 0, "onset_sec", float, where),
+        duration_sec=_field(row, 1, "duration_sec", float, where),
+        bar_index=_field(row, 2, "bar_index", int, where),
+        position_in_bar=_field(row, 3, "position_in_bar", int, where),
+        chord=chord,
+    )
+
+
 def solo_from_record(record: dict, where: str = "record") -> Solo:
     if not isinstance(record, dict) or "id" not in record:
         raise CorpusError(f"{where}: record must be an object with an 'id' field")
     solo_id = record["id"]
     where = f"solo {solo_id!r}"
+    # A row as save_corpus writes it passes one test and goes straight into
+    # its Note or Beat; any other row (an int for a float, a short row, a
+    # wrong type) is converted or refused field by field.
     notes = []
     for i, row in enumerate(record.get("notes", [])):
-        w = f"{where} note {i}"
-        mlu = row[5] if len(row) > 5 else None
-        if mlu is not None and not isinstance(mlu, str):
-            raise CorpusError(f"{w}: field 'mlu_label' has wrong type ({mlu!r})")
-        notes.append(
-            Note(
-                onset_sec=_field(row, 0, "onset_sec", float, w),
-                duration_sec=_field(row, 1, "duration_sec", float, w),
-                pitch=_field(row, 2, "pitch", int, w),
-                loudness_db=_field(row, 3, "loudness_db", float, w),
-                phrase_start=_field(row, 4, "phrase_start", bool, w),
-                mlu_label=mlu,
-            )
-        )
+        if (type(row) is list and len(row) == 6
+                and type(row[0]) is type(row[1]) is type(row[3]) is float
+                and type(row[2]) is int and type(row[4]) is bool
+                and (row[5] is None or type(row[5]) is str)):
+            notes.append(Note(*row))
+        else:
+            notes.append(_note_from_row(row, f"{where} note {i}"))
     beats = []
     for i, row in enumerate(record.get("beats", [])):
-        w = f"{where} beat {i}"
-        chord = row[4] if len(row) > 4 else None
-        if chord is not None and not isinstance(chord, str):
-            raise CorpusError(f"{w}: field 'chord' has wrong type ({chord!r})")
-        beats.append(
-            Beat(
-                onset_sec=_field(row, 0, "onset_sec", float, w),
-                duration_sec=_field(row, 1, "duration_sec", float, w),
-                bar_index=_field(row, 2, "bar_index", int, w),
-                position_in_bar=_field(row, 3, "position_in_bar", int, w),
-                chord=chord,
-            )
-        )
+        if (type(row) is list and len(row) == 5
+                and type(row[0]) is type(row[1]) is float
+                and type(row[2]) is type(row[3]) is int
+                and (row[4] is None or type(row[4]) is str)):
+            beats.append(Beat(*row))
+        else:
+            beats.append(_beat_from_row(row, f"{where} beat {i}"))
     parts = []
     for i, row in enumerate(record.get("parts", [])):
         w = f"{where} part {i}"

@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chords import NUM_CHORD_TYPES, ChordSymbol, parse_chord
-from .corpus import DEFAULT_MLU_LABELS, Beat, Note, Solo
+from .corpus import DEFAULT_MLU_LABELS, Beat, FormPart, Note, Solo
 
 # Token categories.
 BAR = "Bar"
@@ -230,6 +230,7 @@ class Vocabulary:
         for category, values in self._ranges.items():
             self._tokens.extend(EventToken(category, v) for v in values)
         self._ids = {tok: i for i, tok in enumerate(self._tokens)}
+        self._texts = {tok: str(tok) for tok in self._tokens}
         self._mlu_index = {label: i for i, label in enumerate(self.mlu_labels)}
         self._part_index = {letter: i for i, letter in enumerate(self.part_letters)}
 
@@ -261,10 +262,18 @@ class Vocabulary:
         return self._tokens[token_id]
 
     def tokens_to_ids(self, tokens: Iterable[EventToken]) -> list[int]:
-        return [self.token_id(t) for t in tokens]
+        try:
+            return list(map(self._ids.__getitem__, tokens))
+        except KeyError as exc:
+            raise KeyError(f"token {exc.args[0]} not in vocabulary") from None
 
     def ids_to_tokens(self, ids: Iterable[int]) -> list[EventToken]:
         return [self._tokens[i] for i in ids]
+
+    def texts(self, tokens: Iterable[EventToken]) -> Iterator[str]:
+        """Each token's text as ``str`` gives it, from a table built once;
+        every token must be in the vocabulary."""
+        return map(self._texts.__getitem__, tokens)
 
     def mlu_index(self, label: str) -> int:
         try:
@@ -299,6 +308,13 @@ class Vocabulary:
 
 
 DEFAULT_VOCABULARY = Vocabulary()
+
+# The vocabulary's own tokens by category and value.  encode_solo appends
+# these rather than building a token per event; a value outside the
+# vocabulary has no entry.
+_TOKENS: dict[str, dict[int, EventToken]] = {}
+for _tok in DEFAULT_VOCABULARY.ids_to_tokens(range(DEFAULT_VOCABULARY.size)):
+    _TOKENS.setdefault(_tok.category, {})[_tok.value] = _tok
 
 
 # --- token file I/O -------------------------------------------------------
@@ -355,11 +371,22 @@ def note_grid_position(note: Note, beats: Sequence[Beat], onsets: Sequence[float
     )
 
 
-@dataclass
-class _PositionEntry:
-    tempo: tuple[int, int] | None = None
-    chord: ChordSymbol | None = None
-    notes: list[tuple[Note, int, int]] = field(default_factory=list)  # (note, vbin, units)
+def _part_markers(solo: Solo, part: FormPart) -> tuple[list[EventToken], list[EventToken]]:
+    """The tokens that open a form part and those that close it."""
+    where = f"solo {solo.id!r} part {part.letter}{part.repetition}"
+    try:
+        letter = _TOKENS[PART_START][DEFAULT_VOCABULARY.part_index(part.letter)]
+    except TokenizationError as exc:
+        raise TokenizationError(f"{where}: {exc}") from None
+    if part.repetition not in _TOKENS[REP_START]:
+        raise TokenizationError(
+            f"{where}: repetition {part.repetition} outside the vocabulary's range "
+            f"1-{DEFAULT_MAX_REPETITION}"
+        )
+    return (
+        [letter, _TOKENS[REP_START][part.repetition]],
+        [_TOKENS[REP_END][part.repetition], _TOKENS[PART_END][letter.value]],
+    )
 
 
 def encode_solo(solo: Solo, include_structure: bool = True) -> list[EventToken]:
@@ -367,85 +394,90 @@ def encode_solo(solo: Solo, include_structure: bool = True) -> list[EventToken]:
 
     Notes shorter than a 64th note are silently dropped.  With
     ``include_structure=False`` the Phrase/MLU/Part/Rep markers are
-    omitted and only notes, meter, tempo, and chords remain.
+    omitted and only notes, meter, tempo, and chords remain.  Every token
+    returned is in the vocabulary: a value outside it raises
+    :class:`TokenizationError` naming the solo.
     """
-    vocab = DEFAULT_VOCABULARY
-    tokens: list[EventToken] = []
     beats = solo.beats
     onsets = [b.onset_sec for b in beats]
     by_bar: dict[int, list[Beat]] = {}
     for b in beats:
         by_bar.setdefault(b.bar_index, []).append(b)
 
-    notes_by_bar: dict[int, list[Note]] = {}
+    # Each kept note's grid position and event group, by bar.
+    note_groups: dict[int, list[tuple[int, list[EventToken]]]] = {}
+    phrase, mlus = _TOKENS[PHRASE][0], _TOKENS[MLU]
+    velocities, pitches = _TOKENS[NOTE_VELOCITY], _TOKENS[NOTE_ON]
+    durations = _TOKENS[NOTE_DURATION]
     for i, note in enumerate(solo.notes):
         try:
             beat = beat_for_onset(beats, onsets, note.onset_sec)
         except TokenizationError as exc:
             raise TokenizationError(f"solo {solo.id!r} note {i}: {exc}") from None
-        notes_by_bar.setdefault(beat.bar_index, []).append(note)
+        try:
+            pos = justify_position(POSITIONS_PER_BEAT * beat.position_in_bar,
+                                   beat.onset_sec, beat.duration_sec, note.onset_sec)
+            units = quantize_duration(note.duration_sec, beat.duration_sec)
+            vbin = quantize_velocity(note.loudness_db)
+        except QuantizationError as exc:
+            raise TokenizationError(
+                f"solo {solo.id!r} note at onset {note.onset_sec}: {exc}"
+            ) from None
+        if units is None:
+            continue  # sub-64th note
+        if note.pitch not in pitches:
+            raise TokenizationError(f"solo {solo.id!r} note {i}: pitch {note.pitch} outside 0-127")
+        group = []
+        if include_structure:
+            if note.phrase_start:
+                group.append(phrase)
+            if note.mlu_label is not None:
+                try:
+                    group.append(mlus[DEFAULT_VOCABULARY.mlu_index(note.mlu_label)])
+                except TokenizationError as exc:
+                    raise TokenizationError(f"solo {solo.id!r} note {i}: {exc}") from None
+        group += (velocities[vbin], pitches[note.pitch], durations[units])
+        note_groups.setdefault(beat.bar_index, []).append((pos, group))
 
+    tokens: list[EventToken] = []
+    bar_token, positions = _TOKENS[BAR][0], _TOKENS[POSITION]
+    tempo_classes, tempos = _TOKENS[TEMPO_CLASS], _TOKENS[TEMPO]
+    tones, types, slashes = _TOKENS[CHORD_TONE], _TOKENS[CHORD_TYPE], _TOKENS[CHORD_SLASH]
     current_chord: ChordSymbol | None = None
+    chord_text: str | None = None  # the text current_chord was last parsed from
     for bar_index in sorted(by_bar):
-        entries: dict[int, _PositionEntry] = {}
-
-        def entry(pos: int) -> _PositionEntry:
-            return entries.setdefault(pos, _PositionEntry())
-
+        groups: dict[int, list[EventToken]] = {}
         for beat in by_bar[bar_index]:
-            pos = POSITIONS_PER_BEAT * beat.position_in_bar
-            e = entry(pos)
-            e.tempo = derive_tempo_events(beat.duration_sec)
-            if beat.chord is not None:
-                symbol = parse_chord(beat.chord)
-                if symbol != current_chord:
-                    e.chord = symbol
-                    current_chord = symbol
-
-        for i, note in enumerate(notes_by_bar.get(bar_index, [])):
-            try:
-                pos = note_grid_position(note, beats, onsets)
-                units = quantize_duration(note.duration_sec, beat_for_onset(beats, onsets, note.onset_sec).duration_sec)
-                vbin = quantize_velocity(note.loudness_db)
-            except QuantizationError as exc:
+            if not 0 <= beat.position_in_bar <= 3:
                 raise TokenizationError(
-                    f"solo {solo.id!r} note at onset {note.onset_sec}: {exc}"
-                ) from None
-            if units is None:
-                continue  # sub-64th note
-            entry(pos).notes.append((note, vbin, units))
+                    f"solo {solo.id!r} beat at {beat.onset_sec}: "
+                    f"position_in_bar {beat.position_in_bar} outside 0-3"
+                )
+            cls, step = derive_tempo_events(beat.duration_sec)
+            group = groups[POSITIONS_PER_BEAT * beat.position_in_bar] = [
+                tempo_classes[cls], tempos[step]
+            ]
+            if beat.chord is not None and beat.chord != chord_text:
+                chord_text = beat.chord
+                symbol = parse_chord(chord_text)
+                if symbol != current_chord:
+                    group += (tones[symbol.tone], types[symbol.type_index], slashes[symbol.slash])
+                    current_chord = symbol
+        for pos, note_group in note_groups.get(bar_index, ()):
+            groups.setdefault(pos, []).extend(note_group)
 
-        tokens.append(EventToken(BAR, 0))
+        tokens.append(bar_token)
         if include_structure:
             for part in solo.parts:
                 if part.start_bar == bar_index:
-                    tokens.append(EventToken(PART_START, vocab.part_index(part.letter)))
-                    tokens.append(EventToken(REP_START, part.repetition))
-        for pos in sorted(entries):
-            e = entries[pos]
-            tokens.append(EventToken(POSITION, pos))
-            if e.tempo is not None:
-                cls, step = e.tempo
-                tokens.append(EventToken(TEMPO_CLASS, cls))
-                tokens.append(EventToken(TEMPO, step))
-            if e.chord is not None:
-                tokens.append(EventToken(CHORD_TONE, e.chord.tone))
-                tokens.append(EventToken(CHORD_TYPE, e.chord.type_index))
-                tokens.append(EventToken(CHORD_SLASH, e.chord.slash))
-            for note, vbin, units in e.notes:
-                if include_structure:
-                    if note.phrase_start:
-                        tokens.append(EventToken(PHRASE, 0))
-                    if note.mlu_label is not None:
-                        tokens.append(EventToken(MLU, vocab.mlu_index(note.mlu_label)))
-                tokens.append(EventToken(NOTE_VELOCITY, vbin))
-                tokens.append(EventToken(NOTE_ON, note.pitch))
-                tokens.append(EventToken(NOTE_DURATION, units))
+                    tokens += _part_markers(solo, part)[0]
+        for pos in sorted(groups):
+            tokens.append(positions[pos])
+            tokens += groups[pos]
         if include_structure:
             for part in reversed(solo.parts):
                 if part.end_bar == bar_index:
-                    tokens.append(EventToken(REP_END, part.repetition))
-                    tokens.append(EventToken(PART_END, vocab.part_index(part.letter)))
+                    tokens += _part_markers(solo, part)[1]
     return tokens
 
 

@@ -1,18 +1,51 @@
 """Independent brute-force oracles for the path-family fitness and the
-n-gram counts.
+n-gram counts, and reference copies of the corpus ingest.
 
 The fitness oracle enumerates every admissible path over a segment
 explicitly, then picks the best-scoring family by weighted interval
 scheduling over the paths' row spans.  Exponential in the segment width;
 only usable for small matrices, which is the point: it shares no code with
 the production DP.  The n-gram oracle counts with one dict per order, a
-token at a time, where the model sorts numpy arrays.
+token at a time, where the model sorts numpy arrays.  The ingest references
+read, check and encode a solo one field and one token at a time.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from swingbench.chords import ChordError, ChordSymbol, parse_chord
+from swingbench.corpus import DEFAULT_MLU_LABELS, Beat, CorpusError, FormPart, Note, Solo
+from swingbench.tokenizer import (
+    BAR,
+    CHORD_SLASH,
+    CHORD_TONE,
+    CHORD_TYPE,
+    DEFAULT_VOCABULARY,
+    MLU,
+    NOTE_DURATION,
+    NOTE_ON,
+    NOTE_VELOCITY,
+    PART_END,
+    PART_START,
+    PHRASE,
+    POSITION,
+    POSITIONS_PER_BEAT,
+    REP_END,
+    REP_START,
+    TEMPO,
+    TEMPO_CLASS,
+    EventToken,
+    QuantizationError,
+    TokenizationError,
+    beat_for_onset,
+    derive_tempo_events,
+    note_grid_position,
+    quantize_duration,
+    quantize_velocity,
+)
 
 
 @dataclass(frozen=True)
@@ -105,3 +138,246 @@ def ngram_count_tables(sequences, order: int) -> list[dict[tuple[int, ...], dict
                 nxt = table.setdefault(tuple(seq[j - k + 1 : j]), {})
                 nxt[seq[j]] = nxt.get(seq[j], 0) + 1
     return tables
+
+
+# --- corpus ingest ---------------------------------------------------------
+# The record reader, validator and encoder as they were before they were
+# rewritten for speed, kept as references: the production code must return
+# equal solos, violations and tokens, and refuse bad records with the same
+# exception and message.
+
+def validate_solo_oracle(solo: Solo) -> list[str]:
+    """Return every invariant violation of a solo (empty list if valid).
+
+    Violations are data, not exceptions: callers decide whether to reject.
+    Midlevel-unit labels must be in ``DEFAULT_MLU_LABELS``.
+    """
+    out: list[str] = []
+    for i, n in enumerate(solo.notes):
+        where = f"note {i} (onset {n.onset_sec})"
+        if not math.isfinite(n.onset_sec) or n.onset_sec < 0:
+            out.append(f"{where}: onset_sec must be finite and >= 0")
+        if not math.isfinite(n.duration_sec) or n.duration_sec <= 0:
+            out.append(f"{where}: duration_sec must be > 0")
+        if not 0 <= n.pitch <= 127:
+            out.append(f"{where}: pitch {n.pitch} outside 0-127")
+        if not math.isfinite(n.loudness_db):
+            out.append(f"{where}: loudness_db must be finite")
+        if n.mlu_label is not None and n.mlu_label not in DEFAULT_MLU_LABELS:
+            out.append(f"{where}: mlu_label {n.mlu_label!r} not in allow-list")
+    for a, b in zip(solo.notes, solo.notes[1:]):
+        if b.onset_sec < a.onset_sec:
+            out.append("notes not sorted by onset")
+            break
+
+    if not solo.beats:
+        out.append("beat track is empty")
+    else:
+        by_bar: dict[int, list[Beat]] = {}
+        for b in solo.beats:
+            if b.duration_sec <= 0 or not math.isfinite(b.duration_sec):
+                out.append(f"beat at {b.onset_sec}: duration_sec must be > 0")
+            if b.bar_index < 0:
+                out.append(f"beat at {b.onset_sec}: bar_index must be >= 0")
+            by_bar.setdefault(b.bar_index, []).append(b)
+        bars = sorted(by_bar)
+        if bars != list(range(bars[0], bars[0] + len(bars))):
+            out.append("bar indices are not contiguous")
+        for bar, beats in sorted(by_bar.items()):
+            if [b.position_in_bar for b in beats] != [0, 1, 2, 3]:
+                out.append(
+                    f"bar {bar}: expected exactly 4 beats at positions 0-3 (4/4 only), "
+                    f"got positions {[b.position_in_bar for b in beats]}"
+                )
+            if any(y.onset_sec <= x.onset_sec for x, y in zip(beats, beats[1:])):
+                out.append(f"bar {bar}: beat onsets not strictly increasing")
+        for a, b in zip(solo.beats, solo.beats[1:]):
+            if b.onset_sec <= a.onset_sec:
+                out.append("beat track onsets not strictly increasing")
+                break
+        start, end = solo.span()
+        for i, n in enumerate(solo.notes):
+            if not start <= n.onset_sec <= end:
+                out.append(
+                    f"note {i} (onset {n.onset_sec}) outside beat-track span "
+                    f"[{start}, {end}]"
+                )
+        for b in solo.beats:
+            if b.chord is not None:
+                try:
+                    parse_chord(b.chord)
+                except ChordError as exc:
+                    out.append(f"beat at {b.onset_sec}: {exc}")
+
+    prev: FormPart | None = None
+    for p in solo.parts:
+        if p.start_bar > p.end_bar:
+            out.append(f"part {p.letter}{p.repetition}: start_bar > end_bar")
+        if p.repetition < 1:
+            out.append(f"part {p.letter}{p.repetition}: repetition must be >= 1")
+        if prev is not None and p.start_bar <= prev.end_bar:
+            out.append(
+                f"parts {prev.letter}{prev.repetition} and {p.letter}{p.repetition} overlap"
+            )
+        prev = p
+    return out
+
+
+def _field(row: list, idx: int, name: str, kind, where: str):
+    try:
+        value = row[idx]
+    except IndexError:
+        raise CorpusError(f"{where}: missing field {name!r}") from None
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind is str and isinstance(value, str):
+        return value
+    raise CorpusError(f"{where}: field {name!r} has wrong type ({value!r})")
+
+
+def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
+    if not isinstance(record, dict) or "id" not in record:
+        raise CorpusError(f"{where}: record must be an object with an 'id' field")
+    solo_id = record["id"]
+    where = f"solo {solo_id!r}"
+    notes = []
+    for i, row in enumerate(record.get("notes", [])):
+        w = f"{where} note {i}"
+        mlu = row[5] if len(row) > 5 else None
+        if mlu is not None and not isinstance(mlu, str):
+            raise CorpusError(f"{w}: field 'mlu_label' has wrong type ({mlu!r})")
+        notes.append(
+            Note(
+                onset_sec=_field(row, 0, "onset_sec", float, w),
+                duration_sec=_field(row, 1, "duration_sec", float, w),
+                pitch=_field(row, 2, "pitch", int, w),
+                loudness_db=_field(row, 3, "loudness_db", float, w),
+                phrase_start=_field(row, 4, "phrase_start", bool, w),
+                mlu_label=mlu,
+            )
+        )
+    beats = []
+    for i, row in enumerate(record.get("beats", [])):
+        w = f"{where} beat {i}"
+        chord = row[4] if len(row) > 4 else None
+        if chord is not None and not isinstance(chord, str):
+            raise CorpusError(f"{w}: field 'chord' has wrong type ({chord!r})")
+        beats.append(
+            Beat(
+                onset_sec=_field(row, 0, "onset_sec", float, w),
+                duration_sec=_field(row, 1, "duration_sec", float, w),
+                bar_index=_field(row, 2, "bar_index", int, w),
+                position_in_bar=_field(row, 3, "position_in_bar", int, w),
+                chord=chord,
+            )
+        )
+    parts = []
+    for i, row in enumerate(record.get("parts", [])):
+        w = f"{where} part {i}"
+        parts.append(
+            FormPart(
+                letter=_field(row, 0, "letter", str, w),
+                repetition=_field(row, 1, "repetition", int, w),
+                start_bar=_field(row, 2, "start_bar", int, w),
+                end_bar=_field(row, 3, "end_bar", int, w),
+            )
+        )
+    return Solo(id=str(solo_id), notes=tuple(notes), beats=tuple(beats), parts=tuple(parts))
+
+
+@dataclass
+class _PositionEntry:
+    tempo: tuple[int, int] | None = None
+    chord: ChordSymbol | None = None
+    notes: list[tuple[Note, int, int]] = field(default_factory=list)  # (note, vbin, units)
+
+
+def encode_solo_oracle(solo: Solo, include_structure: bool = True) -> list[EventToken]:
+    """Encode a solo into its event-token sequence.
+
+    Notes shorter than a 64th note are silently dropped.  With
+    ``include_structure=False`` the Phrase/MLU/Part/Rep markers are
+    omitted and only notes, meter, tempo, and chords remain.
+    """
+    vocab = DEFAULT_VOCABULARY
+    tokens: list[EventToken] = []
+    beats = solo.beats
+    onsets = [b.onset_sec for b in beats]
+    by_bar: dict[int, list[Beat]] = {}
+    for b in beats:
+        by_bar.setdefault(b.bar_index, []).append(b)
+
+    notes_by_bar: dict[int, list[Note]] = {}
+    for i, note in enumerate(solo.notes):
+        try:
+            beat = beat_for_onset(beats, onsets, note.onset_sec)
+        except TokenizationError as exc:
+            raise TokenizationError(f"solo {solo.id!r} note {i}: {exc}") from None
+        notes_by_bar.setdefault(beat.bar_index, []).append(note)
+
+    current_chord: ChordSymbol | None = None
+    for bar_index in sorted(by_bar):
+        entries: dict[int, _PositionEntry] = {}
+
+        def entry(pos: int) -> _PositionEntry:
+            return entries.setdefault(pos, _PositionEntry())
+
+        for beat in by_bar[bar_index]:
+            pos = POSITIONS_PER_BEAT * beat.position_in_bar
+            e = entry(pos)
+            e.tempo = derive_tempo_events(beat.duration_sec)
+            if beat.chord is not None:
+                symbol = parse_chord(beat.chord)
+                if symbol != current_chord:
+                    e.chord = symbol
+                    current_chord = symbol
+
+        for i, note in enumerate(notes_by_bar.get(bar_index, [])):
+            try:
+                pos = note_grid_position(note, beats, onsets)
+                units = quantize_duration(note.duration_sec, beat_for_onset(beats, onsets, note.onset_sec).duration_sec)
+                vbin = quantize_velocity(note.loudness_db)
+            except QuantizationError as exc:
+                raise TokenizationError(
+                    f"solo {solo.id!r} note at onset {note.onset_sec}: {exc}"
+                ) from None
+            if units is None:
+                continue  # sub-64th note
+            entry(pos).notes.append((note, vbin, units))
+
+        tokens.append(EventToken(BAR, 0))
+        if include_structure:
+            for part in solo.parts:
+                if part.start_bar == bar_index:
+                    tokens.append(EventToken(PART_START, vocab.part_index(part.letter)))
+                    tokens.append(EventToken(REP_START, part.repetition))
+        for pos in sorted(entries):
+            e = entries[pos]
+            tokens.append(EventToken(POSITION, pos))
+            if e.tempo is not None:
+                cls, step = e.tempo
+                tokens.append(EventToken(TEMPO_CLASS, cls))
+                tokens.append(EventToken(TEMPO, step))
+            if e.chord is not None:
+                tokens.append(EventToken(CHORD_TONE, e.chord.tone))
+                tokens.append(EventToken(CHORD_TYPE, e.chord.type_index))
+                tokens.append(EventToken(CHORD_SLASH, e.chord.slash))
+            for note, vbin, units in e.notes:
+                if include_structure:
+                    if note.phrase_start:
+                        tokens.append(EventToken(PHRASE, 0))
+                    if note.mlu_label is not None:
+                        tokens.append(EventToken(MLU, vocab.mlu_index(note.mlu_label)))
+                tokens.append(EventToken(NOTE_VELOCITY, vbin))
+                tokens.append(EventToken(NOTE_ON, note.pitch))
+                tokens.append(EventToken(NOTE_DURATION, units))
+        if include_structure:
+            for part in reversed(solo.parts):
+                if part.end_bar == bar_index:
+                    tokens.append(EventToken(REP_END, part.repetition))
+                    tokens.append(EventToken(PART_END, vocab.part_index(part.letter)))
+    return tokens

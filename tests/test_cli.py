@@ -15,7 +15,7 @@ from swingbench import challenge as chal
 from swingbench.challenge import train_ngram
 from swingbench.cli import build_parser, main
 from swingbench.corpus import save_corpus
-from swingbench.synthetic import motif_corpus, random_corpus, sectional_corpus
+from swingbench.synthetic import motif_corpus, random_corpus, sectional_corpus, sectional_solo
 from swingbench.tokenizer import BAR, read_tokens
 
 
@@ -30,6 +30,16 @@ def corpus_file(tmp_path_factory):
 def motif_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("motifs") / "motifs.jsonl"
     save_corpus(motif_corpus(6, n_bars=18), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def repetition_13_file(tmp_path_factory):
+    """A valid corpus whose second solo plays its A section 13 times: one
+    repetition past the vocabulary's RepStart/RepEnd range."""
+    path = tmp_path_factory.mktemp("rep13") / "rep13.jsonl"
+    save_corpus([sectional_solo("plain", form="AB", section_bars=4),
+                 sectional_solo("thirteen", form="A", repetitions=13, section_bars=2)], path)
     return path
 
 
@@ -657,6 +667,41 @@ def test_bad_external_cmd_is_named_and_makes_no_directory(
                "--external-cmd", command.format(missing=missing), "--count", 2)
     assert code == 1
     assert message.format(missing=missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("tokenize",), ("train-model",), ("challenge", "--model", "uniform", "--count", 2)],
+    ids=["tokenize", "train-model", "challenge"],
+)
+def test_repetition_past_the_vocabulary_is_a_named_error(tmp_path, repetition_13_file, capsys,
+                                                         argv):
+    out = tmp_path / "out"
+    assert run(argv[0], "--corpus", repetition_13_file, "--out", out, *argv[1:]) == 1
+    assert ("error: solo 'thirteen' part A13: repetition 13 outside the vocabulary's range 1-12"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["tokenize", "detokenize", "report", "scape", "generate"])
+def test_failed_run_makes_no_out_directory(tmp_path, corpus_file, repetition_13_file, capsys,
+                                           command):
+    bad_tokens = tmp_path / "bad.tokens"
+    bad_tokens.write_text("Position(3)\n")
+    not_a_model = tmp_path / "model.json"
+    not_a_model.write_text("not json")
+    inputs = {
+        # the first solo encodes, the second does not
+        "tokenize": ("--corpus", repetition_13_file),
+        "detokenize": ("--tokens", bad_tokens),
+        "report": ("--corpus", tmp_path / "missing.jsonl"),
+        "scape": ("--corpus", corpus_file, "--piece", "nope"),
+        "generate": ("--model-file", not_a_model),
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, *inputs, "--out", out) == 1
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 

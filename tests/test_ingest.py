@@ -1,0 +1,169 @@
+"""The corpus reader, validator and encoder against their references in
+``oracles.py``: equal solos, violations and tokens on valid solos, and the
+same exception and message on corrupted records."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import encode_solo_oracle, solo_from_record_oracle, validate_solo_oracle
+from swingbench.corpus import solo_from_record, solo_to_record, validate_solo
+from swingbench.synthetic import motif_solo, random_solo, sectional_solo
+from swingbench.tokenizer import DEFAULT_VOCABULARY, TokenizationError, encode_solo
+
+
+@st.composite
+def solos(draw):
+    kind = draw(st.sampled_from(["random", "sectional", "motif"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_solo(rng, "random", n_bars=draw(st.integers(1, 5)),
+                           sub64_fraction=draw(st.sampled_from([0.0, 0.3])),
+                           with_structure=draw(st.booleans()))
+    if kind == "sectional":
+        return sectional_solo("sectional", form=draw(st.sampled_from(["AABA", "ABAC", "D"])),
+                              repetitions=draw(st.integers(1, 3)),
+                              section_bars=draw(st.integers(1, 3)))
+    return motif_solo(draw(st.integers(0, 9)), "motif", n_bars=draw(st.integers(1, 4)))
+
+
+def _json_record(solo) -> dict:
+    """The record as load_corpus sees it: through JSON and back."""
+    return json.loads(json.dumps(solo_to_record(solo)))
+
+
+def _ingest(read, validate, record):
+    try:
+        solo = read(record)
+        return "read", repr(solo), validate(solo), solo
+    except Exception as exc:  # a raw error must be the same raw error
+        return "raised", type(exc), str(exc), None
+
+
+def _encode(encode, solo, include_structure):
+    try:
+        return "encoded", encode(solo, include_structure=include_structure)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(solos())
+def test_valid_solos_read_check_and_encode_as_the_references_do(solo):
+    record = _json_record(solo)
+    assert solo_from_record(record) == solo_from_record_oracle(record) == solo
+    assert validate_solo(solo) == validate_solo_oracle(solo) == []
+    for include_structure in (True, False):
+        assert (encode_solo(solo, include_structure=include_structure)
+                == encode_solo_oracle(solo, include_structure=include_structure))
+
+
+# Field indices of each row kind, by the JSON type save_corpus writes there.
+_FLOAT_FIELDS = {"notes": (0, 1, 3), "beats": (0, 1)}
+_INT_FIELDS = {"notes": (2,), "beats": (2, 3), "parts": (1, 2, 3)}
+_ANY_VALUE = st.sampled_from(
+    [True, False, 0, 1, -1, 13, 200, 0.5, -2.0, "x", "line", "C7", None, math.nan,
+     math.inf, -math.inf, [], {}]
+)
+
+
+def _row(draw, record, sections):
+    section = draw(st.sampled_from([s for s in sections if record.get(s)]))
+    rows = record[section]
+    return section, rows, draw(st.integers(0, len(rows) - 1))
+
+
+def _corrupt(draw, record: dict, kind: str) -> None:
+    if kind == "bool-for-int":
+        section, rows, i = _row(draw, record, _INT_FIELDS)
+        rows[i][draw(st.sampled_from(_INT_FIELDS[section]))] = draw(st.booleans())
+    elif kind == "int-for-float":
+        section, rows, i = _row(draw, record, _FLOAT_FIELDS)
+        field = draw(st.sampled_from(_FLOAT_FIELDS[section]))
+        rows[i][field] = int(rows[i][field])
+    elif kind == "non-finite":
+        section, rows, i = _row(draw, record, _FLOAT_FIELDS)
+        rows[i][draw(st.sampled_from(_FLOAT_FIELDS[section]))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind in ("string", "null", "any-value"):
+        value = {"string": st.just("x"), "null": st.none(), "any-value": _ANY_VALUE}[kind]
+        _, rows, i = _row(draw, record, ("notes", "beats", "parts"))
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(value)
+    elif kind == "short-row":
+        _, rows, i = _row(draw, record, ("notes", "beats", "parts"))
+        del rows[i][draw(st.integers(0, len(rows[i]) - 1)):]
+    elif kind == "extra-fields":
+        _, rows, i = _row(draw, record, ("notes", "beats", "parts"))
+        rows[i] += draw(st.lists(_ANY_VALUE, min_size=1, max_size=2))
+    elif kind == "row-not-a-list":
+        _, rows, i = _row(draw, record, ("notes", "beats", "parts"))
+        rows[i] = draw(st.sampled_from([None, 3, "row", {}]))
+    elif kind == "repeated-row":
+        _, rows, i = _row(draw, record, ("notes", "beats"))
+        rows.insert(i, list(rows[i]))
+    elif kind == "non-string-label":
+        section, rows, i = _row(draw, record, ("notes", "beats"))
+        rows[i][5 if section == "notes" else 4] = draw(st.sampled_from([1, True, 0.5, [], {}]))
+    elif kind == "unknown-part-letter":
+        _, rows, i = _row(draw, record, ("parts",))
+        rows[i][0] = draw(st.sampled_from(["x", "Z", "", "AB"]))
+    elif kind == "unknown-chord":
+        _, rows, i = _row(draw, record, ("beats",))
+        rows[i][4] = draw(st.sampled_from(["Cxyz", "H7", "", "C7/Q", "Dbmaj7#5b"]))
+    elif kind == "unsorted-notes":
+        rows = record["notes"]
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "bad-mlu":
+        _, rows, i = _row(draw, record, ("notes",))
+        rows[i][5] = draw(st.sampled_from(["bogus", "Line", ""]))
+    elif kind == "repetition":
+        _, rows, i = _row(draw, record, ("parts",))
+        rows[i][1] = draw(st.sampled_from([0, 12, 13, 40]))
+
+
+CORRUPTIONS = [
+    "bool-for-int", "int-for-float", "non-finite", "string", "null", "any-value", "short-row",
+    "extra-fields", "row-not-a-list", "repeated-row", "non-string-label", "unknown-chord",
+    "unsorted-notes", "bad-mlu", "unknown-part-letter", "repetition",
+]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_corrupted_records_fail_as_the_references_do(kind, data):
+    solo = data.draw(solos())
+    record = _json_record(solo)
+    needs = {"unsorted-notes": "notes", "bad-mlu": "notes", "unknown-chord": "beats",
+             "unknown-part-letter": "parts", "repetition": "parts"}.get(kind)
+    if needs and not record[needs]:
+        record = _json_record(sectional_solo("sectional"))
+    _corrupt(data.draw, record, kind)
+    ours = _ingest(solo_from_record, validate_solo, record)
+    reference = _ingest(solo_from_record_oracle, validate_solo_oracle, record)
+    assert ours[:3] == reference[:3]
+
+    # A solo that passes the checks encodes as the reference does, except
+    # that every refusal names the solo, and a solo the reference would
+    # encode with a token outside the vocabulary is refused.
+    if ours[0] == "read" and not ours[2]:
+        named = f"solo {ours[3].id!r} "
+        for include_structure in (True, False):
+            expected = _encode(encode_solo_oracle, reference[3], include_structure)
+            got = _encode(encode_solo, ours[3], include_structure)
+            if expected[0] == "encoded" and not all(map(DEFAULT_VOCABULARY.is_valid,
+                                                        expected[1])):
+                assert got[:2] == ("raised", TokenizationError)
+                assert got[2].startswith(named)
+            elif expected[0] == "raised":
+                assert got[:2] == expected[:2]
+                assert got[2].startswith(named) and got[2].endswith(expected[2])
+            else:
+                assert got == expected

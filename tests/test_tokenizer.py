@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swingbench.chords import parse_chord
-from swingbench.corpus import Solo, transpose_solo
+from swingbench.corpus import FormPart, Solo, transpose_solo
 from swingbench.synthetic import four_four_beats, random_corpus, random_solo
 from swingbench.tokenizer import (
     BAR,
@@ -31,6 +32,7 @@ from swingbench.tokenizer import (
     EventToken,
     QuantizationError,
     TokenGrammarError,
+    TokenizationError,
     beat_for_onset,
     decode_tokens,
     derive_tempo_events,
@@ -151,10 +153,16 @@ def test_vocabulary_category_ranges():
     assert V.value_range(TEMPO_CLASS) == range(1, 6)
 
 
+def test_tokens_to_ids_names_a_token_outside_the_vocabulary():
+    with pytest.raises(KeyError, match=r"token RepStart\(13\) not in vocabulary"):
+        V.tokens_to_ids([EventToken(BAR, 0), EventToken(REP_START, 13)])
+
+
 def test_token_text_roundtrip():
     for i in range(V.size):
         tok = V.token(i)
         assert parse_token(str(tok)) == tok
+        assert list(V.texts([tok])) == [str(tok)]
 
 
 def test_vocabulary_sidecar(tmp_path):
@@ -253,6 +261,31 @@ def test_encode_drops_only_sub64_notes():
         )
         tokens = encode_solo(solo)
         assert sum(t.category == NOTE_ON for t in tokens) == expected_kept
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"notes": 0, "pitch": 128}, "solo 'simple' note 0: pitch 128 outside 0-127"),
+        ({"notes": 0, "mlu_label": "bogus"}, "solo 'simple' note 0: MLU label 'bogus' not in"),
+        ({"parts": 0, "letter": "Z"}, "solo 'simple' part Z1: part letter 'Z' not in"),
+        ({"parts": 0, "repetition": 13},
+         "solo 'simple' part A13: repetition 13 outside the vocabulary's range 1-12"),
+        ({"parts": 0, "repetition": 0},
+         "solo 'simple' part A0: repetition 0 outside the vocabulary's range 1-12"),
+    ],
+    ids=["pitch", "mlu", "part-letter", "repetition-13", "repetition-0"],
+)
+def test_encode_refuses_a_value_outside_the_vocabulary(simple_solo, change, message):
+    change = dict(change)
+    field, index = next((k, change.pop(k)) for k in ("notes", "parts") if k in change)
+    solo = dataclasses.replace(simple_solo, parts=(FormPart("A", 1, 0, 1),))
+    items = list(getattr(solo, field))
+    items[index] = dataclasses.replace(items[index], **change)
+    solo = dataclasses.replace(solo, **{field: tuple(items)})
+    with pytest.raises(TokenizationError) as info:
+        encode_solo(solo)
+    assert str(info.value).startswith(message)
 
 
 # --- decoding ------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Seeded timings of the scape-plot DP, compiled kernel against numpy, and
-of the external-model line protocol.
+"""Seeded timings of the scape-plot DP, compiled kernel against numpy, of
+the external-model line protocol and of corpus ingest.
 
     python3 tools/bench_kernel.py fixed-n --out fixed.json
     python3 tools/bench_kernel.py yardstick --out yardstick.json
@@ -17,7 +17,10 @@ built or loaded before timing; build time is reported on its own.
 ``fixed-n`` also times the line protocol: one ``SubprocessModel`` talking
 to ``perfbench/responder.py`` scores 300 seeded ids after a context of
 the first 100, 400 and 700 ids of the same seeded sequence, and reports
-microseconds per request.
+microseconds per request.  It also times ingest on the corpus of the
+``codec-generate`` workload of ``perfbench`` (100 random solos x 32 bars,
+built with seed = SEED): ``load_corpus`` in microseconds per note and
+``encode_solo`` in microseconds per token, medians of 5.
 
 ``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
 holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
@@ -28,8 +31,8 @@ installed in the child.
 ``assemble`` puts these files together with the ``results.jsonl`` records
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
 of ``perfbench/compare.py`` on them.  ``--parent-fixed-n`` is the output
-of ``fixed-n`` run in a checkout of the parent, whose line-protocol
-points are set beside the change's.
+of ``fixed-n`` run in a checkout of the parent, whose line-protocol and
+ingest timings are set beside the change's.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ import numpy as np  # noqa: E402
 
 from swingbench import cli, metrics, structure  # noqa: E402
 from swingbench.challenge import SubprocessModel  # noqa: E402
-from swingbench.corpus import save_corpus  # noqa: E402
+from swingbench.corpus import load_corpus, save_corpus  # noqa: E402
 from swingbench.synthetic import random_solo  # noqa: E402
-from swingbench.tokenizer import DEFAULT_VOCABULARY as VOCAB  # noqa: E402
+from swingbench.tokenizer import DEFAULT_VOCABULARY as VOCAB, encode_solo  # noqa: E402
 
 # frames of the fixed-N points
 SIZES = (100, 200, 300, 500)
@@ -111,8 +114,37 @@ def line_protocol() -> dict:
     }
 
 
+def ingest() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.WORKLOADS["codec-generate"].setup(SEED, Path(tmp))
+        path = Path(tmp) / "codec.jsonl"
+        load_s, solos = timed(lambda: load_corpus(path), 5)
+        encode_s, encoded = timed(lambda: [encode_solo(solo) for solo in solos], 5)
+    notes, tokens = sum(len(s.notes) for s in solos), sum(map(len, encoded))
+    load_us = [1e6 * t / notes for t in load_s]
+    encode_us = [1e6 * t / tokens for t in encode_s]
+    result = {
+        "corpus": "perfbench codec-generate inputs, seed = SEED",
+        "solos": len(solos),
+        "notes": notes,
+        "tokens": tokens,
+        "load_corpus_us_per_note": load_us,
+        "encode_solo_us_per_token": encode_us,
+        "median_load_corpus_us_per_note": statistics.median(load_us),
+        "median_encode_solo_us_per_token": statistics.median(encode_us),
+    }
+    print(f"ingest, {len(solos)} solos: load_corpus "
+          f"{result['median_load_corpus_us_per_note']:.2f} us a note, encode_solo "
+          f"{result['median_encode_solo_us_per_token']:.3f} us a token", file=sys.stderr)
+    return result
+
+
 def fixed_n() -> dict:
     protocol = line_protocol()
+    ingested = ingest()
     start = time.perf_counter()
     kernel = structure._kernel()
     load_s = time.perf_counter() - start
@@ -147,6 +179,7 @@ def fixed_n() -> dict:
         "first_call_note": "build or load of the library in this process, before any timing",
         "points": points,
         "line_protocol": protocol,
+        "ingest": ingested,
     }
 
 
@@ -236,9 +269,11 @@ def assemble(args) -> dict:
 
     spec = load(ROOT / "BENCHMARK.json")
     fixed, parent_fixed, yard = load(args.fixed_n), load(args.parent_fixed_n), load(args.yardstick)
-    protocol = {"change": fixed.pop("line_protocol")}
-    if parent_fixed:
-        protocol["parent"] = parent_fixed["line_protocol"]
+    sides = {}
+    for key in ("line_protocol", "ingest"):
+        sides[key] = {"change": fixed.pop(key)}
+        if parent_fixed:
+            sides[key]["parent"] = parent_fixed[key]
     yard["numpy_estimate"] = numpy_estimate(fixed, yard["piece_frames"])
     return {
         "machine": {"cpus": os.cpu_count(), "python": sys.version.split()[0],
@@ -252,7 +287,7 @@ def assemble(args) -> dict:
         },
         "scape_fixed_n": fixed,
         "yardstick": yard,
-        "line_protocol": protocol,
+        **sides,
     }
 
 
