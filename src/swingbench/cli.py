@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import math
 import re
 import shlex
 import sys
@@ -109,19 +110,6 @@ class Piece:
     chroma: structure.ChromaSequence
 
 
-def _pieces_from_corpus(path: Path, frame_rate: float) -> tuple[list[Piece], list[Path]]:
-    pieces = [
-        Piece(
-            piece_id=solo.id,
-            bars=metrics.bars_from_solo(solo),
-            chords=metrics.chord_changes(solo.chord_intervals()),
-            chroma=structure.chroma_from_solo(solo, frame_rate),
-        )
-        for solo in load_corpus(path)
-    ]
-    return pieces, [path]
-
-
 def _token_files(token_dir: Path) -> list[Path]:
     files = sorted(token_dir.glob("*.tokens"))
     if not files:
@@ -137,26 +125,23 @@ def _decode_file(path: Path):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _pieces_from_tokens(token_dir: Path, frame_rate: float) -> tuple[list[Piece], list[Path]]:
-    files = _token_files(token_dir)
+def _load_pieces(args) -> tuple[list[Piece], list[Path]]:
+    """Every piece of ``--corpus`` or ``--tokens-dir``, and the input files."""
+    rate = args.frame_rate
+    if args.corpus:
+        path = Path(args.corpus)
+        return [Piece(piece_id=solo.id, bars=metrics.bars_from_solo(solo),
+                      chords=metrics.chord_changes(solo.chord_intervals()),
+                      chroma=structure.chroma_from_solo(solo, rate))
+                for solo in load_corpus(path)], [path]
+    files = _token_files(Path(args.tokens_dir))
     pieces = []
     for file in files:
         timeline = _decode_file(file)
-        pieces.append(
-            Piece(
-                piece_id=file.stem,
-                bars=metrics.bars_from_timeline(timeline),
-                chords=metrics.chord_changes(timeline.chord_intervals()),
-                chroma=structure.chroma_from_timeline(timeline, frame_rate),
-            )
-        )
+        pieces.append(Piece(piece_id=file.stem, bars=metrics.bars_from_timeline(timeline),
+                            chords=metrics.chord_changes(timeline.chord_intervals()),
+                            chroma=structure.chroma_from_timeline(timeline, rate)))
     return pieces, files
-
-
-def _load_pieces(args) -> tuple[list[Piece], list[Path]]:
-    if args.corpus:
-        return _pieces_from_corpus(Path(args.corpus), args.frame_rate)
-    return _pieces_from_tokens(Path(args.tokens_dir), args.frame_rate)
 
 
 def _piece_scape(piece: Piece, args) -> np.ndarray:
@@ -251,13 +236,13 @@ def cmd_report(args) -> int:
     for piece in pieces:
         row = metrics.metric_row(piece.piece_id, piece.bars, piece.chords)
         plot = _piece_scape(piece, args)
-        indicators = []
+        values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity]
         for lo, hi in bands:
             try:
-                indicators.append(structure.structureness_indicator(plot, lo, hi))
+                values.append(structure.structureness_indicator(plot, lo, hi))
             except ValueError:
-                indicators.append(None)  # piece shorter than the band
-        rows.append((row, indicators))
+                values.append(None)  # piece shorter than the band
+        rows.append((piece.piece_id, values))
         if args.scape_images:
             structure.write_scape_pgm(plot, out_dir / f"{piece.piece_id}.pgm")
 
@@ -265,26 +250,16 @@ def cmd_report(args) -> int:
         defined = [v for v in values if v is not None]
         return float(np.mean(defined)) if defined else None
 
-    lines = ["piece_id\tH1\tH4\tGS\tCPI\t" + "\t".join(_band_label(b) for b in bands)]
-    for row, indicators in rows:
-        cells = [
-            row.piece_id,
-            _fmt(row.entropy_1bar, 4),
-            _fmt(row.entropy_4bar, 4),
-            _fmt(row.grooving, 4),
-            _fmt(row.chord_irregularity, 2),
-            *(_fmt(si, 4) for si in indicators),
-        ]
-        lines.append("\t".join(cells))
-    mean_cells = [
-        "MEAN",
-        _fmt(column_mean(r.entropy_1bar for r, _ in rows), 4),
-        _fmt(column_mean(r.entropy_4bar for r, _ in rows), 4),
-        _fmt(column_mean(r.grooving for r, _ in rows), 4),
-        _fmt(column_mean(r.chord_irregularity for r, _ in rows), 2),
-        *(_fmt(column_mean(ind[i] for _, ind in rows), 4) for i in range(len(bands))),
+    decimals = [4, 4, 4, 2] + [4] * len(bands)  # CPI is a percentage
+
+    def line(label: str, values: Iterable[float | None]) -> str:
+        return "\t".join([label, *map(_fmt, values, decimals)])
+
+    lines = [
+        "piece_id\tH1\tH4\tGS\tCPI\t" + "\t".join(_band_label(b) for b in bands),
+        *(line(piece_id, values) for piece_id, values in rows),
+        line("MEAN", [column_mean(column) for column in zip(*(v for _, v in rows))]),
     ]
-    lines.append("\t".join(mean_cells))
     report_path = out_dir / "report.tsv"
     _write_text(report_path, header, lines)
     print(f"wrote {report_path} ({len(pieces)} pieces)")
@@ -461,6 +436,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _add_source_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corpus", help="JSONL corpus file")
@@ -474,9 +456,9 @@ def _add_no_structure_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_scape_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=structure.DEFAULT_SSM_THRESHOLD,
+    p.add_argument("--tau", type=_finite_float, default=structure.DEFAULT_SSM_THRESHOLD,
                    help="SSM similarity threshold (default %(default)s)")
-    p.add_argument("--delta", type=float, default=structure.DEFAULT_SSM_PENALTY,
+    p.add_argument("--delta", type=_finite_float, default=structure.DEFAULT_SSM_PENALTY,
                    help="penalty replacing sub-threshold similarities (default %(default)s)")
     p.add_argument("--frame-rate", type=float, default=1.0,
                    help="chroma frames per second (default %(default)s)")
@@ -529,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"n-gram order, --model ngram only (default {DEFAULT_ORDER})")
     p.add_argument("--alpha", type=float,
                    help=f"add-alpha smoothing, --model ngram only (default {DEFAULT_ALPHA})")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_challenge)
 

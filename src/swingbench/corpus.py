@@ -15,7 +15,8 @@ full precision, so save -> load is the identity on valid solos.
 
 Only 4/4 material is accepted: every bar must contain exactly four beats
 at positions 0..3, otherwise the 64-subunit position grid of the event
-codec would be meaningless.
+codec would be meaningless.  For the same reason every note's onset must
+lie inside a beat, as :func:`beat_index` decides.
 
 Adapting a source stored in some other container (e.g. a relational
 database export) is the job of an external converter that emits this
@@ -28,9 +29,10 @@ import json
 import logging
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .chords import ChordError, ChordSymbol, parse_chord, transpose_chord_string
 
@@ -134,6 +136,15 @@ class Solo:
         return [(onset, end, symbol) for (onset, symbol), end in zip(starts, ends)]
 
 
+def beat_index(beats: Sequence[Beat], onsets: Sequence[float], onset: float) -> int:
+    """Index of the beat whose ``[onset, onset + duration)`` holds ``onset``,
+    or -1 if none does: the one rule that places a note on the bar grid.
+    ``onsets`` are the beats' onsets, strictly increasing, so the only
+    candidate is the latest beat to start at or before ``onset``."""
+    i = bisect_right(onsets, onset) - 1
+    return i if i >= 0 and onset < beats[i].onset_sec + beats[i].duration_sec else -1
+
+
 def _note_violations(i: int, n: Note) -> list[str]:
     """Every violation of note ``i`` taken alone."""
     where = f"note {i} (onset {n.onset_sec})"
@@ -191,17 +202,15 @@ def validate_solo(solo: Solo) -> list[str]:
                     f"bar {bar}: expected exactly 4 beats at positions 0-3 (4/4 only), "
                     f"got positions {[b.position_in_bar for b in beats]}"
                 )
-            if any(y.onset_sec <= x.onset_sec for x, y in zip(beats, beats[1:])):
-                out.append(f"bar {bar}: beat onsets not strictly increasing")
         beat_onsets = [b.onset_sec for b in solo.beats]
-        if any(map(operator.ge, beat_onsets, beat_onsets[1:])):
+        # NaN fails <, so a NaN onset breaks the increase too
+        if not all(map(operator.lt, beat_onsets, beat_onsets[1:])):
             out.append("beat track onsets not strictly increasing")
-        start, end = solo.span()
-        for i, onset in enumerate(onsets):
-            if not start <= onset <= end:
-                out.append(
-                    f"note {i} (onset {onset}) outside beat-track span [{start}, {end}]"
-                )
+        else:
+            for i, onset in enumerate(onsets):
+                if beat_index(solo.beats, beat_onsets, onset) < 0:
+                    out.append(f"note {i} (onset {onset}) is in no beat's span "
+                               "[onset, onset + duration)")
         for b in solo.beats:
             if b.chord is not None:
                 try:

@@ -18,12 +18,7 @@ import numpy as np
 
 from .chords import ChordSymbol
 from .corpus import Solo
-from .tokenizer import (
-    POSITIONS_PER_BAR,
-    DecodedTimeline,
-    beat_for_onset,
-    note_grid_position,
-)
+from .tokenizer import POSITIONS_PER_BAR, DecodedTimeline, place_notes
 
 PITCH_CLASSES = 12
 MAX_ENTROPY_BITS = math.log2(PITCH_CLASSES)
@@ -41,24 +36,23 @@ class BarContent:
     onset_positions: tuple[int, ...]
 
 
-def bars_from_solo(solo: Solo) -> list[BarContent]:
-    onsets = [b.onset_sec for b in solo.beats]
-    first_bar = solo.first_bar
-    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(solo.bar_count)]
-    for note in solo.notes:
-        pos = note_grid_position(note, solo.beats, onsets)
-        bar = beat_for_onset(solo.beats, onsets, note.onset_sec).bar_index - first_bar
-        bars[bar][0].append(note.pitch)
+def _bars(bar_count: int, notes: Iterable[tuple[int, int, int]]) -> list[BarContent]:
+    """Bar contents from (bar, pitch, grid position) per note."""
+    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(bar_count)]
+    for bar, pitch, pos in notes:
+        bars[bar][0].append(pitch)
         bars[bar][1].append(pos)
     return [BarContent(tuple(p), tuple(o)) for p, o in bars]
 
 
+def bars_from_solo(solo: Solo) -> list[BarContent]:
+    first = solo.first_bar
+    return _bars(solo.bar_count, ((beat.bar_index - first, note.pitch, pos)
+                                  for note, beat, pos in place_notes(solo)))
+
+
 def bars_from_timeline(timeline: DecodedTimeline) -> list[BarContent]:
-    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(timeline.bar_count)]
-    for note in timeline.notes:
-        bars[note.bar][0].append(note.pitch)
-        bars[note.bar][1].append(note.position)
-    return [BarContent(tuple(p), tuple(o)) for p, o in bars]
+    return _bars(timeline.bar_count, ((n.bar, n.pitch, n.position) for n in timeline.notes))
 
 
 # --- pitch class histogram entropy ---------------------------------------

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .chords import NUM_CHORD_TYPES, ChordSymbol, parse_chord
-from .corpus import DEFAULT_MLU_LABELS, Beat, FormPart, Note, Solo
+from .corpus import DEFAULT_MLU_LABELS, Beat, FormPart, Note, Solo, beat_index
 
 # Token categories.
 BAR = "Bar"
@@ -350,25 +350,33 @@ def read_tokens(path: str | Path) -> list[EventToken]:
 
 def beat_for_onset(beats: Sequence[Beat], onsets: Sequence[float], onset: float) -> Beat:
     """The beat whose [onset, onset+duration) interval contains ``onset``."""
-    idx = bisect_right(onsets, onset) - 1
+    idx = beat_index(beats, onsets, onset)
     if idx < 0:
-        raise TokenizationError(f"onset {onset} precedes the first beat")
-    beat = beats[idx]
-    if onset >= beat.onset_sec + beat.duration_sec:
-        raise TokenizationError(
-            f"onset {onset} falls in a gap after the beat at {beat.onset_sec}"
-        )
-    return beat
+        raise TokenizationError(f"onset {onset} is in no beat's span [onset, onset + duration)")
+    return beats[idx]
+
+
+def _grid_position(beat: Beat, onset: float) -> int:
+    return justify_position(POSITIONS_PER_BEAT * beat.position_in_bar, beat.onset_sec,
+                            beat.duration_sec, onset)
 
 
 def note_grid_position(note: Note, beats: Sequence[Beat], onsets: Sequence[float]) -> int:
-    beat = beat_for_onset(beats, onsets, note.onset_sec)
-    return justify_position(
-        POSITIONS_PER_BEAT * beat.position_in_bar,
-        beat.onset_sec,
-        beat.duration_sec,
-        note.onset_sec,
-    )
+    return _grid_position(beat_for_onset(beats, onsets, note.onset_sec), note.onset_sec)
+
+
+def place_notes(solo: Solo) -> Iterator[tuple[Note, Beat, int]]:
+    """Each note with its beat and grid position, in note order; a note that
+    no beat holds raises :class:`TokenizationError` naming solo and note."""
+    beats = solo.beats
+    onsets = [b.onset_sec for b in beats]
+    for i, note in enumerate(solo.notes):
+        try:
+            beat = beat_for_onset(beats, onsets, note.onset_sec)
+            pos = _grid_position(beat, note.onset_sec)
+        except (TokenizationError, QuantizationError) as exc:
+            raise TokenizationError(f"solo {solo.id!r} note {i}: {exc}") from None
+        yield note, beat, pos
 
 
 def _part_markers(solo: Solo, part: FormPart) -> tuple[list[EventToken], list[EventToken]]:
@@ -398,10 +406,8 @@ def encode_solo(solo: Solo, include_structure: bool = True) -> list[EventToken]:
     returned is in the vocabulary: a value outside it raises
     :class:`TokenizationError` naming the solo.
     """
-    beats = solo.beats
-    onsets = [b.onset_sec for b in beats]
     by_bar: dict[int, list[Beat]] = {}
-    for b in beats:
+    for b in solo.beats:
         by_bar.setdefault(b.bar_index, []).append(b)
 
     # Each kept note's grid position and event group, by bar.
@@ -409,14 +415,8 @@ def encode_solo(solo: Solo, include_structure: bool = True) -> list[EventToken]:
     phrase, mlus = _TOKENS[PHRASE][0], _TOKENS[MLU]
     velocities, pitches = _TOKENS[NOTE_VELOCITY], _TOKENS[NOTE_ON]
     durations = _TOKENS[NOTE_DURATION]
-    for i, note in enumerate(solo.notes):
+    for i, (note, beat, pos) in enumerate(place_notes(solo)):
         try:
-            beat = beat_for_onset(beats, onsets, note.onset_sec)
-        except TokenizationError as exc:
-            raise TokenizationError(f"solo {solo.id!r} note {i}: {exc}") from None
-        try:
-            pos = justify_position(POSITIONS_PER_BEAT * beat.position_in_bar,
-                                   beat.onset_sec, beat.duration_sec, note.onset_sec)
             units = quantize_duration(note.duration_sec, beat.duration_sec)
             vbin = quantize_velocity(note.loudness_db)
         except QuantizationError as exc:

@@ -7,7 +7,8 @@ scheduling over the paths' row spans.  Exponential in the segment width;
 only usable for small matrices, which is the point: it shares no code with
 the production DP.  The n-gram oracle counts with one dict per order, a
 token at a time, where the model sorts numpy arrays.  The ingest references
-read, check and encode a solo one field and one token at a time.
+read, check and encode a solo one field and one token at a time, and split
+it into bars with two lookups a note.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 from swingbench.chords import ChordError, ChordSymbol, parse_chord
 from swingbench.corpus import DEFAULT_MLU_LABELS, Beat, CorpusError, FormPart, Note, Solo
+from swingbench.metrics import BarContent
 from swingbench.tokenizer import (
     BAR,
     CHORD_SLASH,
@@ -144,7 +146,8 @@ def ngram_count_tables(sequences, order: int) -> list[dict[tuple[int, ...], dict
 # The record reader, validator and encoder as they were before they were
 # rewritten for speed, kept as references: the production code must return
 # equal solos, violations and tokens, and refuse bad records with the same
-# exception and message.
+# exception and message.  The validator places notes on beats by a linear
+# scan, where the production code bisects.
 
 def validate_solo_oracle(solo: Solo) -> list[str]:
     """Return every invariant violation of a solo (empty list if valid).
@@ -189,19 +192,22 @@ def validate_solo_oracle(solo: Solo) -> list[str]:
                     f"bar {bar}: expected exactly 4 beats at positions 0-3 (4/4 only), "
                     f"got positions {[b.position_in_bar for b in beats]}"
                 )
-            if any(y.onset_sec <= x.onset_sec for x, y in zip(beats, beats[1:])):
-                out.append(f"bar {bar}: beat onsets not strictly increasing")
         for a, b in zip(solo.beats, solo.beats[1:]):
-            if b.onset_sec <= a.onset_sec:
+            if not a.onset_sec < b.onset_sec:  # NaN is not an increase
                 out.append("beat track onsets not strictly increasing")
                 break
-        start, end = solo.span()
-        for i, n in enumerate(solo.notes):
-            if not start <= n.onset_sec <= end:
-                out.append(
-                    f"note {i} (onset {n.onset_sec}) outside beat-track span "
-                    f"[{start}, {end}]"
-                )
+        else:
+            for i, n in enumerate(solo.notes):
+                # the latest beat to start at or before the onset must still hold it
+                holder = None
+                for b in solo.beats:
+                    if b.onset_sec <= n.onset_sec:
+                        holder = b
+                if holder is None or not n.onset_sec < holder.onset_sec + holder.duration_sec:
+                    out.append(
+                        f"note {i} (onset {n.onset_sec}) is in no beat's span "
+                        "[onset, onset + duration)"
+                    )
         for b in solo.beats:
             if b.chord is not None:
                 try:
@@ -381,3 +387,17 @@ def encode_solo_oracle(solo: Solo, include_structure: bool = True) -> list[Event
                     tokens.append(EventToken(REP_END, part.repetition))
                     tokens.append(EventToken(PART_END, vocab.part_index(part.letter)))
     return tokens
+
+
+def bars_from_solo_oracle(solo: Solo) -> list[BarContent]:
+    """Bar contents of a solo, each note placed by two lookups: its grid
+    position, then its beat for the bar."""
+    onsets = [b.onset_sec for b in solo.beats]
+    first_bar = solo.first_bar
+    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(solo.bar_count)]
+    for note in solo.notes:
+        pos = note_grid_position(note, solo.beats, onsets)
+        bar = beat_for_onset(solo.beats, onsets, note.onset_sec).bar_index - first_bar
+        bars[bar][0].append(note.pitch)
+        bars[bar][1].append(pos)
+    return [BarContent(tuple(p), tuple(o)) for p, o in bars]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -45,6 +46,21 @@ def repetition_13_file(tmp_path_factory):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def _unplaced_corpus(path: Path, kind: str) -> Path:
+    """A valid solo, then one with a note that no beat holds: at the end of
+    the beat track, or in the gap left by a beat shortened to 0.1 s."""
+    good, bad = (sectional_solo(name, form="A", repetitions=1, section_bars=1)
+                 for name in ("ok", kind))
+    if kind == "end":
+        late = dataclasses.replace(bad.notes[-1], onset_sec=bad.span()[1])
+        bad = dataclasses.replace(bad, notes=bad.notes + (late,))
+    else:
+        short = dataclasses.replace(bad.beats[1], duration_sec=0.1)
+        bad = dataclasses.replace(bad, beats=(bad.beats[0], short, *bad.beats[2:]))
+    save_corpus([good, bad], path)
+    return path
 
 
 def test_tokenize_outputs(tmp_path, corpus_file):
@@ -681,6 +697,52 @@ def test_repetition_past_the_vocabulary_is_a_named_error(tmp_path, repetition_13
     assert run(argv[0], "--corpus", repetition_13_file, "--out", out, *argv[1:]) == 1
     assert ("error: solo 'thirteen' part A13: repetition 13 outside the vocabulary's range 1-12"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("end", "error: solo 'end': note 6 (onset 2.0) is in no beat's span "
+            "[onset, onset + duration)"),
+    ("gap", "error: solo 'gap': note 3 (onset 0.75) is in no beat's span "
+            "[onset, onset + duration)"),
+], ids=["track-end", "gap"])
+def test_note_in_no_beat_is_refused_alike_by_every_corpus_command(tmp_path, capsys, kind,
+                                                                  message):
+    corpus = _unplaced_corpus(tmp_path / "corpus.jsonl", kind)
+    out = tmp_path / "out"
+    for argv in (("tokenize", "--out", out),
+                 ("report", "--out", out),
+                 ("scape", "--piece", kind, "--out", out),
+                 ("challenge", "--model", "uniform", "--count", 2, "--out", out),
+                 ("train-model", "--out", out / "model.json")):
+        assert run(argv[0], "--corpus", corpus, *argv[1:]) == 1, argv[0]
+        assert capsys.readouterr().err.splitlines() == [message], argv[0]
+        assert not out.exists(), argv[0]
+
+
+@pytest.mark.parametrize("command", ["report", "scape"])
+@pytest.mark.parametrize("flag", ["--tau", "--delta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tau_or_delta_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    piece = ["--piece", "rand-000"] if command == "scape" else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        # the corpus does not exist: the flag is refused before any input is read
+        run(command, "--corpus", tmp_path / "missing.jsonl", *piece, "--out", out,
+            f"{flag}={value}")
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_challenge_count_below_one_is_a_usage_error(tmp_path, motif_file, capsys, count):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("challenge", "--corpus", motif_file, "--model", "uniform", "--out", out,
+            "--count", count)
+    assert exc.value.code == 2
+    assert "--count: must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

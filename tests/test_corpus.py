@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -12,6 +13,7 @@ from swingbench.corpus import (
     Note,
     Solo,
     TranspositionError,
+    beat_index,
     load_corpus,
     save_corpus,
     transpose_solo,
@@ -109,6 +111,30 @@ def test_validate_note_outside_beat_span(simple_solo):
     late = Note(onset_sec=1000.0, duration_sec=0.1, pitch=60, loudness_db=65.0)
     solo = dataclasses.replace(simple_solo, notes=simple_solo.notes + (late,))
     assert any("span" in v for v in validate_solo(solo))
+
+
+@pytest.mark.parametrize("onset, expected", [
+    (0.0, 0),  # a beat holds its own onset
+    (0.49, 0),
+    (0.5, -1),  # and not its end, here a gap before the next beat
+    (0.7, -1),
+    (1.0, 1),
+    (1.6, -1),  # the end of the beat track
+    (-0.1, -1),  # before the first beat
+    (math.nan, -1),
+])
+def test_beat_index_places_an_onset_in_the_beat_that_holds_it(onset, expected):
+    beats = [dataclasses.replace(b, duration_sec=0.5) for b in four_four_beats(1, bpm=60.0)]
+    beats = beats[:2]  # [0, 0.5) and [1.0, 1.5)
+    assert beat_index(beats, [b.onset_sec for b in beats], onset) == expected
+    assert beat_index([], [], onset) == -1  # no beat track at all
+
+
+def test_validate_nan_beat_onset(simple_solo):
+    beats = list(simple_solo.beats)
+    beats[2] = dataclasses.replace(beats[2], onset_sec=math.nan)
+    solo = dataclasses.replace(simple_solo, beats=tuple(beats))
+    assert validate_solo(solo) == ["beat track onsets not strictly increasing"]
 
 
 def test_transpose_identity(simple_solo):

@@ -12,8 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import encode_solo_oracle, solo_from_record_oracle, validate_solo_oracle
+from oracles import (
+    bars_from_solo_oracle,
+    encode_solo_oracle,
+    solo_from_record_oracle,
+    validate_solo_oracle,
+)
 from swingbench.corpus import solo_from_record, solo_to_record, validate_solo
+from swingbench.metrics import bars_from_solo
 from swingbench.synthetic import motif_solo, random_solo, sectional_solo
 from swingbench.tokenizer import DEFAULT_VOCABULARY, TokenizationError, encode_solo
 
@@ -62,6 +68,12 @@ def test_valid_solos_read_check_and_encode_as_the_references_do(solo):
     for include_structure in (True, False):
         assert (encode_solo(solo, include_structure=include_structure)
                 == encode_solo_oracle(solo, include_structure=include_structure))
+
+
+@settings(max_examples=120, deadline=None)
+@given(solos())
+def test_bars_from_solo_places_notes_as_the_reference_does(solo):
+    assert bars_from_solo(solo) == bars_from_solo_oracle(solo)
 
 
 # Field indices of each row kind, by the JSON type save_corpus writes there.
@@ -116,8 +128,8 @@ def _corrupt(draw, record: dict, kind: str) -> None:
     elif kind == "unknown-chord":
         _, rows, i = _row(draw, record, ("beats",))
         rows[i][4] = draw(st.sampled_from(["Cxyz", "H7", "", "C7/Q", "Dbmaj7#5b"]))
-    elif kind == "unsorted-notes":
-        rows = record["notes"]
+    elif kind in ("unsorted-notes", "unsorted-beats"):
+        rows = record[kind[len("unsorted-"):]]
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         rows[i], rows[j] = rows[j], rows[i]
     elif kind == "bad-mlu":
@@ -126,12 +138,28 @@ def _corrupt(draw, record: dict, kind: str) -> None:
     elif kind == "repetition":
         _, rows, i = _row(draw, record, ("parts",))
         rows[i][1] = draw(st.sampled_from([0, 12, 13, 40]))
+    elif kind == "onset-at-track-end":
+        last = record["beats"][-1]
+        record["notes"][-1][0] = last[0] + last[1]
+    elif kind == "onset-in-gap":
+        # shorten the beat holding an off-beat note so that it ends at or before the note
+        beats = record["beats"]
+        held = [(note, beat) for note in record["notes"] for beat in beats
+                if beat[0] < note[0] < beat[0] + beat[1]]
+        if not held:  # every note sits on a beat onset
+            record.update(_json_record(sectional_solo("sectional")))
+            return _corrupt(draw, record, kind)
+        note, beat = draw(st.sampled_from(held))
+        beat[1] = (note[0] - beat[0]) * draw(st.sampled_from([0.5, 1.0]))
+        while beat[0] + beat[1] > note[0]:  # rounding must not put the note back inside
+            beat[1] = math.nextafter(beat[1], 0.0)
 
 
 CORRUPTIONS = [
     "bool-for-int", "int-for-float", "non-finite", "string", "null", "any-value", "short-row",
     "extra-fields", "row-not-a-list", "repeated-row", "non-string-label", "unknown-chord",
-    "unsorted-notes", "bad-mlu", "unknown-part-letter", "repetition",
+    "unsorted-notes", "unsorted-beats", "bad-mlu", "unknown-part-letter", "repetition",
+    "onset-at-track-end", "onset-in-gap",
 ]
 
 
@@ -142,13 +170,16 @@ def test_corrupted_records_fail_as_the_references_do(kind, data):
     solo = data.draw(solos())
     record = _json_record(solo)
     needs = {"unsorted-notes": "notes", "bad-mlu": "notes", "unknown-chord": "beats",
-             "unknown-part-letter": "parts", "repetition": "parts"}.get(kind)
+             "unknown-part-letter": "parts", "repetition": "parts",
+             "onset-at-track-end": "notes", "onset-in-gap": "notes"}.get(kind)
     if needs and not record[needs]:
         record = _json_record(sectional_solo("sectional"))
     _corrupt(data.draw, record, kind)
     ours = _ingest(solo_from_record, validate_solo, record)
     reference = _ingest(solo_from_record_oracle, validate_solo_oracle, record)
     assert ours[:3] == reference[:3]
+    if kind in ("onset-at-track-end", "onset-in-gap"):  # a note no beat holds is refused
+        assert ours[0] == "read" and any("is in no beat's span" in v for v in ours[2])
 
     # A solo that passes the checks encodes as the reference does, except
     # that every refusal names the solo, and a solo the reference would
