@@ -29,6 +29,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import IO, Sequence
@@ -208,17 +209,18 @@ def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
 class NGramModel(SequenceModel):
     """Interpolated n-gram model with add-alpha smoothing.
 
-    ``weights[k-1]`` scales the order-k component; each component is
-    ``(count(context, x) + alpha) / (count(context) + alpha * V)`` over
-    the last ``k - 1`` history tokens.  Each component sums to 1 and so
-    do the weights, so the weighted sum is the distribution itself, with
-    no renormalising.  Every token keeps nonzero probability, so the
+    Each order k = 1 .. ``order`` has a component
+    ``(count(context, x) + alpha) / (count(context) + alpha * V)`` over the
+    last ``k - 1`` history tokens, and every component weighs the same:
+    ``1 / order`` normalised by its float sum.  Each component sums to 1
+    and so do the weights, so the weighted sum is the distribution itself,
+    with no renormalising.  Every token keeps nonzero probability, so the
     model never assigns zero to a continuation.
 
-    The model keeps the id sequences it has observed.  Their counts live
-    in one sorted index, ``index`` (a ``_CountLevel`` per context length),
-    built with numpy on the first query after an ``observe``; a history's
-    contexts are found by binary search, one token further left per level.
+    The model is fixed by the id sequences it is built from.  Their counts
+    live in one sorted index, ``index`` (a ``_CountLevel`` per context
+    length), built with numpy on the first query; a history's contexts are
+    found by binary search, one token further left per level.
     """
 
     def __init__(
@@ -226,7 +228,7 @@ class NGramModel(SequenceModel):
         order: int,
         vocab_size: int,
         alpha: float = 0.01,
-        weights: Sequence[float] | None = None,
+        sequences: Sequence[Sequence[int]] = (),
     ):
         if order < 1:
             raise ChallengeError(f"n-gram order must be >= 1, got {order}")
@@ -237,29 +239,19 @@ class NGramModel(SequenceModel):
         self.order = order
         self.vocab_size = vocab_size
         self.alpha = alpha
-        if weights is None:
-            weights = [1.0 / order] * order
-        finite = all(0 <= w < np.inf for w in weights)
-        if len(weights) != order or not finite or sum(weights) <= 0:
-            raise ChallengeError("need one finite non-negative weight per order")
-        total = float(sum(weights))
-        self.weights = tuple(w / total for w in weights)
-        self.sequences: list[list[int]] = []  # all counted so far: what to_dict saves
-        self._index: list[_CountLevel] | None = None  # built on demand; observe drops it
+        # normalised, the weight is an ulp off 1/order at orders 6, 7 and 9-11;
+        # every distribution and every model file written so far has these bits
+        weight = 1.0 / order
+        self.weights = (weight / float(sum([weight] * order)),) * order
+        self.sequences = [[int(t) for t in seq] for seq in sequences]  # what to_dict saves
+        for seq in self.sequences:
+            if seq and not (0 <= min(seq) and max(seq) < vocab_size):
+                raise ChallengeError(f"token id outside [0, {vocab_size})")
 
-    def observe(self, sequence: Sequence[int]) -> None:
-        seq = [int(t) for t in sequence]
-        if seq and not (0 <= min(seq) and max(seq) < self.vocab_size):
-            raise ChallengeError(f"token id outside [0, {self.vocab_size})")
-        self._index = None
-        self.sequences.append(seq)
-
-    @property
+    @cached_property
     def index(self) -> list[_CountLevel]:
-        """The counts of every sequence observed: level ``m`` for contexts of ``m`` tokens."""
-        if self._index is None:
-            self._index = _build_index(self.sequences, self.order, self.vocab_size)
-        return self._index
+        """The counts of every sequence: level ``m`` for contexts of ``m`` tokens."""
+        return _build_index(self.sequences, self.order, self.vocab_size)
 
     def _context_ids(self, history: Sequence[int]) -> list[int]:
         """Ids of the history's last 0, 1, 2 ... tokens as contexts, up to
@@ -285,16 +277,15 @@ class NGramModel(SequenceModel):
         index, denom_base = self.index, self.alpha * self.vocab_size
         p = np.zeros(self.vocab_size)
         for m, weight in enumerate(self.weights):
-            if weight != 0:
-                component = np.full(self.vocab_size, self.alpha)
-                denom = denom_base
-                if m < len(ids):
-                    level, c = index[m], ids[m]
-                    lo, hi = level.offsets.item(c), level.offsets.item(c + 1)
-                    # each token once per context: the same sum as adding the counts in place
-                    component[level.tokens[lo:hi]] = self.alpha + level.counts[lo:hi]
-                    denom = level.totals.item(c) + denom_base
-                p += weight * component / denom
+            component = np.full(self.vocab_size, self.alpha)
+            denom = denom_base
+            if m < len(ids):
+                level, c = index[m], ids[m]
+                lo, hi = level.offsets.item(c), level.offsets.item(c + 1)
+                # each token once per context: the same sum as adding the counts in place
+                component[level.tokens[lo:hi]] = self.alpha + level.counts[lo:hi]
+                denom = level.totals.item(c) + denom_base
+            p += weight * component / denom
         return p
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
@@ -320,15 +311,14 @@ class NGramModel(SequenceModel):
         denom_base = self.alpha * vocab
         p = np.zeros(len(target))
         for m, weight in enumerate(self.weights):
-            if weight != 0:
-                level, seen = index[m], ids[m] >= 0
-                total = np.zeros(len(target), dtype=np.int64)
-                total[seen] = level.totals[ids[m, seen]]
-                seen &= counted[steps]
-                count = np.zeros(len(target), dtype=np.int64)
-                at = _find(level.grams, ids[m, seen] * vocab + target[seen])
-                count[seen] = np.where(at >= 0, level.counts[at], 0)
-                p += weight * (self.alpha + count) / (total + denom_base)
+            level, seen = index[m], ids[m] >= 0
+            total = np.zeros(len(target), dtype=np.int64)
+            total[seen] = level.totals[ids[m, seen]]
+            seen &= counted[steps]
+            count = np.zeros(len(target), dtype=np.int64)
+            at = _find(level.grams, ids[m, seen] * vocab + target[seen])
+            count[seen] = np.where(at >= 0, level.counts[at], 0)
+            p += weight * (self.alpha + count) / (total + denom_base)
         return p
 
     def sequence_log_likelihood(self, sequence: Sequence[int]) -> float:
@@ -351,7 +341,7 @@ class NGramModel(SequenceModel):
 
     def to_dict(self) -> dict:
         return {"order": self.order, "vocab_size": self.vocab_size, "alpha": self.alpha,
-                "weights": list(self.weights), "sequences": self.sequences}
+                "sequences": self.sequences}
 
     @classmethod
     def from_dict(cls, data: object) -> "NGramModel":
@@ -360,16 +350,11 @@ class NGramModel(SequenceModel):
             if not (isinstance(data, dict) and is_valid(data.get(key))):
                 raise ChallengeError(f"model file field {key!r} is missing or of the wrong type "
                                      "(older files hold count tables); re-run train-model")
-        # Nothing renormalises the distribution, so the weights must already sum to 1.
-        total = sum(data["weights"])
-        if not abs(total - 1.0) <= DISTRIBUTION_TOLERANCE:
-            raise ChallengeError(f"model file field 'weights' sums to {total!r}, not 1")
-        model = cls(data["order"], data["vocab_size"], data["alpha"], data["weights"])
-        # The saved weights were normalised when the model was built; a
-        # second pass can move them by an ulp and change every distribution.
-        model.weights = tuple(map(float, data["weights"]))
-        for seq in data["sequences"]:
-            model.observe(seq)
+        model = cls(data["order"], data["vocab_size"], data["alpha"], data["sequences"])
+        # Files written while models stored their weights hold the equal ones.
+        if "weights" in data and data["weights"] != list(model.weights):
+            raise ChallengeError("model file field 'weights' must be absent or hold the equal "
+                                 f"weights of order {model.order}; re-run train-model")
         return model
 
     def save(self, path: str | Path) -> None:
@@ -389,26 +374,18 @@ _MODEL_FIELDS = {
     "order": lambda v: type(v) is int,
     "vocab_size": lambda v: type(v) is int,
     "alpha": lambda v: type(v) in (int, float),
-    "weights": lambda v: type(v) is list and all(type(w) in (int, float) for w in v),
     "sequences": lambda v: type(v) is list
     and all(type(seq) is list and all(type(t) is int for t in seq) for seq in v),
 }
 
 
 def train_ngram(
-    sequences: Sequence[Sequence[int]],
-    order: int,
-    vocab_size: int,
-    alpha: float = 0.01,
-    weights: Sequence[float] | None = None,
+    sequences: Sequence[Sequence[int]], order: int, vocab_size: int, alpha: float = 0.01
 ) -> NGramModel:
     """Count n-grams of every order up to ``order`` over a corpus."""
     if not sequences:
         raise ChallengeError("cannot train on an empty corpus")
-    model = NGramModel(order=order, vocab_size=vocab_size, alpha=alpha, weights=weights)
-    for seq in sequences:
-        model.observe(seq)
-    return model
+    return NGramModel(order, vocab_size, alpha, sequences)
 
 
 # --- external model line protocol -------------------------------------------

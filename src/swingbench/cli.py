@@ -27,7 +27,8 @@ import numpy as np
 
 from . import challenge as chal
 from . import metrics, structure
-from .corpus import CorpusError, load_corpus
+from .chords import ChordError, chord_to_pitches
+from .corpus import load_corpus
 from .midi import write_midi
 from .tokenizer import (
     DEFAULT_VOCABULARY as VOCAB,
@@ -204,11 +205,19 @@ def cmd_tokenize(args) -> int:
 def cmd_detokenize(args) -> int:
     out_dir = Path(args.out)
     config = {"command": "detokenize", "chord_register": args.chord_register}
-    for file in [Path(p) for p in args.tokens]:
-        timeline = _decode_file(file)
+    files = [Path(p) for p in args.tokens]
+    timelines = [_decode_file(file) for file in files]
+    # every chord is voiced once before --out is made, so a failure leaves nothing
+    for file, timeline in zip(files, timelines):
+        for symbol in {chord.symbol for chord in timeline.chords}:
+            try:
+                chord_to_pitches(symbol, args.chord_register)
+            except ChordError as exc:
+                raise CliError(f"{file}: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for file, timeline in zip(files, timelines):
         target = out_dir / (file.stem + ".mid")
         meta = "; ".join(provenance_header(config, [file]))
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_midi(timeline, target, chord_register=args.chord_register, meta_text=meta)
         print(f"wrote {target}")
     return 0
@@ -543,12 +552,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except (
         CliError,
-        CorpusError,
-        TokenGrammarError,
-        chal.ChallengeError,
         chal.GenerationError,
         chal.ModelProtocolError,
-        metrics.MetricError,
         ValueError,
         OSError,
     ) as exc:

@@ -352,21 +352,31 @@ def load_corpus(path: str | Path) -> list[Solo]:
     """Load and validate a JSON Lines corpus file.
 
     Raises :class:`CorpusError` naming the offending solo and field on any
-    schema or invariant violation, and :class:`EmptyCorpusError` when the
-    file holds no records.
+    schema or invariant violation, or the line of a solo whose id repeats
+    an earlier one or cannot be a file name, and :class:`EmptyCorpusError`
+    when the file holds no records.
     """
     path = Path(path)
     solos: list[Solo] = []
+    ids: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path} line {lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path} line {lineno}: invalid JSON ({exc})") from None
-            solo = solo_from_record(record, where=f"{path} line {lineno}")
+                raise CorpusError(f"{where}: invalid JSON ({exc})") from None
+            solo = solo_from_record(record, where=where)
+            # each id names its solo's output files (<id>.tokens, <id>.pgm)
+            if not solo.id or "/" in solo.id or "\0" in solo.id:
+                raise CorpusError(f"{where}: solo id {solo.id!r} is not a file name: "
+                                  "it must be non-empty, without '/' or NUL")
+            if solo.id in ids:
+                raise CorpusError(f"{where}: solo id {solo.id!r} repeats an earlier solo's")
+            ids.add(solo.id)
             violations = validate_solo(solo)
             if violations:
                 raise CorpusError(

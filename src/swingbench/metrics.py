@@ -21,7 +21,6 @@ from .corpus import Solo
 from .tokenizer import POSITIONS_PER_BAR, DecodedTimeline, place_notes
 
 PITCH_CLASSES = 12
-MAX_ENTROPY_BITS = math.log2(PITCH_CLASSES)
 
 
 class MetricError(ValueError):

@@ -57,8 +57,6 @@ PART_END = "PartEnd"
 REP_START = "RepStart"
 REP_END = "RepEnd"
 
-STRUCTURE_CATEGORIES = (PHRASE, MLU, PART_START, PART_END, REP_START, REP_END)
-
 POSITIONS_PER_BAR = 64
 POSITIONS_PER_BEAT = 16
 BEAT_POSITIONS = (0, 16, 32, 48)

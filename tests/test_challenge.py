@@ -156,12 +156,14 @@ def test_oracle_memory_grows_linearly():
 
 
 def test_bigram_counts_hand_example():
-    # "ABAB": the A->B transition occurs twice out of two A contexts
-    model = train_ngram([[0, 1, 0, 1]], order=2, vocab_size=2, alpha=0.01, weights=[0, 1])
+    # "ABAB": A and B occur twice each out of four tokens, and the A->B
+    # transition twice out of two A contexts; both orders weigh 1/2
+    model = train_ngram([[0, 1, 0, 1]], order=2, vocab_size=2, alpha=0.01)
     p = model.next_token_distribution([0])
     alpha, vocab = 0.01, 2
-    assert p[1] == pytest.approx((2 + alpha) / (2 + alpha * vocab))
-    assert p[0] == pytest.approx(alpha / (2 + alpha * vocab))
+    unigram = (2 + alpha) / (4 + alpha * vocab)
+    assert p[1] == pytest.approx((unigram + (2 + alpha) / (2 + alpha * vocab)) / 2)
+    assert p[0] == pytest.approx((unigram + alpha / (2 + alpha * vocab)) / 2)
 
 
 def test_unigram_relative_frequencies():
@@ -199,15 +201,15 @@ def _ngram_cases(draw):
     order = draw(st.integers(1, 9))
     vocab = draw(st.integers(1, 5))
     ids = st.lists(st.integers(0, vocab - 1), max_size=12)
-    weights = draw(
-        st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=order, max_size=order)
-        .filter(lambda w: sum(w) > 0)
-    )
     # an int alpha is what a model file written by hand may hold
-    model = NGramModel(order, vocab, alpha=draw(st.sampled_from([0.01, 0.5, 2])), weights=weights)
-    for seq in draw(st.lists(ids, max_size=4)):
-        model.observe(seq)
+    model = NGramModel(order, vocab, alpha=draw(st.sampled_from([0.01, 0.5, 2])),
+                       sequences=draw(st.lists(ids, max_size=4)))
     return model, draw(ids), draw(ids)
+
+
+def _with_sequence(model, seq):
+    """The model's settings and sequences, and ``seq`` counted too."""
+    return NGramModel(model.order, model.vocab_size, model.alpha, [*model.sequences, seq])
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,9 +218,9 @@ def test_ngram_score_is_the_dense_entry(case):
     # empty contexts and contexts shorter than order - 1 are drawn too
     model, context, continuation = case
     _assert_score_is_the_dense_entry(model, context, continuation)
-    # counting more must not leave a stale normaliser behind
-    model.observe([*context, *continuation])
-    _assert_score_is_the_dense_entry(model, context, continuation)
+    # and where every context of the continuation was counted
+    counted = _with_sequence(model, [*context, *continuation])
+    _assert_score_is_the_dense_entry(counted, context, continuation)
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,11 +229,10 @@ def test_ngram_distribution_sums_to_one(case):
     # Nothing renormalises: each add-alpha component sums to 1 and so do the weights.
     model, context, continuation = case
     history = [*context, *continuation]
-    for _ in range(2):  # before and after counting more
+    for m in (model, _with_sequence(model, history)):  # without and with the history counted
         for cut in range(len(history) + 1):
-            p = model.next_token_distribution(history[:cut])
+            p = m.next_token_distribution(history[:cut])
             assert abs(p.sum() - 1.0) <= DISTRIBUTION_TOLERANCE
-        model.observe(history)
 
 
 def _index_tables(model):
@@ -270,21 +271,15 @@ def _assert_same_index(a, b):
 )
 def test_count_index_matches_the_dict_oracle(order, vocab, data, query):
     # empty sequences and sequences shorter than the order are drawn too
-    seqs = st.lists(st.lists(st.integers(0, vocab - 1), max_size=12), max_size=4)
-    first, second = data.draw(seqs), data.draw(seqs)
+    seqs = data.draw(st.lists(st.lists(st.integers(0, vocab - 1), max_size=12), max_size=8))
     probe = data.draw(st.lists(st.integers(0, vocab - 1), max_size=10))
-    model = NGramModel(order, vocab)
-    for seq in first:
-        model.observe(seq)
-    assert _index_tables(model) == ngram_count_tables(first, order)
-    # a query builds the index; counting more after it must drop it
+    model = NGramModel(order, vocab, sequences=seqs)
+    # either query builds the index on first use
     if query == "score":
         model.score(probe[:3], probe[3:])
     else:
         model.next_token_distribution(probe)
-    for seq in second:
-        model.observe(seq)
-    assert _index_tables(model) == ngram_count_tables(first + second, order)
+    assert _index_tables(model) == ngram_count_tables(seqs, order)
     _assert_score_is_the_dense_entry(model, probe[:3], probe[3:])
 
 
@@ -351,7 +346,7 @@ def test_ngram_model_file_is_settings_and_sequences(tmp_path, motif_sequences):
     path = tmp_path / "model.json"
     model.save(path)
     data = json.loads(path.read_text(encoding="utf-8"))
-    assert sorted(data) == ["alpha", "order", "sequences", "vocab_size", "weights"]
+    assert sorted(data) == ["alpha", "order", "sequences", "vocab_size"]
     assert data["sequences"] == [list(seq) for seq in motif_sequences]
     loaded = NGramModel.load(path)
     _assert_same_index(loaded, model)
@@ -376,6 +371,26 @@ def test_reloaded_model_keeps_weights_and_distribution_bits(tmp_path, motif_sequ
         )
 
 
+# SHA-256 of dense distributions and teacher-forced scores, recorded while
+# models took their weights as a setting: at these orders 1/order normalised
+# by its float sum is an ulp off a bare 1/order, and the bits show it.
+PINNED_DISTRIBUTION_BITS = {
+    6: "ada0490db4a9fbebb9f3da96e4f722d010cf87127b6f7d61aa99daaea6da2860",
+    7: "98e92f391f8634eb9a2deb51ad46c8433dc51e1e3e68af528dcec74ba8d232f0",
+    9: "6380341a1743787f0c701be36a39f7c36ca3451333097d717337bf6039a685e1",
+}
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_DISTRIBUTION_BITS))
+def test_equal_weights_keep_the_pinned_distribution_bits(motif_sequences, order):
+    model = train_ngram(motif_sequences[:3], order=order, vocab_size=V.size)
+    digest = hashlib.sha256()
+    for cut in (0, 1, 7, 40, 200):
+        digest.update(model.next_token_distribution(motif_sequences[3][:cut]).tobytes())
+    digest.update(model.score(motif_sequences[3][:5], motif_sequences[3][5:300]).tobytes())
+    assert digest.hexdigest() == PINNED_DISTRIBUTION_BITS[order]
+
+
 @pytest.mark.parametrize(
     "temperature,digest",
     [
@@ -396,8 +411,7 @@ def test_reloaded_model_samples_pinned_tokens(tmp_path, motif_sequences, tempera
 
 
 def _model_file(**changes):
-    data = {"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5],
-            "sequences": [[0, 1, 0, 1], [2, 3, 4]]}
+    data = {"order": 2, "vocab_size": 5, "alpha": 0.01, "sequences": [[0, 1, 0, 1], [2, 3, 4]]}
     data.update(changes)
     return {k: v for k, v in data.items() if v is not None}
 
@@ -410,7 +424,7 @@ def _model_file(**changes):
         (_model_file(order="2"), "'order' is missing or of the wrong type"),
         (_model_file(vocab_size=True), "'vocab_size' is missing or of the wrong type"),
         (_model_file(alpha="0.01"), "'alpha' is missing or of the wrong type"),
-        (_model_file(weights=[0.5, None]), "'weights' is missing or of the wrong type"),
+        (_model_file(weights=[0.5, None]), "'weights' must be absent or hold the equal weights"),
         (_model_file(sequences=[[0, 1.5]]), "'sequences' is missing or of the wrong type"),
         (_model_file(sequences=[["0", "1"]]), "'sequences' is missing or of the wrong type"),
         (_model_file(sequences={"0": [1]}), "'sequences' is missing or of the wrong type"),
@@ -422,10 +436,12 @@ def _model_file(**changes):
         ({"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5],
           "counts": [{"": {"0": 2, "1": 2}}, {"0": {"1": 2}, "1": {"0": 1}}]},
          "re-run train-model"),
-        # nothing renormalises the distribution, so the weights must sum to 1
-        (_model_file(weights=[1, 1]), "'weights' sums to 2"),
+        # weights that sum to 1 but are not the equal ones every model uses
+        (_model_file(weights=[0, 1]), "'weights' must be absent or hold the equal weights"),
         # alpha * vocab_size overflows to inf: every probability would be 0
         (_model_file(alpha=1e308), r"alpha \* vocab_size finite"),
+        # a bare 1/7 is an ulp below the normalised weight every order-7 model uses
+        (_model_file(order=7, weights=[1 / 7] * 7), "equal weights of order 7"),
     ],
 )
 def test_bad_model_file_raises_named_error(tmp_path, data, message):
@@ -435,7 +451,7 @@ def test_bad_model_file_raises_named_error(tmp_path, data, message):
         NGramModel.load(path)
 
 
-def test_observe_rejects_ids_outside_the_vocabulary():
+def test_ngram_rejects_ids_outside_the_vocabulary():
     with pytest.raises(ChallengeError, match="outside"):
         train_ngram([[0, 1, 5]], order=2, vocab_size=5)
 
@@ -525,11 +541,12 @@ def test_candidate_ids_outside_the_vocabulary_are_refused():
 
 
 def test_bigram_chain_hand_computed():
-    # corpus 010101: p(1|0) = (3+a)/(3+2a), p(0|1) = (2+a)/(2+2a)
-    model = train_ngram([[0, 1, 0, 1, 0, 1]], order=2, vocab_size=2, alpha=0.5, weights=[0, 1])
+    # corpus 010101: each token 3 of 6, so the unigram term is (3+a)/(6+2a) = 1/2;
+    # bigram p(1|0) = (3+a)/(3+2a), p(0|1) = (2+a)/(2+2a); both orders weigh 1/2
+    model = train_ngram([[0, 1, 0, 1, 0, 1]], order=2, vocab_size=2, alpha=0.5)
     a = 0.5
-    p10 = (3 + a) / (3 + 2 * a)
-    p01 = (2 + a) / (2 + 2 * a)
+    p10 = (0.5 + (3 + a) / (3 + 2 * a)) / 2
+    p01 = (0.5 + (2 + a) / (2 + 2 * a)) / 2
     got = score_continuation(model, [0], [1, 0, 1])
     assert got == pytest.approx((p10 + p01 + p10) / 3)
 

@@ -297,6 +297,49 @@ def test_challenge_deterministic(tmp_path, motif_file):
     assert (out1 / "challenge.tsv").read_bytes() == (out2 / "challenge.tsv").read_bytes()
 
 
+# SHA-256 of challenge.tsv for the n-gram at two orders, 20 questions, seed 1,
+# recorded while models took their weights as a setting.  Order 7 is one
+# where the interpolation weight, 1/7 normalised by its float sum, is not 1/7.
+PINNED_CHALLENGE = {
+    5: "76f268676ab5e9a8aeffd6e3f9242a1767306c1c3e2969f5ef6281e4a711fb80",
+    7: "ad96c559f5fb0a7097313e542bdec618f7d1e0e81e9c4077e8768aaf3276b0ad",
+}
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_CHALLENGE))
+def test_ngram_challenge_bytes_pinned(tmp_path, motif_file, order):
+    out = tmp_path / "chal"
+    assert run("challenge", "--corpus", motif_file, "--out", out, "--model", "ngram",
+               "--order", order, "--count", 20, "--seed", 1) == 0
+    digest = hashlib.sha256((out / "challenge.tsv").read_bytes()).hexdigest()
+    assert digest == PINNED_CHALLENGE[order]
+
+
+# The interpolation weights an order-7 model file held while it stored them.
+ORDER_7_FILE_WEIGHTS = [0.14285714285714288] * 7
+# SHA-256 of the token lines (the header aside) that generate samples from it.
+PINNED_GENERATED_BODIES = {
+    "gen-000.tokens": "1bc3f1b0f2d4ff360f6f47c1ed59bc3e776f68bbbfea1cff7f255eb8c1059367",
+    "gen-001.tokens": "dda0ace06e7e3dc5437f7557f089d2ec58938d628cfd3d510f17c00b9fc2d9c2",
+}
+
+
+def test_model_file_with_its_weights_field_samples_pinned_tokens(tmp_path, motif_file):
+    model_path = tmp_path / "model.json"
+    assert run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 7) == 0
+    data = json.loads(model_path.read_text(encoding="utf-8"))
+    data["weights"] = ORDER_7_FILE_WEIGHTS
+    model_path.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
+    gen = tmp_path / "gen"
+    assert run("generate", "--model-file", model_path, "--out", gen,
+               "--bars", 4, "--count", 2, "--seed", 3) == 0
+    bodies = {}
+    for file in sorted(gen.glob("*.tokens")):
+        lines = [line for line in file.read_text().splitlines() if not line.startswith("#")]
+        bodies[file.name] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert bodies == PINNED_GENERATED_BODIES
+
+
 def test_challenge_small_corpus_errors(tmp_path, corpus_file, capsys):
     # 10-bar pieces cannot host 8+8 bar questions
     assert run("challenge", "--corpus", corpus_file, "--out", tmp_path, "--count", 5) == 1
@@ -337,10 +380,9 @@ def test_model_file_with_wrong_vocabulary_errors(tmp_path, motif_file, capsys, c
 @pytest.mark.parametrize(
     "data,message",
     [
-        ({"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5]},
+        ({"order": 2, "vocab_size": 5, "alpha": 0.01},
          "error: model file field 'sequences' is missing or of the wrong type"),
-        ({"order": 2, "vocab_size": 5, "alpha": 0.01, "weights": [0.5, 0.5],
-          "sequences": [[0, 9999]]},
+        ({"order": 2, "vocab_size": 5, "alpha": 0.01, "sequences": [[0, 9999]]},
          "error: token id outside [0, 5)"),
     ],
     ids=["missing-key", "id-out-of-range"],
@@ -765,6 +807,51 @@ def test_failed_run_makes_no_out_directory(tmp_path, corpus_file, repetition_13_
     assert run(command, *inputs, "--out", out) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_detokenize_decodes_every_file_before_making_out(tmp_path, corpus_file, capsys):
+    tok = tmp_path / "tok"
+    assert run("tokenize", "--corpus", corpus_file, "--out", tok) == 0
+    good = sorted(tok.glob("*.tokens"))[0]
+    bad = tmp_path / "bad.tokens"
+    bad.write_text("Position(3)\n")
+    out = tmp_path / "out"
+    assert run("detokenize", "--tokens", good, bad, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("register", [200, -50])
+def test_detokenize_voices_every_chord_before_making_out(tmp_path, corpus_file, capsys,
+                                                         register):
+    tok = tmp_path / "tok"
+    assert run("tokenize", "--corpus", corpus_file, "--out", tok) == 0
+    first = sorted(tok.glob("*.tokens"))[0]
+    out = tmp_path / "out"
+    assert run("detokenize", "--tokens", first, "--out", out,
+               "--chord-register", register) == 1
+    assert f"error: {first}: register {register} outside MIDI range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["tokenize", "report"])
+@pytest.mark.parametrize("ids, line, problem", [
+    (["dup", "dup"], 2, "repeats an earlier solo's"),
+    (["ok", "../escaped"], 2, "is not a file name"),
+    (["", "ok"], 1, "is not a file name"),
+    (["ok", "a\0b"], 2, "is not a file name"),
+], ids=["repeated", "parent-dir", "empty", "nul"])
+def test_solo_id_that_cannot_name_its_files_is_refused(tmp_path, capsys, command, ids, line,
+                                                       problem):
+    corpus = tmp_path / "ids.jsonl"
+    save_corpus([sectional_solo(i, form="A", repetitions=1, section_bars=1) for i in ids],
+                corpus)
+    images = ["--scape-images"] if command == "report" else []
+    assert run(command, "--corpus", corpus, "--out", tmp_path / "out" / "sub", *images) == 1
+    err = capsys.readouterr().err
+    assert f"{corpus} line {line}: solo id {ids[line - 1]!r} {problem}" in err
+    # nothing is written, neither under --out nor beside it
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_does_not_load_scipy():

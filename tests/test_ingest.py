@@ -142,10 +142,12 @@ def _corrupt(draw, record: dict, kind: str) -> None:
         last = record["beats"][-1]
         record["notes"][-1][0] = last[0] + last[1]
     elif kind == "onset-in-gap":
-        # shorten the beat holding an off-beat note so that it ends at or before the note
+        # shorten the beat holding an off-beat note so that it ends at or before the note;
+        # a note at the next beat's onset that rounding leaves inside this one is not off-beat
         beats = record["beats"]
         held = [(note, beat) for note in record["notes"] for beat in beats
-                if beat[0] < note[0] < beat[0] + beat[1]]
+                if beat[0] < note[0] < beat[0] + beat[1]
+                and sum(b[0] <= note[0] < b[0] + b[1] for b in beats) == 1]
         if not held:  # every note sits on a beat onset
             record.update(_json_record(sectional_solo("sectional")))
             return _corrupt(draw, record, kind)
