@@ -36,6 +36,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .tokenizer import DEFAULT_VOCABULARY as VOCAB, TokenGrammarError, _GrammarWalker
+
 DISTRIBUTION_TOLERANCE = 1e-9
 # Probability mass the corpus oracle spreads over every token.
 ORACLE_EPSILON = 1e-6
@@ -320,22 +322,6 @@ class NGramModel(SequenceModel):
             count[seen] = np.where(at >= 0, level.counts[at], 0)
             p += weight * (self.alpha + count) / (total + denom_base)
         return p
-
-    def sequence_log_likelihood(self, sequence: Sequence[int]) -> float:
-        total = 0.0
-        for p in self.score((), sequence):
-            total += float(np.log(p))
-        return total
-
-    def perplexity(self, sequences: Sequence[Sequence[int]]) -> float:
-        log_sum = 0.0
-        count = 0
-        for seq in sequences:
-            log_sum += self.sequence_log_likelihood(seq)
-            count += len(seq)
-        if count == 0:
-            raise ChallengeError("no tokens to evaluate")
-        return float(np.exp(-log_sum / count))
 
     # --- persistence ---
 
@@ -742,45 +728,55 @@ def run_challenge(
 
 
 class GenerationError(RuntimeError):
-    """Sampling hit the hard length cap before producing a full bar."""
+    """No id the grammar allows has probability, or the cap leaves no Bar."""
 
 
 def generate_tokens(
     model: SequenceModel,
     primer: Sequence[int],
     target_bars: int,
-    bar_token_id: int,
     temperature: float = 1.0,
     seed: int = 0,
     max_tokens: int = 20000,
 ) -> list[int]:
     """Sample token ids until ``target_bars`` bars are complete.
 
-    Bars are counted by Bar tokens (the primer's included); sampling runs
-    until the bar after the last requested one begins, so the final bar is
-    complete, or until ``max_tokens``.  Deterministic given the seed.
+    Only ids the event grammar allows are drawn: the distribution is masked,
+    scaled to a largest weight of 1, then tempered in log space.  Bars are
+    counted by Bar tokens (the primer's included); sampling runs until the
+    bar after the last requested one begins, or until ``max_tokens``, which
+    cuts off an open event group, even one begun in the primer, so that the
+    result decodes as it is.  Deterministic given the seed.
     """
     if not 0 < temperature < np.inf:  # NaN fails too
         raise ChallengeError(f"temperature must be positive and finite, got {temperature}")
-    rng = np.random.default_rng(seed)
-    out = list(primer)
-    bars = sum(1 for t in out if t == bar_token_id)
-    while len(out) < max_tokens:
-        p = checked_distribution(model, out)
-        if temperature != 1.0:
-            with np.errstate(divide="ignore"):
-                logits = np.log(p) / temperature
-            logits -= logits.max()
-            p = np.exp(logits)
-            p /= p.sum()
-        token = int(rng.choice(model.vocab_size, p=p))
-        if token == bar_token_id and bars >= target_bars:
-            break
+    rng, walker, bar_id = np.random.default_rng(seed), _GrammarWalker(), VOCAB.bar_token_id
+    out: list[int] = []
+    bars = closed = 0  # closed: the length of out that ends between event groups
+    while len(out) < max(len(primer), max_tokens):
+        if len(out) < len(primer):
+            token = primer[len(out)]
+            if not 0 <= token < VOCAB.size:
+                raise TokenGrammarError(len(out), f"unknown token id {token}")
+        else:
+            p = checked_distribution(model, out) * walker.allowed()
+            top = p.max()
+            if not top:
+                raise GenerationError(f"step {len(out)}: no id the grammar allows has probability")
+            p /= top  # the weights sum to at least 1, so the draw lands below their sum
+            if temperature != 1.0:
+                with np.errstate(divide="ignore", over="ignore"):
+                    p = np.exp(np.log(p) / temperature)
+            cumulative = np.cumsum(p)
+            token = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
+            if token == bar_id and bars >= target_bars:
+                break
+        walker.advance(len(out), VOCAB.token(token))
         out.append(token)
-        if token == bar_token_id:
-            bars += 1
-    if bars == 0:
-        raise GenerationError(
-            f"no Bar token within the {max_tokens}-token cap; cannot form a piece"
-        )
+        bars += token == bar_id
+        if walker.expected is None:
+            closed = len(out)
+    del out[closed:]  # an event group still open at the cap
+    if not out:
+        raise GenerationError(f"no Bar token within the {max_tokens}-token cap")
     return out

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .tokenizer import (
     decode_tokens,
     encode_solo,
     read_tokens,
-    repair_token_stream,
 )
 
 
@@ -415,22 +414,11 @@ def cmd_generate(args) -> int:
     }
     header = provenance_header(config, [Path(args.model_file)])
     for i in range(args.count):
-        ids = chal.generate_tokens(
-            model,
-            primer=[VOCAB.bar_token_id],
-            target_bars=args.bars,
-            bar_token_id=VOCAB.bar_token_id,
-            temperature=args.temperature,
-            seed=args.seed + i,
-            max_tokens=args.max_tokens,
-        )
-        tokens, dropped = repair_token_stream(VOCAB.ids_to_tokens(ids))
+        ids = chal.generate_tokens(model, [VOCAB.bar_token_id], target_bars=args.bars,
+                                   temperature=args.temperature, seed=args.seed + i,
+                                   max_tokens=args.max_tokens)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_text(
-            out_dir / f"gen-{i:03d}.tokens",
-            [*header, f"# piece {i} repaired_drops={dropped}"],
-            VOCAB.texts(tokens),
-        )
+        _write_text(out_dir / f"gen-{i:03d}.tokens", header, VOCAB.texts(VOCAB.ids_to_tokens(ids)))
     print(f"generated {args.count} pieces of {args.bars} bars -> {out_dir}")
     return 0
 
@@ -438,17 +426,26 @@ def cmd_generate(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return integer
 
 
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -469,7 +466,7 @@ def _add_scape_args(p: argparse.ArgumentParser) -> None:
                    help="SSM similarity threshold (default %(default)s)")
     p.add_argument("--delta", type=_finite_float, default=structure.DEFAULT_SSM_PENALTY,
                    help="penalty replacing sub-threshold similarities (default %(default)s)")
-    p.add_argument("--frame-rate", type=float, default=1.0,
+    p.add_argument("--frame-rate", type=_positive_float, default=1.0,
                    help="chroma frames per second (default %(default)s)")
 
 
@@ -520,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"n-gram order, --model ngram only (default {DEFAULT_ORDER})")
     p.add_argument("--alpha", type=float,
                    help=f"add-alpha smoothing, --model ngram only (default {DEFAULT_ALPHA})")
-    p.add_argument("--count", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_challenge)
 
     p = sub.add_parser("train-model", help="train the n-gram baseline")
@@ -535,11 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample token sequences from a model")
     p.add_argument("--model-file", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bars", type=_positive_int, default=32)
-    p.add_argument("--count", type=_positive_int, default=1)
+    p.add_argument("--bars", type=_int_at_least(1), default=32)
+    p.add_argument("--count", type=_int_at_least(1), default=1)
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tokens", type=_positive_int, default=20000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--max-tokens", type=_int_at_least(1), default=20000)
     p.set_defaults(fn=cmd_generate)
 
     return parser
@@ -550,13 +547,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        CliError,
-        chal.GenerationError,
-        chal.ModelProtocolError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, chal.GenerationError, chal.ModelProtocolError, ValueError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ lie inside a beat, as :func:`beat_index` decides.
 
 Adapting a source stored in some other container (e.g. a relational
 database export) is the job of an external converter that emits this
-schema; see :data:`CONVERTER_CONTRACT`.
+schema; the README's corpus format section says what it must do.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ DEFAULT_MLU_LABELS: tuple[str, ...] = (
     "expressive",
     "void",
 )
-
-CONVERTER_CONTRACT = """\
-Converter stub contract (not implemented here): a converter adapting an
-external source must emit one JSON record per solo with keys id/notes/
-beats/parts exactly as documented in this module, seconds as decimals
-with at least microsecond precision, loudness in dB for every note
-(imputing it where the source lacks one), and must drop or split any
-solo containing a non-4/4 bar."""
 
 
 class CorpusError(ValueError):

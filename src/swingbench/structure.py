@@ -111,17 +111,17 @@ def render_chroma(
 
     Melody pitch classes accumulate at weight 1.0 per sounding second
     inside a frame; the active chord's template pitch classes at 0.5.
-    Nonzero frames are L2-normalized, silent frames stay zero.  A frame
-    rate that is not finite and positive, or an empty span, raises
-    ValueError.
+    Nonzero frames are L2-normalized, silent frames stay zero.  An empty
+    span, or a frame rate that is not positive or gives infinitely many
+    frames (an infinite rate does), raises ValueError.
     """
-    if not (np.isfinite(frame_rate) and frame_rate > 0):
-        raise ValueError(f"frame rate must be finite and positive, got {frame_rate}")
     start, end = span
     if end <= start:
         raise ValueError("empty timeline span")
-    n = max(int(np.ceil((end - start) * frame_rate)), 2)
-    frames = np.zeros((n, 12))
+    count = np.ceil((end - start) * frame_rate)
+    if not (frame_rate > 0 and np.isfinite(count)):  # NaN fails too
+        raise ValueError(f"frame rate must be positive with finitely many frames, got {frame_rate}")
+    frames = np.zeros((max(int(count), 2), 12))
     for onset, duration, pitch in notes:
         _accumulate(frames, start, frame_rate, onset, onset + duration, [pitch % 12], MELODY_WEIGHT)
     for onset, chord_end, symbol in chords:

@@ -10,9 +10,9 @@ markers.  Form parts open right after the ``Bar`` of their first bar
 (``PartStart``, ``RepStart``) and close at the end of their last bar
 (``RepEnd``, ``PartEnd``).
 
-``_GROUP_GRAMMAR`` is the one statement of this grammar inside a
-position; ``decode_tokens`` walks it strictly and
-``repair_token_stream`` leniently, through the same ``_GrammarWalker``.
+``_GROUP_GRAMMAR`` is the one statement of this grammar inside a position;
+``decode_tokens`` walks it strictly, ``repair_token_stream`` leniently and
+``generate_tokens`` by its ``allowed`` mask, through the same ``_GrammarWalker``.
 
 Quantization:
 
@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .chords import NUM_CHORD_TYPES, ChordSymbol, parse_chord
 from .corpus import DEFAULT_MLU_LABELS, Beat, FormPart, Note, Solo, beat_index
@@ -586,6 +588,8 @@ class _GrammarWalker:
     with, or None between groups.
     """
 
+    _masks: dict[tuple, np.ndarray] = {}
+
     def __init__(self):
         self.bar_open = False
         self.last_position: int | None = None
@@ -618,6 +622,20 @@ class _GrammarWalker:
                 return "{tok} before the first Position of the bar", (POSITION,)
             self.expected = _GROUP_GRAMMAR[cat]
         return None
+
+    def allowed(self) -> np.ndarray:
+        """A read-only 0/1 weight per vocabulary id: 1 where :meth:`step`
+        would accept it now.  Cached by what decides that: ``expected`` in a
+        group, ``(bar_open, last_position)`` between groups."""
+        key = self.expected or (self.bar_open, self.last_position)
+        if key not in self._masks:
+            state, mask = vars(self).copy(), np.zeros(DEFAULT_VOCABULARY.size)
+            for i, tok in enumerate(DEFAULT_VOCABULARY.ids_to_tokens(range(len(mask)))):
+                mask[i] = self.step(tok) is None
+                vars(self).update(state)
+            mask.flags.writeable = False
+            self._masks[key] = mask
+        return self._masks[key]
 
     def advance(self, i: int, tok: EventToken) -> None:
         """Accept ``tok`` as token ``i``, or raise :class:`TokenGrammarError`
@@ -730,7 +748,7 @@ def decode_tokens(tokens: Sequence[EventToken]) -> DecodedTimeline:
 def repair_token_stream(tokens: Sequence[EventToken]) -> tuple[list[EventToken], int]:
     """Drop tokens that violate the grammar; returns (repaired, drop count).
 
-    Used to clean sampled streams before decoding.  Unknown tokens are
+    For streams from elsewhere; sampled ones need none.  Unknown tokens are
     dropped on their own.  A token that breaks the open event group drops
     the whole group and is then retried between groups; any other token
     the grammar rejects (out-of-order positions, content outside a

@@ -17,7 +17,7 @@ from swingbench.challenge import train_ngram
 from swingbench.cli import build_parser, main
 from swingbench.corpus import save_corpus
 from swingbench.synthetic import motif_corpus, random_corpus, sectional_corpus, sectional_solo
-from swingbench.tokenizer import BAR, read_tokens
+from swingbench.tokenizer import BAR, decode_tokens, read_tokens, repair_token_stream
 
 
 @pytest.fixture(scope="module")
@@ -168,10 +168,29 @@ def test_scape_unknown_piece(tmp_path, corpus_file, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rate", ["0", "-1", "inf"])
+@pytest.mark.parametrize("rate", ["0", "-1", "inf", "nan"])
 def test_report_rejects_bad_frame_rate(tmp_path, corpus_file, capsys, rate):
-    assert run("report", "--corpus", corpus_file, "--out", tmp_path, "--frame-rate", rate) == 1
-    assert "frame rate must be finite and positive" in capsys.readouterr().err
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("report", "--corpus", corpus_file, "--out", out, "--frame-rate", rate)
+    assert exc.value.code == 2
+    assert "argument --frame-rate: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "scape"])
+@pytest.mark.parametrize("rate,message", [
+    ("1e308", "error: frame rate must be positive with finitely many frames, got 1e+308"),
+    ("1e15", "error: Unable to allocate"),
+], ids=["frame-count-overflows", "frames-take-exbibytes"])
+def test_frame_rate_too_high_is_one_error_line(tmp_path, corpus_file, capsys, command, rate,
+                                               message):
+    out = tmp_path / "out"
+    piece = ["--piece", "rand-000"] if command == "scape" else []
+    assert run(command, "--corpus", corpus_file, "--out", out, "--frame-rate", rate, *piece) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "scape"])
@@ -317,27 +336,42 @@ def test_ngram_challenge_bytes_pinned(tmp_path, motif_file, order):
 
 # The interpolation weights an order-7 model file held while it stored them.
 ORDER_7_FILE_WEIGHTS = [0.14285714285714288] * 7
-# SHA-256 of the token lines (the header aside) that generate samples from it.
+# SHA-256 of the token lines (the header aside) that generate samples from it,
+# recorded when the sampler came to draw only what the grammar allows.
 PINNED_GENERATED_BODIES = {
-    "gen-000.tokens": "1bc3f1b0f2d4ff360f6f47c1ed59bc3e776f68bbbfea1cff7f255eb8c1059367",
-    "gen-001.tokens": "dda0ace06e7e3dc5437f7557f089d2ec58938d628cfd3d510f17c00b9fc2d9c2",
+    "gen-000.tokens": "698da150e82f9950a62ac251cc1c221a79777153fadb839d5a5b304ce471556e",
+    "gen-001.tokens": "ce85a9b10ed96f3641e71dfd6576bd0256318df2fbd86645d56561d10e303520",
 }
 
 
-def test_model_file_with_its_weights_field_samples_pinned_tokens(tmp_path, motif_file):
-    model_path = tmp_path / "model.json"
+def _generated_bodies(tmp_path: Path, motif_file: Path, weights: list | None) -> dict:
+    """SHA-256 of the token lines of each file that generate writes from an
+    order-7 model file, with ``weights`` added to the file unless None."""
+    model_path = tmp_path / f"model-{weights is None}.json"
     assert run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 7) == 0
-    data = json.loads(model_path.read_text(encoding="utf-8"))
-    data["weights"] = ORDER_7_FILE_WEIGHTS
-    model_path.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
-    gen = tmp_path / "gen"
+    if weights is not None:
+        data = json.loads(model_path.read_text(encoding="utf-8"))
+        data["weights"] = weights
+        model_path.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
+    gen = tmp_path / f"gen-{weights is None}"
     assert run("generate", "--model-file", model_path, "--out", gen,
                "--bars", 4, "--count", 2, "--seed", 3) == 0
     bodies = {}
     for file in sorted(gen.glob("*.tokens")):
         lines = [line for line in file.read_text().splitlines() if not line.startswith("#")]
         bodies[file.name] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert bodies == PINNED_GENERATED_BODIES
+    return bodies
+
+
+def test_model_file_with_its_weights_field_generates_what_the_plain_file_does(
+    tmp_path, motif_file
+):
+    assert (_generated_bodies(tmp_path, motif_file, ORDER_7_FILE_WEIGHTS)
+            == _generated_bodies(tmp_path, motif_file, None))
+
+
+def test_model_file_with_its_weights_field_samples_pinned_tokens(tmp_path, motif_file):
+    assert _generated_bodies(tmp_path, motif_file, ORDER_7_FILE_WEIGHTS) == PINNED_GENERATED_BODIES
 
 
 def test_challenge_small_corpus_errors(tmp_path, corpus_file, capsys):
@@ -472,6 +506,50 @@ def test_generate_bars_and_max_tokens_below_one_are_usage_errors(argv, capsys):
         build_parser().parse_args(["generate", "--model-file", "m.json", "--out", "o", *argv])
     assert exc.value.code == 2
     assert f"{argv[0]}: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--model-file", "m.json", "--out", "o", "--seed", "-1"],
+    ["challenge", "--corpus", "c.jsonl", "--out", "o", "--seed", "-5"],
+])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"--seed: must be at least 0, got {argv[-1]}" in capsys.readouterr().err
+
+
+def test_every_generated_file_decodes_as_it_is(tmp_path, motif_file):
+    # every cap from 1 to 40 tokens, so that some cut an event group open
+    model_path = tmp_path / "model.json"
+    assert run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 3) == 0
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    files, cut = [], 0
+    for cap in range(1, 41):
+        out = tmp_path / f"gen-{cap}"
+        assert run("generate", "--model-file", model_path, "--out", out, "--bars", 99,
+                   "--max-tokens", cap, "--seed", cap) == 0
+        files.append((out / "gen-000.tokens").rename(gen / f"cap-{cap:02d}.tokens"))
+        assert "# piece" not in files[-1].read_text(encoding="utf-8")  # the provenance header alone
+        tokens = read_tokens(files[-1])
+        assert 1 <= len(tokens) <= cap
+        assert repair_token_stream(tokens) == (tokens, 0)
+        decode_tokens(tokens)  # must not raise
+        cut += len(tokens) < cap
+    assert cut
+    assert run("detokenize", "--tokens", *files, "--out", tmp_path / "midi") == 0
+    assert run("report", "--tokens-dir", gen, "--out", tmp_path / "rep") == 0
+
+
+@pytest.mark.parametrize("temperature", ["1e-310", "1e308"])
+def test_generate_takes_any_positive_finite_temperature(tmp_path, motif_file, temperature):
+    model_path = tmp_path / "model.json"
+    assert run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 3) == 0
+    out = tmp_path / "gen"
+    assert run("generate", "--model-file", model_path, "--out", out, "--bars", 4,
+               "--temperature", temperature) == 0
+    assert decode_tokens(read_tokens(out / "gen-000.tokens")).bar_count == 4
 
 
 def test_generate_header_states_max_tokens(tmp_path, motif_file):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 
@@ -12,6 +13,7 @@ from swingbench.chords import parse_chord
 from swingbench.corpus import FormPart, Solo, transpose_solo
 from swingbench.synthetic import four_four_beats, random_corpus, random_solo
 from swingbench.tokenizer import (
+    _GROUP_GRAMMAR,
     BAR,
     CHORD_SLASH,
     CHORD_TONE,
@@ -47,6 +49,7 @@ from swingbench.tokenizer import (
     tempo_value_to_bpm,
     velocity_to_midi,
     write_tokens,
+    _GrammarWalker,
 )
 
 V = DEFAULT_VOCABULARY
@@ -519,6 +522,30 @@ def test_property_decode_accepts_exactly_what_repair_keeps_whole(ids):
         assert not untouched
     else:
         assert untouched
+
+
+def test_allowed_mask_of_every_walker_state_is_what_step_accepts():
+    groups = [None, *{nxt for nxt in _GROUP_GRAMMAR.values() if nxt}]
+    states = [(False, None, None)] + [
+        (True, position, expected)
+        for position in [None, *range(64)]
+        for expected in groups
+        if position is not None or expected is None
+    ]
+    tokens = V.ids_to_tokens(range(V.size))
+    for bar_open, last_position, expected in states:
+        walker = _GrammarWalker()
+        walker.bar_open, walker.last_position, walker.expected = bar_open, last_position, expected
+        accepted = [copy.copy(walker).step(tok) is None for tok in tokens]
+        mask = walker.allowed()
+        assert mask.tolist() == [float(ok) for ok in accepted], (bar_open, last_position, expected)
+        assert not mask.flags.writeable
+        # asking changes no state
+        assert (walker.bar_open, walker.last_position, walker.expected) == (
+            bar_open, last_position, expected)
+    # one mask per deciding state: each group's expected categories, and
+    # (bar_open, last_position) between groups
+    assert len(_GrammarWalker._masks) == len(groups) - 1 + 66
 
 
 @settings(max_examples=20, deadline=None)
