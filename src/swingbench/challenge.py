@@ -157,6 +157,25 @@ class CorpusOracleModel(SequenceModel):
         return out
 
 
+# The largest n-gram order a model may have: the index holds a level per
+# order, and every step adds a term per order.
+MAX_ORDER = 32
+
+
+def _add_alpha(weight: float, alpha: float, count, total, vocab_size: int):
+    """One order's weighted add-alpha term ``weight * (alpha + count) /
+    (total + alpha * V)``: a counted gram's at index build, and with a count
+    of 0 the floor of every other token after a context of ``total``
+    grams (0 for a context never seen)."""
+    alpha = float(alpha)  # an int alpha from a model file must not wrap in narrow arrays
+    return weight * (alpha + count) / (total + alpha * vocab_size)
+
+
+def _int_type(largest: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds ``largest``."""
+    return next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
+
+
 class _CountLevel:
     """The n-gram counts of one context length ``m``, as sorted arrays.
 
@@ -164,39 +183,53 @@ class _CountLevel:
     on its left, so its code is ``id(m - 1) * V + token``; its id is its
     rank in ``contexts``.  ``grams`` holds ``id * V + next token`` for every
     gram seen, sorted, so the grams after context ``c`` are the slice
-    ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens`` and ``counts``.
+    ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens``, ``counts`` and
+    ``terms``, each gram's weighted add-alpha term.  Codes are int64;
+    tokens, counts, offsets and totals take the narrowest integer type
+    that holds them.
     """
 
-    def __init__(
-        self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray, vocab_size: int
-    ):
+    def __init__(self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray,
+                 weight: float, alpha: float, vocab_size: int):
+        count_type = _int_type(int(counts.sum()))
         self.contexts = contexts
         self.grams = grams
-        self.tokens = grams % vocab_size
-        self.counts = counts
-        self.offsets = np.searchsorted(grams, np.arange(len(contexts) + 1) * vocab_size)
-        self.totals = np.diff(np.concatenate(([0], np.cumsum(counts)))[self.offsets])
+        self.tokens = (grams % vocab_size).astype(_int_type(vocab_size - 1))
+        self.counts = counts.astype(count_type)
+        offsets = np.searchsorted(grams, np.arange(len(contexts) + 1) * vocab_size)
+        self.offsets = offsets.astype(count_type)
+        self.totals = np.diff(np.concatenate(([0], np.cumsum(counts)))[offsets]).astype(count_type)
+        self.terms = _add_alpha(weight, alpha, self.counts,
+                                np.repeat(self.totals, np.diff(offsets)), vocab_size)
 
 
-def _build_index(sequences: list[list[int]], order: int, vocab_size: int) -> list[_CountLevel]:
-    """One ``_CountLevel`` per context length 0 .. order - 1.  A position
-    counts at length ``m`` only when its ``m`` context tokens lie inside
-    its own sequence."""
+def _build_index(
+    sequences: list[list[int]], weights: Sequence[float], alpha: float, vocab_size: int
+) -> list[_CountLevel]:
+    """One ``_CountLevel`` per context length 0 .. len(weights) - 1.  A
+    position counts at length ``m`` only when its ``m`` context tokens lie
+    inside its own sequence."""
     lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    tokens = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
-    offset = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    at = np.arange(len(tokens))  # the positions with a context of the current length
-    depth = at - offset  # how many tokens of its own sequence precede each of them
-    ids = np.zeros(len(tokens), dtype=np.int64)  # every position has the empty context, id 0
-    contexts = np.unique(ids)
+    n = int(lengths.sum())
+    position = _int_type(n)
+    tokens = np.fromiter(chain.from_iterable(sequences), dtype=_int_type(vocab_size - 1), count=n)
+    at = np.arange(n, dtype=position)  # the positions with a context of the current length
+    # how many tokens of its own sequence precede each of them
+    depth = at - np.repeat((np.cumsum(lengths) - lengths).astype(position), lengths)
+    ids = np.zeros(n, dtype=np.int64)  # every position has the empty context, id 0
+    contexts = np.unique(ids[:1])
     levels = []
-    for m in range(order):
+    for m, weight in enumerate(weights):
         if m:
             keep = depth >= m
             at, depth = at[keep], depth[keep]
-            contexts, ids = np.unique(ids[keep] * vocab_size + tokens[at - m], return_inverse=True)
-        grams, counts = np.unique(ids * vocab_size + tokens[at], return_counts=True)
-        levels.append(_CountLevel(contexts, grams, counts, vocab_size))
+            ids = ids[keep] * vocab_size + tokens[at - m]  # the codes; frees the last ids
+            contexts, ids = np.unique(ids, return_inverse=True)
+        # left unnamed, the full-width counts are freed once the level holds narrow ones
+        levels.append(_CountLevel(
+            contexts, *np.unique(ids * vocab_size + tokens[at], return_counts=True),
+            weight, alpha, vocab_size,
+        ))
     return levels
 
 
@@ -221,8 +254,10 @@ class NGramModel(SequenceModel):
 
     The model is fixed by the id sequences it is built from.  Their counts
     live in one sorted index, ``index`` (a ``_CountLevel`` per context
-    length), built with numpy on the first query; a history's contexts are
-    found by binary search, one token further left per level.
+    length), built with numpy on the first query together with each
+    counted gram's weighted term; a history's contexts are found by binary
+    search, one token further left per level.  The order is at most
+    ``MAX_ORDER``.
     """
 
     def __init__(
@@ -232,8 +267,8 @@ class NGramModel(SequenceModel):
         alpha: float = 0.01,
         sequences: Sequence[Sequence[int]] = (),
     ):
-        if order < 1:
-            raise ChallengeError(f"n-gram order must be >= 1, got {order}")
+        if not 1 <= order <= MAX_ORDER:
+            raise ChallengeError(f"n-gram order must be in 1..{MAX_ORDER}, got {order}")
         # alpha * V is the floor of every component's denominator; past the
         # largest float it is inf, and every probability would be 0.
         if not (alpha > 0 and alpha * vocab_size <= sys.float_info.max):
@@ -253,7 +288,7 @@ class NGramModel(SequenceModel):
     @cached_property
     def index(self) -> list[_CountLevel]:
         """The counts of every sequence: level ``m`` for contexts of ``m`` tokens."""
-        return _build_index(self.sequences, self.order, self.vocab_size)
+        return _build_index(self.sequences, self.weights, self.alpha, self.vocab_size)
 
     def _context_ids(self, history: Sequence[int]) -> list[int]:
         """Ids of the history's last 0, 1, 2 ... tokens as contexts, up to
@@ -273,25 +308,23 @@ class NGramModel(SequenceModel):
         return ids
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        """The sum of the weighted components; an order whose context was
-        not found keeps the smoothed floor ``alpha / (alpha * V)``."""
+        """The sum of the per-order terms: a counted gram's from the index,
+        and every other token's the floor of its context, or of an empty
+        one where the context was not found."""
         ids = self._context_ids(history)
-        index, denom_base = self.index, self.alpha * self.vocab_size
-        p = np.zeros(self.vocab_size)
+        p, component = np.zeros(self.vocab_size), np.empty(self.vocab_size)
         for m, weight in enumerate(self.weights):
-            component = np.full(self.vocab_size, self.alpha)
-            denom = denom_base
+            level = self.index[m]
+            total = level.totals.item(ids[m]) if m < len(ids) else 0
+            component.fill(_add_alpha(weight, self.alpha, 0, total, self.vocab_size))
             if m < len(ids):
-                level, c = index[m], ids[m]
-                lo, hi = level.offsets.item(c), level.offsets.item(c + 1)
-                # each token once per context: the same sum as adding the counts in place
-                component[level.tokens[lo:hi]] = self.alpha + level.counts[lo:hi]
-                denom = level.totals.item(c) + denom_base
-            p += weight * component / denom
+                lo, hi = level.offsets.item(ids[m]), level.offsets.item(ids[m] + 1)
+                component[level.tokens[lo:hi]] = level.terms[lo:hi]
+            p += component
         return p
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
-        """Each token's probability by the per-order terms of
+        """Each token's probability from the per-order terms of
         ``next_token_distribution`` summed in the same order, so entry ``i``
         has the bits of the dense distribution's; the context ids of every
         step are looked up together, level by level."""
@@ -310,17 +343,16 @@ class NGramModel(SequenceModel):
             seen = (ids[m - 1] >= 0) & (steps >= m) & counted[left]
             codes = np.where(seen, ids[m - 1] * vocab + history[left], -1)
             ids[m] = _find(index[m].contexts, codes)
-        denom_base = self.alpha * vocab
         p = np.zeros(len(target))
         for m, weight in enumerate(self.weights):
             level, seen = index[m], ids[m] >= 0
             total = np.zeros(len(target), dtype=np.int64)
             total[seen] = level.totals[ids[m, seen]]
+            term = _add_alpha(weight, self.alpha, 0, total, vocab)  # each step's floor
             seen &= counted[steps]
-            count = np.zeros(len(target), dtype=np.int64)
             at = _find(level.grams, ids[m, seen] * vocab + target[seen])
-            count[seen] = np.where(at >= 0, level.counts[at], 0)
-            p += weight * (self.alpha + count) / (total + denom_base)
+            term[seen] = np.where(at >= 0, level.terms[at], term[seen])
+            p += term
         return p
 
     # --- persistence ---

@@ -426,11 +426,13 @@ def cmd_generate(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _int_at_least(lowest: int) -> Callable[[str], int]:
+def _int_at_least(lowest: int, at_most: int | None = None) -> Callable[[str], int]:
     def integer(text: str) -> int:
         value = int(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {value}")
         return value
     return integer
 
@@ -447,6 +449,9 @@ def _positive_float(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+_ORDER = _int_at_least(1, at_most=chal.MAX_ORDER)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -513,9 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="ngram")
     p.add_argument("--model-file", help="pretrained n-gram model JSON")
     p.add_argument("--external-cmd", help="command for the line-protocol model")
-    p.add_argument("--order", type=int,
-                   help=f"n-gram order, --model ngram only (default {DEFAULT_ORDER})")
-    p.add_argument("--alpha", type=float,
+    p.add_argument("--order", type=_ORDER,
+                   help=f"n-gram order 1..{chal.MAX_ORDER}, --model ngram only "
+                        f"(default {DEFAULT_ORDER})")
+    p.add_argument("--alpha", type=_positive_float,
                    help=f"add-alpha smoothing, --model ngram only (default {DEFAULT_ALPHA})")
     p.add_argument("--count", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -525,8 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     _add_no_structure_arg(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--order", type=_ORDER, default=DEFAULT_ORDER,
+                   help=f"n-gram order 1..{chal.MAX_ORDER} (default %(default)s)")
+    p.add_argument("--alpha", type=_positive_float, default=DEFAULT_ALPHA,
+                   help="add-alpha smoothing (default %(default)s)")
     p.set_defaults(fn=cmd_train_model)
 
     p = sub.add_parser("generate", help="sample token sequences from a model")

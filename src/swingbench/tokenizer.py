@@ -581,6 +581,20 @@ def _group_head(category: str) -> str:
     return _group_head(next(k for k, nxt in _GROUP_GRAMMAR.items() if k and category in nxt))
 
 
+@lru_cache(maxsize=None)
+def _grammar_classes() -> tuple[list[EventToken], np.ndarray]:
+    """The vocabulary split into the classes that :meth:`_GrammarWalker.step`
+    cannot tell apart, since it reads a token's category and only a
+    Position's value: one token of each class, and each id's class."""
+    tokens = DEFAULT_VOCABULARY.ids_to_tokens(range(DEFAULT_VOCABULARY.size))
+    keys = [tok if tok.category == POSITION else tok.category for tok in tokens]
+    first: dict[object, EventToken] = {}
+    for key, tok in zip(keys, tokens):
+        first.setdefault(key, tok)
+    number = {key: i for i, key in enumerate(first)}
+    return list(first.values()), np.array([number[key] for key in keys])
+
+
 class _GrammarWalker:
     """Walks a token stream through the event grammar, one token at a time.
 
@@ -625,14 +639,17 @@ class _GrammarWalker:
 
     def allowed(self) -> np.ndarray:
         """A read-only 0/1 weight per vocabulary id: 1 where :meth:`step`
-        would accept it now.  Cached by what decides that: ``expected`` in a
-        group, ``(bar_open, last_position)`` between groups."""
+        would accept it now, asked once per class of ids it cannot tell
+        apart.  Cached by what decides that: ``expected`` in a group,
+        ``(bar_open, last_position)`` between groups."""
         key = self.expected or (self.bar_open, self.last_position)
         if key not in self._masks:
-            state, mask = vars(self).copy(), np.zeros(DEFAULT_VOCABULARY.size)
-            for i, tok in enumerate(DEFAULT_VOCABULARY.ids_to_tokens(range(len(mask)))):
-                mask[i] = self.step(tok) is None
+            (tokens, classes), state = _grammar_classes(), vars(self).copy()
+            accepts = np.zeros(len(tokens))
+            for i, tok in enumerate(tokens):
+                accepts[i] = self.step(tok) is None
                 vars(self).update(state)
+            mask = accepts[classes]
             mask.flags.writeable = False
             self._masks[key] = mask
         return self._masks[key]

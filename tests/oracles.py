@@ -6,13 +6,17 @@ explicitly, then picks the best-scoring family by weighted interval
 scheduling over the paths' row spans.  Exponential in the segment width;
 only usable for small matrices, which is the point: it shares no code with
 the production DP.  The n-gram oracle counts with one dict per order, a
-token at a time, where the model sorts numpy arrays.  The ingest references
-read, check and encode a solo one field and one token at a time, and split
-it into bars with two lookups a note.
+token at a time, where the model sorts numpy arrays, and computes each
+probability from those counts a step at a time, where the model reads
+terms it computed once.  The grammar mask oracle asks the walker about
+every vocabulary id, where the walker asks once per class of ids.  The
+ingest references read, check and encode a solo one field and one token at
+a time, and split it into bars with two lookups a note.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -40,6 +44,7 @@ from swingbench.tokenizer import (
     TEMPO,
     TEMPO_CLASS,
     EventToken,
+    _GrammarWalker,
     QuantizationError,
     TokenizationError,
     beat_for_onset,
@@ -140,6 +145,44 @@ def ngram_count_tables(sequences, order: int) -> list[dict[tuple[int, ...], dict
                 nxt = table.setdefault(tuple(seq[j - k + 1 : j]), {})
                 nxt[seq[j]] = nxt.get(seq[j], 0) + 1
     return tables
+
+
+class NGramOracle:
+    """The interpolated add-alpha n-gram computed a step at a time from the
+    dict tables: order k's term ``weight * (alpha + count(context, x)) /
+    (count(context) + alpha * V)`` over the last ``k - 1`` history tokens,
+    a context never counted having count 0, summed from k = 1 up.  These
+    are the float operations the model ran per step before it computed the
+    terms of counted grams at index build, in the same order."""
+
+    def __init__(self, sequences, order: int, vocab_size: int, alpha: float):
+        self.tables = ngram_count_tables(sequences, order)
+        weight = 1.0 / order
+        self.weight = weight / float(sum([weight] * order))
+        self.vocab_size, self.alpha = vocab_size, alpha
+
+    def probability(self, history, token: int) -> float:
+        p = 0.0
+        for m, table in enumerate(self.tables):
+            after = table.get(tuple(history[len(history) - m :]), {}) if m <= len(history) else {}
+            p += (self.weight * (self.alpha + after.get(token, 0))
+                  / (sum(after.values()) + self.alpha * self.vocab_size))
+        return p
+
+    def distribution(self, history) -> list[float]:
+        return [self.probability(history, x) for x in range(self.vocab_size)]
+
+    def score(self, context, continuation) -> list[float]:
+        history = [*context, *continuation]
+        return [self.probability(history[: len(context) + i], token)
+                for i, token in enumerate(continuation)]
+
+
+def allowed_mask_oracle(walker: _GrammarWalker) -> list[float]:
+    """The walker's grammar mask, one vocabulary id at a time: 1.0 where
+    ``step`` accepts the id from a copy of the walker's state."""
+    tokens = DEFAULT_VOCABULARY.ids_to_tokens(range(DEFAULT_VOCABULARY.size))
+    return [float(copy.copy(walker).step(tok) is None) for tok in tokens]
 
 
 # --- corpus ingest ---------------------------------------------------------

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ngram_count_tables
+from oracles import NGramOracle, ngram_count_tables
 from scipy import stats
 
 from swingbench import challenge
 from swingbench.challenge import (
     DISTRIBUTION_TOLERANCE,
+    MAX_ORDER,
     STDERR_TAIL_BYTES,
     ChallengeError,
     ChallengeQuestion,
@@ -187,8 +188,10 @@ def test_ngram_never_assigns_zero(motif_sequences):
 
 
 def test_ngram_order_validation():
-    with pytest.raises(ChallengeError):
-        NGramModel(order=0, vocab_size=5)
+    for order in (0, MAX_ORDER + 1, 100_000):
+        with pytest.raises(ChallengeError, match=rf"order must be in 1\.\.{MAX_ORDER}, got {order}"):
+            NGramModel(order=order, vocab_size=5)
+    assert len(NGramModel(order=MAX_ORDER, vocab_size=5, sequences=[[0, 1]]).index) == MAX_ORDER
 
 
 def test_train_rejects_empty_corpus():
@@ -246,6 +249,24 @@ def test_ngram_distribution_sums_to_one(case):
             assert abs(p.sum() - 1.0) <= DISTRIBUTION_TOLERANCE
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 6), st.sampled_from([0.01, 0.5, 2, 1e-9]), st.data())
+def test_ngram_readers_have_the_bits_of_the_per_step_formula(order, vocab, alpha, data):
+    # empty and short sequences; a history that follows a counted sequence
+    # and may leave it, with ids outside the vocabulary in it and as targets
+    seqs = data.draw(st.lists(st.lists(st.integers(0, vocab - 1), max_size=12), max_size=4))
+    along = data.draw(st.sampled_from(seqs)) if seqs else []
+    history = [*along[: data.draw(st.integers(0, len(along)))],
+               *data.draw(st.lists(st.integers(-2, vocab + 1), max_size=6))]
+    model, oracle = NGramModel(order, vocab, alpha, seqs), NGramOracle(seqs, order, vocab, alpha)
+    for end in range(len(history) + 1):
+        expected = np.array(oracle.distribution(history[:end]))
+        assert model.next_token_distribution(history[:end]).tobytes() == expected.tobytes()
+    cut = data.draw(st.integers(0, len(history)))
+    expected = np.array(oracle.score(history[:cut], history[cut:]), dtype=float)
+    assert model.score(history[:cut], history[cut:]).tobytes() == expected.tobytes()
+
+
 def _index_tables(model):
     """The model's count index read back as the oracle's dict tables; the
     context totals are checked on the way."""
@@ -269,7 +290,7 @@ def _index_tables(model):
 def _assert_same_index(a, b):
     assert len(a.index) == len(b.index)
     for x, y in zip(a.index, b.index):
-        for name in ("contexts", "grams", "tokens", "counts", "offsets", "totals"):
+        for name in ("contexts", "grams", "tokens", "counts", "offsets", "totals", "terms"):
             assert np.array_equal(getattr(x, name), getattr(y, name)), name
 
 
@@ -296,7 +317,8 @@ def test_count_index_matches_the_dict_oracle(order, vocab, data, query):
 
 def test_count_index_memory_is_bounded():
     # the codec-generate benchmark corpus, ~119k tokens: per-order dict
-    # tables keyed by context tuples peak at ~50 MB on it.
+    # tables keyed by context tuples peak at ~50 MB on it, int64 arrays at
+    # ~18 MB, and the narrow arrays with per-gram terms at ~14.4 MB.
     sequences = [V.tokens_to_ids(encode_solo(s))
                  for s in random_corpus(1, 100, prefix="codec", n_bars=32)]
     assert sum(map(len, sequences)) > 100_000
@@ -307,7 +329,7 @@ def test_count_index_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 30 * 2**20
+    assert peak < 18 * 2**20
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 6, 9])

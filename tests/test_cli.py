@@ -519,6 +519,50 @@ def test_negative_seed_is_a_usage_error(argv, capsys):
     assert f"--seed: must be at least 0, got {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["challenge", "train-model"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--order", "0", "must be at least 1, got 0"),
+    ("--order", str(chal.MAX_ORDER + 1), f"must be at most {chal.MAX_ORDER}, got {chal.MAX_ORDER + 1}"),
+    ("--order", "100000", f"must be at most {chal.MAX_ORDER}, got 100000"),
+    ("--alpha", "nan", "must be finite, got nan"),
+    ("--alpha", "inf", "must be finite, got inf"),
+    ("--alpha", "0", "must be positive, got 0"),
+    ("--alpha", "-0.5", "must be positive, got -0.5"),
+])
+def test_order_and_alpha_out_of_range_are_usage_errors_naming_the_flag(
+    command, flag, value, message, capsys
+):
+    # refused before the corpus is read, which here does not exist
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--corpus", "missing.jsonl", "--out", "o", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["challenge", "train-model"])
+def test_order_up_to_the_bound_is_accepted(command):
+    args = build_parser().parse_args(
+        [command, "--corpus", "c.jsonl", "--out", "o", "--order", str(chal.MAX_ORDER)]
+    )
+    assert args.order == chal.MAX_ORDER
+
+
+@pytest.mark.parametrize("command", ["generate", "challenge"])
+def test_model_file_of_an_order_past_the_bound_is_a_named_error(
+    tmp_path, motif_file, capsys, command
+):
+    model_path = tmp_path / "deep.json"
+    data = {"order": chal.MAX_ORDER + 8, "vocab_size": chal.VOCAB.size, "alpha": 0.01,
+            "sequences": [[chal.VOCAB.bar_token_id]]}
+    model_path.write_text(json.dumps(data), encoding="utf-8")
+    source = [] if command == "generate" else ["--corpus", motif_file, "--count", 2]
+    code = run(command, "--model-file", model_path, "--out", tmp_path / "out", *source)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: n-gram order must be in 1..{chal.MAX_ORDER}, got {chal.MAX_ORDER + 8}\n"
+    )
+
+
 def test_every_generated_file_decodes_as_it_is(tmp_path, motif_file):
     # every cap from 1 to 40 tokens, so that some cut an event group open
     model_path = tmp_path / "model.json"

@@ -1,5 +1,5 @@
 """Seeded timings of the scape-plot DP, compiled kernel against numpy, of
-the external-model line protocol and of corpus ingest.
+the external-model line protocol, of corpus ingest and of the n-gram model.
 
     python3 tools/bench_kernel.py fixed-n --out fixed.json
     python3 tools/bench_kernel.py yardstick --out yardstick.json
@@ -20,7 +20,12 @@ the first 100, 400 and 700 ids of the same seeded sequence, and reports
 microseconds per request.  It also times ingest on the corpus of the
 ``codec-generate`` workload of ``perfbench`` (100 random solos x 32 bars,
 built with seed = SEED): ``load_corpus`` in microseconds per note and
-``encode_solo`` in microseconds per token, medians of 5.
+``encode_solo`` in microseconds per token, medians of 5.  On the same
+corpus it trains the order-5 n-gram and reports the build of its count
+index (median of 5), the ``tracemalloc`` peak and kept bytes of one build
+per token, and microseconds per ``generate_tokens`` step: two pieces
+capped at GEN_TOKENS tokens (seeds SEED and SEED + 1) per repeat, median
+of 5 repeats.  The first repeat also builds the grammar masks.
 
 ``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
 holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
@@ -31,8 +36,8 @@ installed in the child.
 ``assemble`` puts these files together with the ``results.jsonl`` records
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
 of ``perfbench/compare.py`` on them.  ``--parent-fixed-n`` is the output
-of ``fixed-n`` run in a checkout of the parent, whose line-protocol and
-ingest timings are set beside the change's.
+of ``fixed-n`` run in a checkout of the parent, whose line-protocol,
+ingest and n-gram numbers are set beside the change's.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +59,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from swingbench import cli, metrics, structure  # noqa: E402
-from swingbench.challenge import SubprocessModel  # noqa: E402
+from swingbench.challenge import SubprocessModel, generate_tokens, train_ngram  # noqa: E402
 from swingbench.corpus import load_corpus, save_corpus  # noqa: E402
 from swingbench.synthetic import random_solo  # noqa: E402
 from swingbench.tokenizer import DEFAULT_VOCABULARY as VOCAB, encode_solo  # noqa: E402
@@ -66,6 +72,9 @@ SCORED = 300
 RESPONDER = ROOT / "perfbench" / "responder.py"
 SOLOS = 456
 SEED = 0
+# n-gram order, and the cap on each generated piece, of the codec-generate workload
+ORDER = 5
+GEN_TOKENS = 3000
 # Stages of ``report --corpus`` timed in the yardstick child: (module, name).
 STAGES = [
     (cli, "load_corpus"),
@@ -114,7 +123,8 @@ def line_protocol() -> dict:
     }
 
 
-def ingest() -> dict:
+def ingest() -> tuple[dict, list[list[int]]]:
+    """Ingest timings, and the token ids of the corpus they ingest."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -139,12 +149,53 @@ def ingest() -> dict:
     print(f"ingest, {len(solos)} solos: load_corpus "
           f"{result['median_load_corpus_us_per_note']:.2f} us a note, encode_solo "
           f"{result['median_encode_solo_us_per_token']:.3f} us a token", file=sys.stderr)
+    return result, [VOCAB.tokens_to_ids(tokens) for tokens in encoded]
+
+
+def ngram(sequences: list[list[int]]) -> dict:
+    tokens = sum(map(len, sequences))
+    build_s = []
+    for _ in range(5):
+        model = train_ngram(sequences, ORDER, VOCAB.size)
+        start = time.perf_counter()
+        model.index
+        build_s.append(time.perf_counter() - start)
+    model = train_ngram(sequences, ORDER, VOCAB.size)
+    tracemalloc.start()
+    try:
+        model.index
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no piece reaches its bar target, so each samples GEN_TOKENS - 1 ids after its Bar
+    step_s, _ = timed(lambda: [generate_tokens(model, [VOCAB.bar_token_id], target_bars=10**6,
+                                               seed=SEED + i, max_tokens=GEN_TOKENS)
+                               for i in range(2)], 5)
+    steps = 2 * (GEN_TOKENS - 1)
+    step_us = [1e6 * t / steps for t in step_s]
+    result = {
+        "corpus": "perfbench codec-generate inputs, seed = SEED",
+        "order": ORDER,
+        "tokens": tokens,
+        "index_build_s": build_s,
+        "median_index_build_s": statistics.median(build_s),
+        "index_peak_bytes_per_token": peak / tokens,
+        "index_kept_bytes_per_token": kept / tokens,
+        "generate": f"2 pieces capped at {GEN_TOKENS} tokens after one Bar, seeds SEED, SEED + 1",
+        "sampled_tokens": steps,
+        "generate_us_per_step": step_us,
+        "median_generate_us_per_step": statistics.median(step_us),
+    }
+    print(f"n-gram, {tokens} tokens: index build {result['median_index_build_s']:.3f} s, "
+          f"peak {peak / tokens:.1f} and kept {kept / tokens:.1f} bytes a token; generate "
+          f"{result['median_generate_us_per_step']:.1f} us a step", file=sys.stderr)
     return result
 
 
 def fixed_n() -> dict:
     protocol = line_protocol()
-    ingested = ingest()
+    ingested, sequences = ingest()
+    ngram_model = ngram(sequences)
     start = time.perf_counter()
     kernel = structure._kernel()
     load_s = time.perf_counter() - start
@@ -180,6 +231,7 @@ def fixed_n() -> dict:
         "points": points,
         "line_protocol": protocol,
         "ingest": ingested,
+        "ngram": ngram_model,
     }
 
 
@@ -270,7 +322,7 @@ def assemble(args) -> dict:
     spec = load(ROOT / "BENCHMARK.json")
     fixed, parent_fixed, yard = load(args.fixed_n), load(args.parent_fixed_n), load(args.yardstick)
     sides = {}
-    for key in ("line_protocol", "ingest"):
+    for key in ("line_protocol", "ingest", "ngram"):
         sides[key] = {"change": fixed.pop(key)}
         if parent_fixed:
             sides[key]["parent"] = parent_fixed[key]
