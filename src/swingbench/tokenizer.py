@@ -587,12 +587,10 @@ def _grammar_classes() -> tuple[list[EventToken], np.ndarray]:
     cannot tell apart, since it reads a token's category and only a
     Position's value: one token of each class, and each id's class."""
     tokens = DEFAULT_VOCABULARY.ids_to_tokens(range(DEFAULT_VOCABULARY.size))
-    keys = [tok if tok.category == POSITION else tok.category for tok in tokens]
-    first: dict[object, EventToken] = {}
-    for key, tok in zip(keys, tokens):
-        first.setdefault(key, tok)
-    number = {key: i for i, key in enumerate(first)}
-    return list(first.values()), np.array([number[key] for key in keys])
+    number: dict[object, int] = {}  # a class's key -> its number, in the order of its first id
+    classes = [number.setdefault(tok if tok.category == POSITION else tok.category, len(number))
+               for tok in tokens]
+    return [tokens[classes.index(c)] for c in range(len(number))], np.array(classes)
 
 
 class _GrammarWalker:

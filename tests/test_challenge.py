@@ -189,7 +189,8 @@ def test_ngram_never_assigns_zero(motif_sequences):
 
 def test_ngram_order_validation():
     for order in (0, MAX_ORDER + 1, 100_000):
-        with pytest.raises(ChallengeError, match=rf"order must be in 1\.\.{MAX_ORDER}, got {order}"):
+        message = rf"order must be in 1\.\.{MAX_ORDER}, got {order}"
+        with pytest.raises(ChallengeError, match=message):
             NGramModel(order=order, vocab_size=5)
     assert len(NGramModel(order=MAX_ORDER, vocab_size=5, sequences=[[0, 1]]).index) == MAX_ORDER
 

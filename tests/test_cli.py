@@ -522,7 +522,8 @@ def test_negative_seed_is_a_usage_error(argv, capsys):
 @pytest.mark.parametrize("command", ["challenge", "train-model"])
 @pytest.mark.parametrize("flag, value, message", [
     ("--order", "0", "must be at least 1, got 0"),
-    ("--order", str(chal.MAX_ORDER + 1), f"must be at most {chal.MAX_ORDER}, got {chal.MAX_ORDER + 1}"),
+    ("--order", str(chal.MAX_ORDER + 1),
+     f"must be at most {chal.MAX_ORDER}, got {chal.MAX_ORDER + 1}"),
     ("--order", "100000", f"must be at most {chal.MAX_ORDER}, got 100000"),
     ("--alpha", "nan", "must be finite, got nan"),
     ("--alpha", "inf", "must be finite, got inf"),
