@@ -185,20 +185,20 @@ class _CountLevel:
     gram seen, sorted, so the grams after context ``c`` are the slice
     ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens``, ``counts`` and
     ``terms``, each gram's weighted add-alpha term.  Codes are int64;
-    tokens, counts, offsets and totals take the narrowest integer type
-    that holds them.
+    tokens take the narrowest integer type that holds an id, and offsets
+    and totals the type of ``counts``, which the build narrows to hold
+    its token count.
     """
 
     def __init__(self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray,
                  weight: float, alpha: float, vocab_size: int):
-        count_type = _int_type(int(counts.sum()))
         self.contexts = contexts
         self.grams = grams
         self.tokens = (grams % vocab_size).astype(_int_type(vocab_size - 1))
-        self.counts = counts.astype(count_type)
+        self.counts = counts
         offsets = np.searchsorted(grams, np.arange(len(contexts) + 1) * vocab_size)
-        self.offsets = offsets.astype(count_type)
-        self.totals = np.diff(np.concatenate(([0], np.cumsum(counts)))[offsets]).astype(count_type)
+        self.offsets = offsets.astype(counts.dtype)
+        self.totals = np.diff(np.concatenate(([0], np.cumsum(counts)))[offsets]).astype(counts.dtype)
         self.terms = _add_alpha(weight, alpha, self.counts,
                                 np.repeat(self.totals, np.diff(offsets)), vocab_size)
 
@@ -225,11 +225,9 @@ def _build_index(
             at, depth = at[keep], depth[keep]
             ids = ids[keep] * vocab_size + tokens[at - m]  # the codes; frees the last ids
             contexts, ids = np.unique(ids, return_inverse=True)
-        # left unnamed, the full-width counts are freed once the level holds narrow ones
-        levels.append(_CountLevel(
-            contexts, *np.unique(ids * vocab_size + tokens[at], return_counts=True),
-            weight, alpha, vocab_size,
-        ))
+        grams, counts = np.unique(ids * vocab_size + tokens[at], return_counts=True)
+        counts = counts.astype(position)  # frees the full-width counts
+        levels.append(_CountLevel(contexts, grams, counts, weight, alpha, vocab_size))
     return levels
 
 
