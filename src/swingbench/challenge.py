@@ -198,7 +198,8 @@ class _CountLevel:
         self.counts = counts
         offsets = np.searchsorted(grams, np.arange(len(contexts) + 1) * vocab_size)
         self.offsets = offsets.astype(counts.dtype)
-        self.totals = np.diff(np.concatenate(([0], np.cumsum(counts)))[offsets]).astype(counts.dtype)
+        # every context is followed by a gram, so each slice ends on one
+        self.totals = np.diff(np.cumsum(counts)[offsets[1:] - 1], prepend=0).astype(counts.dtype)
         self.terms = _add_alpha(weight, alpha, self.counts,
                                 np.repeat(self.totals, np.diff(offsets)), vocab_size)
 
