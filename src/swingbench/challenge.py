@@ -107,53 +107,123 @@ class UniformModel(SequenceModel):
         return np.full(len(continuation), 1.0 / self.vocab_size)
 
 
+def _int_type(largest: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds ``largest``."""
+    return next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
+
+
+def _token_store(pieces: Sequence[Sequence[int]], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """How a model holds the token corpus it memorises: the pieces' ids in
+    one flat array of the narrowest integer type that holds an id (2 bytes
+    a token at the default vocabulary, where a list of Python ints takes 8
+    or more), and the length of each piece.  An id outside
+    ``[0, vocab_size)`` is refused."""
+    lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    try:
+        ids = np.fromiter(chain.from_iterable(pieces), dtype=_int_type(vocab_size - 1),
+                          count=int(lengths.sum()))
+        inside = not len(ids) or (0 <= ids.min() and ids.max() < vocab_size)
+    except OverflowError:  # wider than the type, so outside the vocabulary too
+        inside = False
+    if not inside:
+        raise ChallengeError(f"token id outside [0, {vocab_size})")
+    return ids, lengths
+
+
+def _common_length(a: list[int], b: Sequence[int]) -> int:
+    """The length of the longest common prefix of two sequences of one length."""
+    if a == list(b):  # the common case, at the speed of a list comparison
+        return len(a)
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
 class CorpusOracleModel(SequenceModel):
     """Memorizes a corpus and predicts its continuation with certainty.
 
     When the history is a prefix of some memorized piece the next token
     of that piece gets probability ``1 - ORACLE_EPSILON``; otherwise the model
     falls back to uniform.  Useful as a calibration ceiling.
+
+    The pieces are kept as one flat id array (``_token_store``) in
+    lexicographic order, less each piece that is a prefix of another and
+    so adds no prefix.  The pieces a history is a prefix of are then a
+    range of that order, a node: each token narrows the range by a binary
+    search on its column, and once one piece is left the rest of a
+    history is compared with it in one slice.  The next tokens after a
+    history are the distinct ids at its column in its range.
     """
 
     def __init__(self, pieces: Sequence[Sequence[int]], vocab_size: int):
         self.vocab_size = vocab_size
-        self._trie: dict = {}  # one nested dict per token: memory linear in the corpus
-        for piece in pieces:
-            node = self._trie
-            for token in piece:
-                node = node.setdefault(token, {})
+        ids, lengths = _token_store(pieces, vocab_size)
+        # the ids as unsigned big-endian bytes sort as the pieces do, a prefix first
+        raw = np.dtype(f">u{ids.itemsize}")
+        keys = sorted(ids[start:start + length].astype(raw).tobytes()
+                      for start, length in zip((np.cumsum(lengths) - lengths).tolist(),
+                                               lengths.tolist()))
+        # a piece that is a prefix of another is a prefix of the next one in this order
+        keys = [key for key, after in zip(keys, keys[1:]) if not after.startswith(key)] + keys[-1:]
+        self._lengths = np.array([len(key) // raw.itemsize for key in keys], dtype=np.int64)
+        self._starts = np.cumsum(self._lengths) - self._lengths
+        self._ids = np.frombuffer(b"".join(keys), dtype=raw).astype(ids.dtype)
 
-    def _node(self, history: Sequence[int]) -> dict | None:
-        """The trie node a history leads to; None once it leaves the corpus."""
-        node = self._trie
-        for token in history:
-            node = node.get(token)
-            if node is None:
+    def _follow(self, node: tuple[int, int, int], tokens: Sequence[int],
+                out: np.ndarray | None = None) -> tuple[int, int, int]:
+        """The node that ``tokens`` lead to from ``node``: the range ``lo:hi``
+        of the pieces that hold the history as a prefix, and the history's
+        length; the range is empty once the history leaves the corpus.  With
+        ``out``, each token's probability is written to it, except off the
+        corpus or past the end of a piece."""
+        lo, hi, depth = node
+        floor = ORACLE_EPSILON / self.vocab_size
+        for i, token in enumerate(tokens):
+            if hi - lo == 1:  # one piece left: follow it with the rest of the tokens at once
+                start = self._starts.item(lo) + depth
+                end = self._starts.item(lo) + self._lengths.item(lo)
+                rest = self._ids[start : min(end, start + len(tokens) - i)].tolist()
+                same = _common_length(rest, tokens[i : i + len(rest)])
+                if out is not None:
+                    out[i : i + same] = floor + (1.0 - ORACLE_EPSILON)  # one next id
+                    if same < len(rest):  # the piece goes on with another id
+                        out[i + same] = floor
+                return (lo, hi, depth + same) if i + same == len(tokens) else (lo, lo, depth)
+            if lo == hi:
                 break
-        return node
+            # ascending, and no piece of two or more ends at the history's length
+            column = self._ids[self._starts[lo:hi] + depth]
+            if 0 <= token < self.vocab_size:
+                needle = column.dtype.type(token)
+                first, last = column.searchsorted(needle), column.searchsorted(needle, "right")
+            else:  # never stored
+                first = last = 0
+            if out is not None:
+                distinct = 1 + np.count_nonzero(column[1:] != column[:-1])
+                out[i] = floor + (1.0 - ORACLE_EPSILON) / distinct if first < last else floor
+            lo, hi, depth = lo + int(first), lo + int(last), depth + 1
+        return lo, hi, depth
+
+    def _next_ids(self, history: Sequence[int]) -> np.ndarray:
+        """The ids that follow ``history`` in the corpus, ascending."""
+        lo, hi, depth = self._follow((0, len(self._lengths), 0), history)
+        if hi - lo == 1:
+            start = self._starts.item(lo) + depth
+            return self._ids[start : min(start + 1, self._starts.item(lo) + self._lengths.item(lo))]
+        column = self._ids[self._starts[lo:hi] + depth]
+        return column[np.r_[True, column[1:] != column[:-1]]] if len(column) else column
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        node = self._node(history)
-        if not node:
+        following = self._next_ids(history)
+        if not len(following):
             return np.full(self.vocab_size, 1.0 / self.vocab_size)
         p = np.full(self.vocab_size, ORACLE_EPSILON / self.vocab_size)
-        p[sorted(node)] += (1.0 - ORACLE_EPSILON) / len(node)
+        p[following] += (1.0 - ORACLE_EPSILON) / len(following)
         return p
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
-        """Walks the context down the trie once, then one node per token;
-        each entry has the bits of the dense distribution's."""
-        node = self._node(context)
-        floor = ORACLE_EPSILON / self.vocab_size
-        out = np.empty(len(continuation))
-        for i, token in enumerate(continuation):
-            if not node:  # off the corpus or past the end of a piece
-                out[i] = 1.0 / self.vocab_size
-            elif token in node:
-                out[i] = floor + (1.0 - ORACLE_EPSILON) / len(node)
-            else:
-                out[i] = floor
-            node = node.get(token) if node else None
+        """Follows the context once, then the continuation a token at a
+        time; each entry has the bits of the dense distribution's."""
+        out = np.full(len(continuation), 1.0 / self.vocab_size)  # off the corpus or past a piece
+        self._follow(self._follow((0, len(self._lengths), 0), context), continuation, out)
         return out
 
 
@@ -171,11 +241,6 @@ def _add_alpha(weight: float, alpha: float, count, total, vocab_size: int):
     return weight * (alpha + count) / (total + alpha * vocab_size)
 
 
-def _int_type(largest: int) -> type:
-    """The narrowest of int16, int32 and int64 that holds ``largest``."""
-    return next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
-
-
 class _CountLevel:
     """The n-gram counts of one context length ``m``, as sorted arrays.
 
@@ -184,10 +249,12 @@ class _CountLevel:
     rank in ``contexts``.  ``grams`` holds ``id * V + next token`` for every
     gram seen, sorted, so the grams after context ``c`` are the slice
     ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens``, ``counts`` and
-    ``terms``, each gram's weighted add-alpha term.  Codes are int64;
-    tokens take the narrowest integer type that holds an id, and offsets
-    and totals the type of ``counts``, which the build narrows to hold
-    its token count.
+    ``terms``, each gram's weighted add-alpha term.  Codes take the
+    narrowest integer type that holds the token count times V, tokens the
+    narrowest that holds an id, and offsets and totals the type of
+    ``counts``, which the build narrows to hold its token count.  Every
+    binary search casts its needles to the type of the codes it searches:
+    a wider needle would copy the whole array to its type on every call.
     """
 
     def __init__(self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray,
@@ -196,7 +263,8 @@ class _CountLevel:
         self.grams = grams
         self.tokens = (grams % vocab_size).astype(_int_type(vocab_size - 1))
         self.counts = counts
-        offsets = np.searchsorted(grams, np.arange(len(contexts) + 1) * vocab_size)
+        bounds = np.arange(len(contexts) + 1, dtype=grams.dtype) * vocab_size  # each id's first code
+        offsets = np.searchsorted(grams, bounds)
         self.offsets = offsets.astype(counts.dtype)
         # every context is followed by a gram, so each slice ends on one
         self.totals = np.diff(np.cumsum(counts)[offsets[1:] - 1], prepend=0).astype(counts.dtype)
@@ -205,19 +273,18 @@ class _CountLevel:
 
 
 def _build_index(
-    sequences: list[list[int]], weights: Sequence[float], alpha: float, vocab_size: int
+    tokens: np.ndarray, lengths: np.ndarray, weights: Sequence[float], alpha: float,
+    vocab_size: int,
 ) -> list[_CountLevel]:
-    """One ``_CountLevel`` per context length 0 .. len(weights) - 1.  A
-    position counts at length ``m`` only when its ``m`` context tokens lie
-    inside its own sequence."""
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    n = int(lengths.sum())
-    position = _int_type(n)
-    tokens = np.fromiter(chain.from_iterable(sequences), dtype=_int_type(vocab_size - 1), count=n)
+    """One ``_CountLevel`` per context length 0 .. len(weights) - 1 over a
+    ``_token_store``.  A position counts at length ``m`` only when its
+    ``m`` context tokens lie inside its own sequence."""
+    n = len(tokens)
+    position, code = _int_type(n), _int_type(max(n, 1) * vocab_size)
     at = np.arange(n, dtype=position)  # the positions with a context of the current length
     # how many tokens of its own sequence precede each of them
     depth = at - np.repeat((np.cumsum(lengths) - lengths).astype(position), lengths)
-    ids = np.zeros(n, dtype=np.int64)  # every position has the empty context, id 0
+    ids = np.zeros(n, dtype=code)  # every position has the empty context, id 0
     contexts = np.unique(ids[:1])
     levels = []
     for m, weight in enumerate(weights):
@@ -226,6 +293,7 @@ def _build_index(
             at, depth = at[keep], depth[keep]
             ids = ids[keep] * vocab_size + tokens[at - m]  # the codes; frees the last ids
             contexts, ids = np.unique(ids, return_inverse=True)
+            ids = ids.astype(code)  # frees the full-width ids
         grams, counts = np.unique(ids * vocab_size + tokens[at], return_counts=True)
         counts = counts.astype(position)  # frees the full-width counts
         levels.append(_CountLevel(contexts, grams, counts, weight, alpha, vocab_size))
@@ -236,7 +304,8 @@ def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The index of each code in ``sorted_codes``, or -1 where it is absent."""
     if not len(sorted_codes):
         return np.full(len(codes), -1)
-    at = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+    needles = codes.astype(sorted_codes.dtype)  # every code here fits the type, -1 too
+    at = np.minimum(np.searchsorted(sorted_codes, needles), len(sorted_codes) - 1)
     return np.where(sorted_codes[at] == codes, at, -1)
 
 
@@ -279,15 +348,19 @@ class NGramModel(SequenceModel):
         # every distribution and every model file written so far has these bits
         weight = 1.0 / order
         self.weights = (weight / float(sum([weight] * order)),) * order
-        self.sequences = [[int(t) for t in seq] for seq in sequences]  # what to_dict saves
-        for seq in self.sequences:
-            if seq and not (0 <= min(seq) and max(seq) < vocab_size):
-                raise ChallengeError(f"token id outside [0, {vocab_size})")
+        self._tokens, self._lengths = _token_store(sequences, vocab_size)
+
+    @property
+    def sequences(self) -> list[list[int]]:
+        """The sequences the model is built from, as lists: what ``to_dict`` saves."""
+        starts = (np.cumsum(self._lengths) - self._lengths).tolist()
+        return [self._tokens[s : s + n].tolist() for s, n in zip(starts, self._lengths.tolist())]
 
     @cached_property
     def index(self) -> list[_CountLevel]:
         """The counts of every sequence: level ``m`` for contexts of ``m`` tokens."""
-        return _build_index(self.sequences, self.weights, self.alpha, self.vocab_size)
+        return _build_index(self._tokens, self._lengths, self.weights, self.alpha,
+                            self.vocab_size)
 
     def _context_ids(self, history: Sequence[int]) -> list[int]:
         """Ids of the history's last 0, 1, 2 ... tokens as contexts, up to
@@ -300,7 +373,7 @@ class NGramModel(SequenceModel):
                 if not 0 <= token < self.vocab_size:  # never counted; its code would alias
                     break
                 code = ids[-1] * self.vocab_size + token
-            at = int(level.contexts.searchsorted(code))
+            at = int(level.contexts.searchsorted(level.contexts.dtype.type(code)))
             if at == len(level.contexts) or level.contexts.item(at) != code:
                 break
             ids.append(at)

@@ -5,7 +5,9 @@ The fitness oracle enumerates every admissible path over a segment
 explicitly, then picks the best-scoring family by weighted interval
 scheduling over the paths' row spans.  Exponential in the segment width;
 only usable for small matrices, which is the point: it shares no code with
-the production DP.  The n-gram oracle counts with one dict per order, a
+the production DP.  The corpus oracle's reference keeps a trie of nested
+dicts, one per prefix of a piece, where the model binary-searches one
+sorted id array.  The n-gram oracle counts with one dict per order, a
 token at a time, where the model sorts numpy arrays, and computes each
 probability from those counts a step at a time, where the model reads
 terms it computed once.  The grammar mask oracle asks the walker about
@@ -21,6 +23,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from swingbench.challenge import ORACLE_EPSILON
 from swingbench.chords import ChordError, ChordSymbol, parse_chord
 from swingbench.corpus import DEFAULT_MLU_LABELS, Beat, CorpusError, FormPart, Note, Solo
 from swingbench.metrics import BarContent
@@ -132,6 +137,51 @@ def fitness_oracle(ssm, start: int, end: int) -> float:
     if score_norm <= 0 or cov_norm <= 0:
         return 0.0
     return 2.0 * score_norm * cov_norm / (score_norm + cov_norm)
+
+
+class TrieOracle:
+    """The corpus oracle on a trie of nested dicts, a node per prefix of a
+    piece: next to the history's node its children get ``1 - epsilon``
+    shared equally and every id ``epsilon / V``; off the trie or at a leaf
+    the distribution is uniform."""
+
+    def __init__(self, pieces, vocab_size: int):
+        self.vocab_size = vocab_size
+        self.trie: dict = {}
+        for piece in pieces:
+            node = self.trie
+            for token in piece:
+                node = node.setdefault(token, {})
+
+    def _node(self, history) -> dict | None:
+        node = self.trie
+        for token in history:
+            node = node.get(token)
+            if node is None:
+                break
+        return node
+
+    def next_token_distribution(self, history) -> np.ndarray:
+        node = self._node(history)
+        if not node:
+            return np.full(self.vocab_size, 1.0 / self.vocab_size)
+        p = np.full(self.vocab_size, ORACLE_EPSILON / self.vocab_size)
+        p[sorted(node)] += (1.0 - ORACLE_EPSILON) / len(node)
+        return p
+
+    def score(self, context, continuation) -> np.ndarray:
+        node = self._node(context)
+        floor = ORACLE_EPSILON / self.vocab_size
+        out = np.empty(len(continuation))
+        for i, token in enumerate(continuation):
+            if not node:  # off the corpus or past the end of a piece
+                out[i] = 1.0 / self.vocab_size
+            elif token in node:
+                out[i] = floor + (1.0 - ORACLE_EPSILON) / len(node)
+            else:
+                out[i] = floor
+            node = node.get(token) if node else None
+        return out
 
 
 def ngram_count_tables(sequences, order: int) -> list[dict[tuple[int, ...], dict[int, int]]]:

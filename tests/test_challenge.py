@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NGramOracle, ngram_count_tables
+from oracles import NGramOracle, TrieOracle, ngram_count_tables
 from scipy import stats
 
 from swingbench import challenge
@@ -146,18 +146,63 @@ def test_oracle_score_is_the_dense_entry(pieces, data):
         _assert_score_is_the_dense_entry(model, context, continuation)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_oracle_has_the_bits_of_the_trie(vocab, data):
+    pieces = data.draw(st.lists(st.lists(st.integers(0, vocab - 1), max_size=8), max_size=5))
+    # prefixes of other pieces, repeated pieces and empty pieces
+    for piece in data.draw(st.lists(st.sampled_from(pieces), max_size=3)) if pieces else []:
+        pieces.append(piece[: data.draw(st.integers(0, len(piece)))])
+    pieces = data.draw(st.permutations(pieces))
+    # a history along a piece that may run past its end or leave it, with
+    # ids outside the vocabulary
+    along = data.draw(st.sampled_from(pieces)) if pieces else []
+    history = [*along[: data.draw(st.integers(0, len(along)))],
+               *data.draw(st.lists(st.integers(-2, vocab + 1), max_size=6))]
+    model, trie = CorpusOracleModel(pieces, vocab), TrieOracle(pieces, vocab)
+    for cut in range(len(history) + 1):
+        head, tail = history[:cut], history[cut:]
+        assert (model.next_token_distribution(head).tobytes()
+                == trie.next_token_distribution(head).tobytes())
+        assert model.score(head, tail).tobytes() == trie.score(head, tail).tobytes()
+
+
+def test_oracle_scores_the_challenge_as_the_trie(motif_sequences, questions):
+    model, trie = CorpusOracleModel(motif_sequences, V.size), TrieOracle(motif_sequences, V.size)
+    for question in questions:
+        for candidate in question.candidates:
+            got = model.score(question.prompt, candidate)
+            assert got.tobytes() == trie.score(question.prompt, candidate).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 2**70])
+@pytest.mark.parametrize(
+    "build",
+    [CorpusOracleModel, lambda pieces, vocab_size: NGramModel(2, vocab_size, sequences=pieces)],
+    ids=["oracle", "ngram"],
+)
+def test_memorising_models_refuse_ids_outside_the_vocabulary(build, bad):
+    # an oracle that kept -1 put the mass of the next id on id 3 in its
+    # dense distribution (numpy wraps the index) while score gave 3 the floor
+    with pytest.raises(ChallengeError, match=r"token id outside \[0, 4\)"):
+        build([[1, bad, 2], [0, 1]], vocab_size=4)
+
+
 def test_oracle_memory_grows_linearly():
     # ~33.6k tokens, one piece of 80 bars per motif: a map keyed on every
-    # prefix of every piece holds ~460 MB here, a trie a few MB.
+    # prefix of every piece holds ~460 MB here, and a trie of nested dicts
+    # 223 bytes a token; one sorted array of int16 ids keeps 2.
     pieces = [V.tokens_to_ids(encode_solo(s)) for s in motif_corpus(10, n_bars=80)]
-    assert sum(map(len, pieces)) > 33_000
+    tokens = sum(map(len, pieces))
+    assert tokens > 33_000
     tracemalloc.start()
     try:
-        CorpusOracleModel(pieces, V.size)
-        _, peak = tracemalloc.get_traced_memory()
+        model = CorpusOracleModel(pieces, V.size)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2**20
+    assert kept <= 16 * tokens and peak <= 16 * tokens  # measured 2.0 and 8.1 bytes a token
+    assert model.score(pieces[3][:100], pieces[3][100:]).min() > 0.99
 
 
 # --- n-gram -----------------------------------------------------------------
@@ -293,6 +338,7 @@ def _assert_same_index(a, b):
     for x, y in zip(a.index, b.index):
         for name in ("contexts", "grams", "tokens", "counts", "offsets", "totals", "terms"):
             assert np.array_equal(getattr(x, name), getattr(y, name)), name
+            assert getattr(x, name).dtype == getattr(y, name).dtype, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,7 +365,8 @@ def test_count_index_matches_the_dict_oracle(order, vocab, data, query):
 def test_count_index_memory_is_bounded():
     # the codec-generate benchmark corpus, ~119k tokens: per-order dict
     # tables keyed by context tuples peak at ~50 MB on it, int64 arrays at
-    # ~18 MB, and the narrow arrays with per-gram terms at ~13.7 MB.
+    # ~18 MB, the narrow arrays with per-gram terms and int64 codes at
+    # ~13.7 MB, and with narrow codes and a flat token store at ~10.5 MB.
     sequences = [V.tokens_to_ids(encode_solo(s))
                  for s in random_corpus(1, 100, prefix="codec", n_bars=32)]
     assert sum(map(len, sequences)) > 100_000
@@ -330,7 +377,37 @@ def test_count_index_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 17 * 2**20
+    assert peak < 12.5 * 2**20
+
+
+@pytest.mark.parametrize(
+    ("vocab", "sequences", "code"),
+    [(5, [[0, 1, 2, 3, 4] * 4, []], np.int16), (V.size, None, np.int32),
+     (2**20, [list(range(0, 2**20, 349))], np.int64)],
+    ids=["int16", "int32", "int64"],
+)
+def test_count_index_codes_are_the_narrowest_that_hold_n_times_v(motif_sequences, vocab,
+                                                                 sequences, code):
+    sequences = motif_sequences if sequences is None else sequences
+    assert challenge._int_type(sum(map(len, sequences)) * vocab) is code
+    model = train_ngram(sequences, order=4, vocab_size=vocab)
+    for level in model.index:
+        assert level.contexts.dtype == level.grams.dtype == code
+    assert _index_tables(model) == ngram_count_tables(sequences, 4)
+    _assert_score_is_the_dense_entry(model, sequences[0][:3], sequences[0][3:9])
+
+
+def test_saved_model_loads_to_the_same_index_and_file(tmp_path, motif_sequences):
+    sequences = [[], motif_sequences[0], [], [7], motif_sequences[1][:50]]
+    model = train_ngram(sequences, order=5, vocab_size=V.size)
+    saved, again = tmp_path / "model.json", tmp_path / "again.json"
+    model.save(saved)
+    loaded = NGramModel.load(saved)
+    loaded.save(again)
+    assert again.read_bytes() == saved.read_bytes()
+    assert json.loads(saved.read_text(encoding="utf-8"))["sequences"] == sequences
+    assert loaded.sequences == model.sequences == sequences
+    _assert_same_index(loaded, model)
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 6, 9])

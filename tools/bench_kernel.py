@@ -23,9 +23,15 @@ built with seed = SEED): ``load_corpus`` in microseconds per note and
 ``encode_solo`` in microseconds per token, medians of 5.  On the same
 corpus it trains the order-5 n-gram and reports the build of its count
 index (median of 5), the ``tracemalloc`` peak and kept bytes of one build
-per token, and microseconds per ``generate_tokens`` step: two pieces
+per token, the bytes a token that the trained model and its index keep
+together, and microseconds per ``generate_tokens`` step: two pieces
 capped at GEN_TOKENS tokens (seeds SEED and SEED + 1) per repeat, median
-of 5 repeats.  The first repeat also builds the grammar masks.
+of 5 repeats.  The first repeat also builds the grammar masks.  It
+builds the corpus oracle on the same corpus and reports the
+``tracemalloc`` peak and kept bytes of the build per token, then times
+the oracle over the questions of the ``challenge-motif`` workload's
+oracle leg (its motif corpus and questions, seed MOTIF_SEED), in
+microseconds per scored token, median of 5.
 
 ``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
 holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
@@ -37,7 +43,8 @@ installed in the child.
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
 of ``perfbench/compare.py`` on them.  ``--parent-fixed-n`` is the output
 of ``fixed-n`` run in a checkout of the parent, whose line-protocol,
-ingest and n-gram numbers are set beside the change's.
+ingest, n-gram and oracle numbers are set beside the change's; a section
+the parent's file lacks is left out of its side.
 """
 
 from __future__ import annotations
@@ -59,7 +66,14 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from swingbench import cli, metrics, structure  # noqa: E402
-from swingbench.challenge import SubprocessModel, generate_tokens, train_ngram  # noqa: E402
+from swingbench.challenge import (  # noqa: E402
+    CorpusOracleModel,
+    SubprocessModel,
+    build_questions,
+    generate_tokens,
+    run_challenge,
+    train_ngram,
+)
 from swingbench.corpus import load_corpus, save_corpus  # noqa: E402
 from swingbench.synthetic import random_solo  # noqa: E402
 from swingbench.tokenizer import DEFAULT_VOCABULARY as VOCAB, encode_solo  # noqa: E402
@@ -75,6 +89,8 @@ SEED = 0
 # n-gram order, and the cap on each generated piece, of the codec-generate workload
 ORDER = 5
 GEN_TOKENS = 3000
+# seed of the challenge-motif inputs and questions the oracle is timed on
+MOTIF_SEED = 1
 # Stages of ``report --corpus`` timed in the yardstick child: (module, name).
 STAGES = [
     (cli, "load_corpus"),
@@ -160,13 +176,17 @@ def ngram(sequences: list[list[int]]) -> dict:
         start = time.perf_counter()
         model.index
         build_s.append(time.perf_counter() - start)
-    model = train_ngram(sequences, ORDER, VOCAB.size)
     tracemalloc.start()
     try:
+        model = train_ngram(sequences, ORDER, VOCAB.size)
+        model_kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         model.index
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    kept -= model_kept
+    peak -= model_kept
     # no piece reaches its bar target, so each samples GEN_TOKENS - 1 ids after its Bar
     step_s, _ = timed(lambda: [generate_tokens(model, [VOCAB.bar_token_id], target_bars=10**6,
                                                seed=SEED + i, max_tokens=GEN_TOKENS)
@@ -181,14 +201,55 @@ def ngram(sequences: list[list[int]]) -> dict:
         "median_index_build_s": statistics.median(build_s),
         "index_peak_bytes_per_token": peak / tokens,
         "index_kept_bytes_per_token": kept / tokens,
+        "model_kept_bytes_per_token": (model_kept + kept) / tokens,
         "generate": f"2 pieces capped at {GEN_TOKENS} tokens after one Bar, seeds SEED, SEED + 1",
         "sampled_tokens": steps,
         "generate_us_per_step": step_us,
         "median_generate_us_per_step": statistics.median(step_us),
     }
     print(f"n-gram, {tokens} tokens: index build {result['median_index_build_s']:.3f} s, "
-          f"peak {peak / tokens:.1f} and kept {kept / tokens:.1f} bytes a token; generate "
+          f"peak {peak / tokens:.1f} and kept {kept / tokens:.1f} bytes a token (with the model "
+          f"{result['model_kept_bytes_per_token']:.1f}); generate "
           f"{result['median_generate_us_per_step']:.1f} us a step", file=sys.stderr)
+    return result
+
+
+def oracle(sequences: list[list[int]]) -> dict:
+    tokens = sum(map(len, sequences))
+    tracemalloc.start()
+    try:
+        model = CorpusOracleModel(sequences, VOCAB.size)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.WORKLOADS["challenge-motif"].setup(MOTIF_SEED, Path(tmp))
+        motif = [VOCAB.tokens_to_ids(encode_solo(solo))
+                 for solo in load_corpus(Path(tmp) / "motif.jsonl")]
+    questions = build_questions(motif, count=workloads.ORACLE_QUESTIONS, seed=MOTIF_SEED,
+                                bar_token_id=VOCAB.bar_token_id)
+    model = CorpusOracleModel(motif, VOCAB.size)
+    score_s, answered = timed(lambda: run_challenge(model, questions), 5)
+    if answered.accuracy != 1.0:
+        raise SystemExit(f"error: the oracle answered {answered.accuracy:.0%} of the questions")
+    scored = sum(4 * question.truncation_length for question in questions)
+    score_us = [1e6 * t / scored for t in score_s]
+    result = {
+        "corpus": "perfbench codec-generate inputs, seed = SEED",
+        "tokens": tokens,
+        "build_peak_bytes_per_token": peak / tokens,
+        "build_kept_bytes_per_token": kept / tokens,
+        "questions": "perfbench challenge-motif oracle leg, seed = MOTIF_SEED",
+        "scored_tokens": scored,
+        "score_us_per_token": score_us,
+        "median_score_us_per_token": statistics.median(score_us),
+    }
+    print(f"oracle, {tokens} tokens: peak {peak / tokens:.1f} and kept {kept / tokens:.1f} "
+          f"bytes a token; {result['median_score_us_per_token']:.2f} us a scored token",
+          file=sys.stderr)
     return result
 
 
@@ -196,6 +257,7 @@ def fixed_n() -> dict:
     protocol = line_protocol()
     ingested, sequences = ingest()
     ngram_model = ngram(sequences)
+    oracle_model = oracle(sequences)
     start = time.perf_counter()
     kernel = structure._kernel()
     load_s = time.perf_counter() - start
@@ -232,6 +294,7 @@ def fixed_n() -> dict:
         "line_protocol": protocol,
         "ingest": ingested,
         "ngram": ngram_model,
+        "oracle": oracle_model,
     }
 
 
@@ -322,9 +385,9 @@ def assemble(args) -> dict:
     spec = load(ROOT / "BENCHMARK.json")
     fixed, parent_fixed, yard = load(args.fixed_n), load(args.parent_fixed_n), load(args.yardstick)
     sides = {}
-    for key in ("line_protocol", "ingest", "ngram"):
+    for key in ("line_protocol", "ingest", "ngram", "oracle"):
         sides[key] = {"change": fixed.pop(key)}
-        if parent_fixed:
+        if parent_fixed and key in parent_fixed:
             sides[key]["parent"] = parent_fixed[key]
     yard["numpy_estimate"] = numpy_estimate(fixed, yard["piece_frames"])
     return {
