@@ -189,30 +189,29 @@ class CorpusOracleModel(SequenceModel):
                 return (lo, hi, depth + same) if i + same == len(tokens) else (lo, lo, depth)
             if lo == hi:
                 break
-            # ascending, and no piece of two or more ends at the history's length
-            column = self._ids[self._starts[lo:hi] + depth]
+            column = self._column(lo, hi, depth)
             if 0 <= token < self.vocab_size:
                 needle = column.dtype.type(token)
                 first, last = column.searchsorted(needle), column.searchsorted(needle, "right")
             else:  # never stored
                 first = last = 0
             if out is not None:
-                distinct = 1 + np.count_nonzero(column[1:] != column[:-1])
+                distinct = len(np.unique(column))
                 out[i] = floor + (1.0 - ORACLE_EPSILON) / distinct if first < last else floor
             lo, hi, depth = lo + int(first), lo + int(last), depth + 1
         return lo, hi, depth
 
-    def _next_ids(self, history: Sequence[int]) -> np.ndarray:
-        """The ids that follow ``history`` in the corpus, ascending."""
-        lo, hi, depth = self._follow((0, len(self._lengths), 0), history)
+    def _column(self, lo: int, hi: int, depth: int) -> np.ndarray:
+        """The id at ``depth`` of each piece in ``lo:hi``, ascending.  Every
+        piece of a range of two or more goes on past ``depth`` (none is a
+        prefix of another); a lone piece that ends there has no id."""
         if hi - lo == 1:
             start = self._starts.item(lo) + depth
             return self._ids[start : min(start + 1, self._starts.item(lo) + self._lengths.item(lo))]
-        column = self._ids[self._starts[lo:hi] + depth]
-        return column[np.r_[True, column[1:] != column[:-1]]] if len(column) else column
+        return self._ids[self._starts[lo:hi] + depth]
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        following = self._next_ids(history)
+        following = np.unique(self._column(*self._follow((0, len(self._lengths), 0), history)))
         if not len(following):
             return np.full(self.vocab_size, 1.0 / self.vocab_size)
         p = np.full(self.vocab_size, ORACLE_EPSILON / self.vocab_size)
