@@ -28,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -190,15 +191,12 @@ class CorpusOracleModel(SequenceModel):
             if lo == hi:
                 break
             column = self._column(lo, hi, depth)
-            if 0 <= token < self.vocab_size:
-                needle = column.dtype.type(token)
-                first, last = column.searchsorted(needle), column.searchsorted(needle, "right")
-            else:  # never stored
-                first = last = 0
+            view = memoryview(column)  # bisected with Python ints, of any size
+            first, last = bisect_left(view, token), bisect_right(view, token)
             if out is not None:
                 distinct = len(np.unique(column))
                 out[i] = floor + (1.0 - ORACLE_EPSILON) / distinct if first < last else floor
-            lo, hi, depth = lo + int(first), lo + int(last), depth + 1
+            lo, hi, depth = lo + first, lo + last, depth + 1
         return lo, hi, depth
 
     def _column(self, lo: int, hi: int, depth: int) -> np.ndarray:
@@ -251,14 +249,17 @@ class _CountLevel:
     ``terms``, each gram's weighted add-alpha term.  Codes take the
     narrowest integer type that holds the token count times V, tokens the
     narrowest that holds an id, and offsets and totals the type of
-    ``counts``, which the build narrows to hold its token count.  Every
-    binary search casts its needles to the type of the codes it searches:
-    a wider needle would copy the whole array to its type on every call.
+    ``counts``, which the build narrows to hold its token count.  No binary
+    search may give numpy a needle wider than the codes it searches, which
+    would copy the whole array to the needle's type on every call: a step
+    bisects ``context_view``, a memoryview of ``contexts``, with Python
+    ints, and the vectorised searches cast their needles.
     """
 
     def __init__(self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray,
                  weight: float, alpha: float, vocab_size: int):
         self.contexts = contexts
+        self.context_view = memoryview(contexts)
         self.grams = grams
         self.tokens = (grams % vocab_size).astype(_int_type(vocab_size - 1))
         self.counts = counts
@@ -372,8 +373,8 @@ class NGramModel(SequenceModel):
                 if not 0 <= token < self.vocab_size:  # never counted; its code would alias
                     break
                 code = ids[-1] * self.vocab_size + token
-            at = int(level.contexts.searchsorted(level.contexts.dtype.type(code)))
-            if at == len(level.contexts) or level.contexts.item(at) != code:
+            at = bisect_left(level.context_view, code)
+            if at == len(level.contexts) or level.context_view[at] != code:
                 break
             ids.append(at)
         return ids
