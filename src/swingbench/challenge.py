@@ -245,15 +245,16 @@ class _CountLevel:
     on its left, so its code is ``id(m - 1) * V + token``; its id is its
     rank in ``contexts``.  ``grams`` holds ``id * V + next token`` for every
     gram seen, sorted, so the grams after context ``c`` are the slice
-    ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens``, ``counts`` and
-    ``terms``, each gram's weighted add-alpha term.  Codes take the
-    narrowest integer type that holds the token count times V, tokens the
-    narrowest that holds an id, and offsets and totals the type of
-    ``counts``, which the build narrows to hold its token count.  No binary
-    search may give numpy a needle wider than the codes it searches, which
-    would copy the whole array to the needle's type on every call: a step
-    bisects ``context_view``, a memoryview of ``contexts``, with Python
-    ints, and the vectorised searches cast their needles.
+    ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens`` and ``terms``,
+    each gram's weighted add-alpha term; the gram counts give the terms
+    and the context totals and are not kept.  Codes take the narrowest
+    integer type that holds the token count times V, tokens the narrowest
+    that holds an id, and offsets and totals the type of the counts, which
+    the build narrows to hold its token count.  No binary search may give
+    numpy a needle wider than the codes it searches, which would copy the
+    whole array to the needle's type on every call: a step bisects
+    ``context_view``, a memoryview of ``contexts``, with Python ints, and
+    the vectorised searches cast their needles.
     """
 
     def __init__(self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray,
@@ -262,13 +263,12 @@ class _CountLevel:
         self.context_view = memoryview(contexts)
         self.grams = grams
         self.tokens = (grams % vocab_size).astype(_int_type(vocab_size - 1))
-        self.counts = counts
         bounds = np.arange(len(contexts) + 1, dtype=grams.dtype) * vocab_size  # each id's first code
         offsets = np.searchsorted(grams, bounds)
         self.offsets = offsets.astype(counts.dtype)
         # every context is followed by a gram, so each slice ends on one
         self.totals = np.diff(np.cumsum(counts)[offsets[1:] - 1], prepend=0).astype(counts.dtype)
-        self.terms = _add_alpha(weight, alpha, self.counts,
+        self.terms = _add_alpha(weight, alpha, counts,
                                 np.repeat(self.totals, np.diff(offsets)), vocab_size)
 
 

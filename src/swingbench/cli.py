@@ -28,10 +28,11 @@ import numpy as np
 from . import challenge as chal
 from . import metrics, structure
 from .chords import ChordError, chord_to_pitches
-from .corpus import load_corpus
+from .corpus import Solo, load_corpus
 from .midi import write_midi
 from .tokenizer import (
     DEFAULT_VOCABULARY as VOCAB,
+    DecodedTimeline,
     TokenGrammarError,
     decode_tokens,
     encode_solo,
@@ -125,27 +126,26 @@ def _decode_file(path: Path):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_pieces(args) -> tuple[list[Piece], list[Path]]:
-    """Every piece of ``--corpus`` or ``--tokens-dir``, and the input files."""
-    rate = args.frame_rate
+def _load_sources(args) -> tuple[dict[str, Solo | DecodedTimeline], list[Path]]:
+    """Every solo of ``--corpus``, or decoded file of ``--tokens-dir``, by
+    piece id, and the input files; a bad source fails here, whichever
+    piece is wanted."""
     if args.corpus:
         path = Path(args.corpus)
-        return [Piece(piece_id=solo.id, bars=metrics.bars_from_solo(solo),
-                      chords=metrics.chord_changes(solo.chord_intervals()),
-                      chroma=structure.chroma_from_solo(solo, rate))
-                for solo in load_corpus(path)], [path]
+        return {solo.id: solo for solo in load_corpus(path)}, [path]
     files = _token_files(Path(args.tokens_dir))
-    pieces = []
-    for file in files:
-        timeline = _decode_file(file)
-        pieces.append(Piece(piece_id=file.stem, bars=metrics.bars_from_timeline(timeline),
-                            chords=metrics.chord_changes(timeline.chord_intervals()),
-                            chroma=structure.chroma_from_timeline(timeline, rate)))
-    return pieces, files
+    return {file.stem: _decode_file(file) for file in files}, files
 
 
-def _piece_scape(piece: Piece, args) -> np.ndarray:
-    return structure.scape_plot_for_chroma(piece.chroma, args.tau, args.delta)
+def _piece(piece_id: str, source: Solo | DecodedTimeline) -> Piece:
+    solo = isinstance(source, Solo)
+    return Piece(
+        piece_id=piece_id,
+        bars=metrics.bars_from_solo(source) if solo else metrics.bars_from_timeline(source),
+        chords=metrics.chord_changes(source.chord_intervals()),
+        chroma=(structure.chroma_from_solo(source) if solo
+                else structure.chroma_from_timeline(source)),
+    )
 
 
 def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
@@ -225,14 +225,15 @@ def cmd_detokenize(args) -> int:
 def cmd_report(args) -> int:
     bands = _parse_bands(args.bands)
     out_dir = Path(args.out)
-    pieces, input_files = _load_pieces(args)
+    sources, input_files = _load_sources(args)
+    pieces = [_piece(piece_id, source) for piece_id, source in sources.items()]
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "report",
         "bands": args.bands,
-        "tau": args.tau,
-        "delta": args.delta,
-        "frame_rate": args.frame_rate,
+        "tau": structure.DEFAULT_SSM_THRESHOLD,
+        "delta": structure.DEFAULT_SSM_PENALTY,
+        "frame_rate": 1.0,
         "chord_collapse": True,
         "entropy_windows": "1,4",
         "scape_images": args.scape_images,
@@ -243,7 +244,7 @@ def cmd_report(args) -> int:
     rows = []
     for piece in pieces:
         row = metrics.metric_row(piece.piece_id, piece.bars, piece.chords)
-        plot = _piece_scape(piece, args)
+        plot = structure.scape_plot_for_chroma(piece.chroma)
         values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity]
         for lo, hi in bands:
             try:
@@ -276,12 +277,11 @@ def cmd_report(args) -> int:
 
 def cmd_scape(args) -> int:
     out_dir = Path(args.out)
-    pieces, _ = _load_pieces(args)
-    wanted = {p.piece_id: p for p in pieces}
-    if args.piece not in wanted:
-        raise CliError(f"piece {args.piece!r} not found; have {sorted(wanted)}")
-    piece = wanted[args.piece]
-    plot = _piece_scape(piece, args)
+    sources, _ = _load_sources(args)
+    if args.piece not in sources:
+        raise CliError(f"piece {args.piece!r} not found; have {sorted(sources)}")
+    piece = _piece(args.piece, sources[args.piece])
+    plot = structure.scape_plot_for_chroma(piece.chroma)
     out_dir.mkdir(parents=True, exist_ok=True)
     structure.write_scape_text(plot, out_dir / f"{piece.piece_id}.scape.txt")
     structure.write_scape_pgm(plot, out_dir / f"{piece.piece_id}.pgm")
@@ -437,15 +437,10 @@ def _int_at_least(lowest: int, at_most: int | None = None) -> Callable[[str], in
     return integer
 
 
-def _finite_float(text: str) -> float:
+def _positive_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -464,15 +459,6 @@ def _add_no_structure_arg(p: argparse.ArgumentParser) -> None:
     """Only for the commands that encode a corpus into tokens themselves."""
     p.add_argument("--no-structure", action="store_true",
                    help="drop Phrase/MLU/Part/Rep events when encoding from a corpus")
-
-
-def _add_scape_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=_finite_float, default=structure.DEFAULT_SSM_THRESHOLD,
-                   help="SSM similarity threshold (default %(default)s)")
-    p.add_argument("--delta", type=_finite_float, default=structure.DEFAULT_SSM_PENALTY,
-                   help="penalty replacing sub-threshold similarities (default %(default)s)")
-    p.add_argument("--frame-rate", type=_positive_float, default=1.0,
-                   help="chroma frames per second (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,14 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", default="3:8,8:15,15:",
                    help="structureness duration bands lo:hi,... (default %(default)s)")
     p.add_argument("--scape-images", action="store_true")
-    _add_scape_args(p)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("scape", help="scape plot of one piece")
     _add_source_args(p)
     p.add_argument("--piece", required=True)
     p.add_argument("--out", required=True)
-    _add_scape_args(p)
     p.set_defaults(fn=cmd_scape)
 
     p = sub.add_parser("challenge", help="continuation prediction challenge")

@@ -182,6 +182,8 @@ def validate_solo(solo: Solo) -> list[str]:
         for b in solo.beats:
             if b.duration_sec <= 0 or not math.isfinite(b.duration_sec):
                 out.append(f"beat at {b.onset_sec}: duration_sec must be > 0")
+            if math.isinf(b.onset_sec):  # a NaN onset breaks the increase below
+                out.append(f"beat at {b.onset_sec}: onset_sec must be finite")
             if b.bar_index < 0:
                 out.append(f"beat at {b.onset_sec}: bar_index must be >= 0")
             by_bar.setdefault(b.bar_index, []).append(b)

@@ -108,42 +108,3 @@ def write_midi(
 ) -> None:
     Path(path).write_bytes(timeline_to_midi_bytes(timeline, chord_register, meta_text))
 
-
-def read_events_for_test(data: bytes) -> list[tuple[int, bytes]]:
-    """Tiny structural reader used by tests: (absolute tick, message) pairs."""
-    if data[:4] != b"MThd":
-        raise ValueError("not a MIDI file")
-    track_start = data.index(b"MTrk") + 8
-    out: list[tuple[int, bytes]] = []
-    i = track_start
-    tick = 0
-    while i < len(data):
-        delta = 0
-        while True:
-            byte = data[i]
-            i += 1
-            delta = (delta << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                break
-        tick += delta
-        status = data[i]
-        if status == 0xFF:
-            j = i + 2
-            length = 0
-            while True:
-                byte = data[j]
-                j += 1
-                length = (length << 7) | (byte & 0x7F)
-                if not byte & 0x80:
-                    break
-            message = data[i : j + length]
-            i = j + length
-        elif (status & 0xF0) in (0x80, 0x90):
-            message = data[i : i + 3]
-            i += 3
-        else:
-            raise ValueError(f"unexpected status byte {status:#x}")
-        out.append((tick, bytes(message)))
-        if message[:2] == b"\xff\x2f":
-            break
-    return out

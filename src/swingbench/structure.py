@@ -2,10 +2,13 @@
 scape plots, and duration-banded structureness indicators.
 
 The pipeline renders a 12-dimensional chroma sequence straight from the
-symbolic timeline (1 Hz by default, so frames equal seconds), builds a
-cosine self-similarity matrix with sub-threshold entries replaced by a
-negative penalty, and scores every segment of the piece by how well an
-optimal family of alignment paths explains its repeats elsewhere.
+symbolic timeline at one frame a second, so frames are seconds, builds a
+cosine self-similarity matrix whose entries below ``DEFAULT_SSM_THRESHOLD``
+(0.2) become ``DEFAULT_SSM_PENALTY`` (-2.0), and scores every segment of
+the piece by how well an optimal family of alignment paths explains its
+repeats elsewhere.  The recipe has no settings: the duration bands of
+the structureness indicators are read in frames, which are seconds only
+at this one frame rate.
 
 For a segment covering columns s..e of the SSM, a path is a chain of
 cells stepping by (1,1), (2,1) or (1,2) from column s to column e; a
@@ -57,16 +60,15 @@ DEFAULT_SSM_PENALTY = -2.0
 MELODY_WEIGHT = 1.0
 CHORD_WEIGHT = 0.5
 
-# Duration bands (in seconds at 1 Hz) for short-, medium-, long-term repeats.
+# Duration bands, in frames and so in seconds, for short-, medium-, long-term repeats.
 DEFAULT_SI_BANDS: tuple[tuple[int, int | None], ...] = ((3, 8), (8, 15), (15, None))
 
 
 @dataclass
 class ChromaSequence:
-    """Frame-wise pitch-class energy; nonzero frames have unit L2 norm."""
+    """Pitch-class energy, one frame a second; nonzero frames have unit L2 norm."""
 
     frames: np.ndarray  # (N, 12)
-    frame_rate: float = 1.0
 
     def __post_init__(self) -> None:
         self.frames = np.asarray(self.frames, dtype=float)
@@ -82,18 +84,17 @@ class ChromaSequence:
 def _accumulate(
     frames: np.ndarray,
     start: float,
-    rate: float,
     onset: float,
     end: float,
     classes: Sequence[int],
     weight: float,
 ) -> None:
     n = frames.shape[0]
-    first = max(int((onset - start) * rate), 0)
-    last = min(int(np.ceil((end - start) * rate)), n)
+    first = max(int(onset - start), 0)
+    last = min(int(np.ceil(end - start)), n)
     for f in range(first, last):
-        lo = start + f / rate
-        hi = lo + 1.0 / rate
+        lo = start + f
+        hi = lo + 1.0
         overlap = min(end, hi) - max(onset, lo)
         if overlap <= 0:
             continue
@@ -105,62 +106,56 @@ def render_chroma(
     notes: Sequence[tuple[float, float, int]],
     chords: Sequence[tuple[float, float, ChordSymbol]],
     span: tuple[float, float],
-    frame_rate: float = 1.0,
 ) -> ChromaSequence:
-    """Render chroma frames from (onset, duration, pitch) notes and chord spans.
+    """Render one chroma frame a second from (onset, duration, pitch)
+    notes and chord spans.
 
     Melody pitch classes accumulate at weight 1.0 per sounding second
     inside a frame; the active chord's template pitch classes at 0.5.
     Nonzero frames are L2-normalized, silent frames stay zero.  An empty
-    span, or a frame rate that is not positive or gives infinitely many
-    frames (an infinite rate does), raises ValueError.
+    span, or one too long for a finite frame count, raises ValueError.
     """
     start, end = span
     if end <= start:
         raise ValueError("empty timeline span")
-    count = np.ceil((end - start) * frame_rate)
-    if not (frame_rate > 0 and np.isfinite(count)):  # NaN fails too
-        raise ValueError(f"frame rate must be positive with finitely many frames, got {frame_rate}")
+    count = np.ceil(end - start)
+    if not np.isfinite(count):
+        raise ValueError(f"timeline span [{start}, {end}) has no finite frame count")
     frames = np.zeros((max(int(count), 2), 12))
     for onset, duration, pitch in notes:
-        _accumulate(frames, start, frame_rate, onset, onset + duration, [pitch % 12], MELODY_WEIGHT)
+        _accumulate(frames, start, onset, onset + duration, [pitch % 12], MELODY_WEIGHT)
     for onset, chord_end, symbol in chords:
         classes = sorted(chord_pitch_classes(symbol))
-        _accumulate(frames, start, frame_rate, onset, chord_end, classes, CHORD_WEIGHT)
+        _accumulate(frames, start, onset, chord_end, classes, CHORD_WEIGHT)
     norms = np.linalg.norm(frames, axis=1)
     nonzero = norms > 0
     frames[nonzero] /= norms[nonzero, None]
-    return ChromaSequence(frames, frame_rate)
+    return ChromaSequence(frames)
 
 
-def chroma_from_solo(solo: Solo, frame_rate: float = 1.0) -> ChromaSequence:
+def chroma_from_solo(solo: Solo) -> ChromaSequence:
     notes = [(n.onset_sec, n.duration_sec, n.pitch) for n in solo.notes]
-    return render_chroma(notes, solo.chord_intervals(), solo.span(), frame_rate)
+    return render_chroma(notes, solo.chord_intervals(), solo.span())
 
 
-def chroma_from_timeline(timeline: DecodedTimeline, frame_rate: float = 1.0) -> ChromaSequence:
+def chroma_from_timeline(timeline: DecodedTimeline) -> ChromaSequence:
     notes = [(n.onset_sec, n.duration_sec, n.pitch) for n in timeline.notes]
-    return render_chroma(
-        notes, timeline.chord_intervals(), (0.0, timeline.end_sec), frame_rate
-    )
+    return render_chroma(notes, timeline.chord_intervals(), (0.0, timeline.end_sec))
 
 
-def compute_ssm(
-    chroma: ChromaSequence,
-    threshold: float = DEFAULT_SSM_THRESHOLD,
-    penalty: float = DEFAULT_SSM_PENALTY,
-) -> np.ndarray:
+def compute_ssm(chroma: ChromaSequence) -> np.ndarray:
     """Cosine self-similarity matrix with thresholding enhancement.
 
     The diagonal is pinned to 1 (a frame always matches itself, silent or
-    not); entries below ``threshold`` are replaced by ``penalty`` so that
-    spurious weak matches cost a path more than they contribute.
+    not); entries below ``DEFAULT_SSM_THRESHOLD`` are replaced by
+    ``DEFAULT_SSM_PENALTY`` so that spurious weak matches cost a path
+    more than they contribute.
     """
     f = chroma.frames
     m = f @ f.T
     np.clip(m, -1.0, 1.0, out=m)
     np.fill_diagonal(m, 1.0)
-    m[m < threshold] = penalty
+    m[m < DEFAULT_SSM_THRESHOLD] = DEFAULT_SSM_PENALTY
     return m
 
 
@@ -460,9 +455,8 @@ def scape_plot(ssm: np.ndarray) -> np.ndarray:
 def structureness_indicator(
     plot: np.ndarray, lower: int = 1, upper: int | None = None
 ) -> float:
-    """Maximum fitness over segment durations in [lower, upper] (in frames;
-    seconds at the default 1 Hz).  ``upper=None`` searches up to the piece
-    length."""
+    """Maximum fitness over segment durations in [lower, upper] (in frames,
+    which are seconds).  ``upper=None`` searches up to the piece length."""
     n = plot.shape[0]
     if upper is None:
         upper = n
@@ -474,13 +468,9 @@ def structureness_indicator(
     return float(plot[lower - 1 : upper, :].max())
 
 
-def scape_plot_for_chroma(
-    chroma: ChromaSequence,
-    threshold: float = DEFAULT_SSM_THRESHOLD,
-    penalty: float = DEFAULT_SSM_PENALTY,
-) -> np.ndarray:
+def scape_plot_for_chroma(chroma: ChromaSequence) -> np.ndarray:
     """Scape plot of a chroma sequence."""
-    return scape_plot(compute_ssm(chroma, threshold, penalty))
+    return scape_plot(compute_ssm(chroma))
 
 
 def band_indicators(

@@ -264,7 +264,7 @@ def random_token_piece(
     durations, optional chord triples) is drawn uniformly, so the stream
     has no repetition structure at any timescale.  Returns EventTokens.
 
-    With the default absolute similarity threshold, any sustained
+    With the fixed absolute similarity threshold, any sustained
     harmony reads as frame similarity regardless of repetition, so the
     control omits chords unless ``chord_probability`` is raised.
     """

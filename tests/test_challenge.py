@@ -313,30 +313,38 @@ def test_ngram_readers_have_the_bits_of_the_per_step_formula(order, vocab, alpha
     assert model.score(history[:cut], history[cut:]).tobytes() == expected.tobytes()
 
 
-def _index_tables(model):
-    """The model's count index read back as the oracle's dict tables; the
-    context totals are checked on the way."""
-    tables, contexts = [], [()]  # contexts[c]: the tuple of context id c one level up
-    for m, level in enumerate(model.index):
+def _assert_index_holds_the_tables(model, tables):
+    """The model's count index read back against the oracle's dict tables:
+    the same contexts and grams, each context's total, and each gram's term
+    with the bits of ``_add_alpha`` on the oracle's count and total (the
+    terms are positive, so equal floats have equal bits)."""
+    assert len(model.index) == len(tables)
+    contexts = [()]  # contexts[c]: the tuple of context id c one level up
+    for m, (level, table) in enumerate(zip(model.index, tables)):
         if m:
             parents = contexts
             contexts = [(int(code) % model.vocab_size, *parents[int(code) // model.vocab_size])
                         for code in level.contexts]
         else:
             contexts = [()] * len(level.contexts)
-        table = {}
+        terms = {}
         for c, ctx in enumerate(contexts):
             lo, hi = level.offsets[c], level.offsets[c + 1]
-            table[ctx] = dict(zip(level.tokens[lo:hi].tolist(), level.counts[lo:hi].tolist()))
-            assert level.totals[c] == sum(table[ctx].values())
-        tables.append(table)
-    return tables
+            terms[ctx] = dict(zip(level.tokens[lo:hi].tolist(), level.terms[lo:hi].tolist()))
+            assert level.totals[c] == sum(table.get(ctx, {}).values())
+        expected = {}
+        for ctx, counts in table.items():
+            total = sum(counts.values())
+            expected[ctx] = {token: challenge._add_alpha(model.weights[m], model.alpha, count,
+                                                         total, model.vocab_size)
+                             for token, count in counts.items()}
+        assert terms == expected
 
 
 def _assert_same_index(a, b):
     assert len(a.index) == len(b.index)
     for x, y in zip(a.index, b.index):
-        for name in ("contexts", "grams", "tokens", "counts", "offsets", "totals", "terms"):
+        for name in ("contexts", "grams", "tokens", "offsets", "totals", "terms"):
             assert np.array_equal(getattr(x, name), getattr(y, name)), name
             assert getattr(x, name).dtype == getattr(y, name).dtype, name
 
@@ -358,7 +366,7 @@ def test_count_index_matches_the_dict_oracle(order, vocab, data, query):
         model.score(probe[:3], probe[3:])
     else:
         model.next_token_distribution(probe)
-    assert _index_tables(model) == ngram_count_tables(seqs, order)
+    _assert_index_holds_the_tables(model, ngram_count_tables(seqs, order))
     _assert_score_is_the_dense_entry(model, probe[:3], probe[3:])
 
 
@@ -393,7 +401,7 @@ def test_count_index_codes_are_the_narrowest_that_hold_n_times_v(motif_sequences
     model = train_ngram(sequences, order=4, vocab_size=vocab)
     for level in model.index:
         assert level.contexts.dtype == level.grams.dtype == code
-    assert _index_tables(model) == ngram_count_tables(sequences, 4)
+    _assert_index_holds_the_tables(model, ngram_count_tables(sequences, 4))
     _assert_score_is_the_dense_entry(model, sequences[0][:3], sequences[0][3:9])
 
 

@@ -15,7 +15,7 @@ import swingbench
 from swingbench import challenge as chal
 from swingbench.challenge import train_ngram
 from swingbench.cli import build_parser, main
-from swingbench.corpus import save_corpus
+from swingbench.corpus import Beat, Note, Solo, save_corpus
 from swingbench.synthetic import motif_corpus, random_corpus, sectional_corpus, sectional_solo
 from swingbench.tokenizer import BAR, decode_tokens, read_tokens, repair_token_stream
 
@@ -168,39 +168,52 @@ def test_scape_unknown_piece(tmp_path, corpus_file, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rate", ["0", "-1", "inf", "nan"])
-def test_report_rejects_bad_frame_rate(tmp_path, corpus_file, capsys, rate):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        run("report", "--corpus", corpus_file, "--out", out, "--frame-rate", rate)
-    assert exc.value.code == 2
-    assert "argument --frame-rate: must be" in capsys.readouterr().err
-    assert not out.exists()
+def _one_bar_corpus(path: Path, beats: list[tuple[float, float]], *others: Solo) -> Path:
+    """``others``, then a solo "long" of one bar of (onset, duration) beats
+    and one note at 0."""
+    beats = tuple(Beat(onset, duration, 0, i, "C7") for i, (onset, duration) in enumerate(beats))
+    save_corpus([*others, Solo("long", (Note(0.0, 1.0, 60, 70.0),), beats)], path)
+    return path
 
 
 @pytest.mark.parametrize("command", ["report", "scape"])
-@pytest.mark.parametrize("rate,message", [
-    ("1e308", "error: frame rate must be positive with finitely many frames, got 1e+308"),
-    ("1e15", "error: Unable to allocate"),
+@pytest.mark.parametrize("beats,message", [
+    ([(0.0, 5e307), (5e307, 5e307), (1e308, 5e307), (1.5e308, 1e308)],
+     "error: timeline span [0.0, inf) has no finite frame count"),
+    ([(i * 1e15, 1e15) for i in range(4)], "error: Unable to allocate"),
 ], ids=["frame-count-overflows", "frames-take-exbibytes"])
-def test_frame_rate_too_high_is_one_error_line(tmp_path, corpus_file, capsys, command, rate,
-                                               message):
+def test_frame_rate_too_high_is_one_error_line(tmp_path, capsys, command, beats, message):
+    # at one chroma frame a second, the beats' span sets the frame count
+    corpus = _one_bar_corpus(tmp_path / "long.jsonl", beats)
     out = tmp_path / "out"
-    piece = ["--piece", "rand-000"] if command == "scape" else []
-    assert run(command, "--corpus", corpus_file, "--out", out, "--frame-rate", rate, *piece) == 1
+    piece = ["--piece", "long"] if command == "scape" else []
+    assert run(command, "--corpus", corpus, "--out", out, *piece) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and len(err.splitlines()) == 1, err
     assert not out.exists()
 
 
+def test_scape_builds_only_the_piece_it_plots(tmp_path, capsys):
+    # "long" has more frames than memory holds, which only its analysis finds
+    ok = sectional_solo("ok", form="A", repetitions=2, section_bars=2)
+    corpus = _one_bar_corpus(tmp_path / "two.jsonl", [(i * 1e15, 1e15) for i in range(4)], ok)
+    out = tmp_path / "out"
+    assert run("scape", "--corpus", corpus, "--piece", "ok", "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["ok.pgm", "ok.scape.txt"]
+    assert run("report", "--corpus", corpus, "--out", tmp_path / "rep") == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
 @pytest.mark.parametrize("command", ["report", "scape"])
 def test_stride_is_a_usage_error(tmp_path, corpus_file, capsys, command):
+    # structureness has no settings: one frame a second, tau 0.2, delta -2.0
     piece = ["--piece", "rand-000"] if command == "scape" else []
-    with pytest.raises(SystemExit) as exc:
-        run(command, "--corpus", corpus_file, *piece, "--out", tmp_path / "out", "--stride", 2)
-    assert exc.value.code == 2
-    assert "--stride" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for flag in ("--stride", "--frame-rate", "--tau", "--delta"):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--corpus", corpus_file, *piece, "--out", tmp_path / "out", flag, 2)
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err, flag
+        assert not (tmp_path / "out").exists(), flag
 
 
 def test_report_header_lists_its_settings(tmp_path, corpus_file):
@@ -885,19 +898,20 @@ def test_note_in_no_beat_is_refused_alike_by_every_corpus_command(tmp_path, caps
         assert not out.exists(), argv[0]
 
 
-@pytest.mark.parametrize("command", ["report", "scape"])
-@pytest.mark.parametrize("flag", ["--tau", "--delta"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_tau_or_delta_is_a_usage_error(tmp_path, capsys, command, flag, value):
-    piece = ["--piece", "rand-000"] if command == "scape" else []
+def test_infinite_beat_onset_is_refused_by_every_corpus_command(tmp_path, capsys):
+    corpus = _one_bar_corpus(tmp_path / "long.jsonl",
+                             [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (float("inf"), 0.5)])
+    assert "Infinity" in corpus.read_text()
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        # the corpus does not exist: the flag is refused before any input is read
-        run(command, "--corpus", tmp_path / "missing.jsonl", *piece, "--out", out,
-            f"{flag}={value}")
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
-    assert not out.exists()
+    for argv in (("tokenize", "--out", out),
+                 ("report", "--out", out),
+                 ("scape", "--piece", "long", "--out", out),
+                 ("challenge", "--model", "uniform", "--count", 2, "--out", out),
+                 ("train-model", "--out", out / "model.json")):
+        assert run(argv[0], "--corpus", corpus, *argv[1:]) == 1, argv[0]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: solo 'long': beat at inf: onset_sec must be finite"], argv[0]
+        assert not out.exists(), argv[0]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

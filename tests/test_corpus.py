@@ -137,6 +137,14 @@ def test_validate_nan_beat_onset(simple_solo):
     assert validate_solo(solo) == ["beat track onsets not strictly increasing"]
 
 
+def test_validate_infinite_beat_onset(simple_solo):
+    # the last note goes too, so that no note is left outside the beats
+    beats = list(simple_solo.beats)
+    beats[-1] = dataclasses.replace(beats[-1], onset_sec=math.inf)
+    solo = dataclasses.replace(simple_solo, notes=simple_solo.notes[:-1], beats=tuple(beats))
+    assert validate_solo(solo) == ["beat at inf: onset_sec must be finite"]
+
+
 def test_transpose_identity(simple_solo):
     assert transpose_solo(simple_solo, 0) == simple_solo
 

@@ -5,11 +5,50 @@ import pytest
 from swingbench.midi import (
     TICKS_PER_POSITION,
     encode_variable_length,
-    read_events_for_test,
     timeline_to_midi_bytes,
     write_midi,
 )
 from swingbench.tokenizer import decode_tokens, encode_solo
+
+
+def read_events(data: bytes) -> list[tuple[int, bytes]]:
+    """A tiny structural reader of a format-0 file: (absolute tick, message) pairs."""
+    if data[:4] != b"MThd":
+        raise ValueError("not a MIDI file")
+    track_start = data.index(b"MTrk") + 8
+    out: list[tuple[int, bytes]] = []
+    i = track_start
+    tick = 0
+    while i < len(data):
+        delta = 0
+        while True:
+            byte = data[i]
+            i += 1
+            delta = (delta << 7) | (byte & 0x7F)
+            if not byte & 0x80:
+                break
+        tick += delta
+        status = data[i]
+        if status == 0xFF:
+            j = i + 2
+            length = 0
+            while True:
+                byte = data[j]
+                j += 1
+                length = (length << 7) | (byte & 0x7F)
+                if not byte & 0x80:
+                    break
+            message = data[i : j + length]
+            i = j + length
+        elif (status & 0xF0) in (0x80, 0x90):
+            message = data[i : i + 3]
+            i += 3
+        else:
+            raise ValueError(f"unexpected status byte {status:#x}")
+        out.append((tick, bytes(message)))
+        if message[:2] == b"\xff\x2f":
+            break
+    return out
 
 
 @pytest.mark.parametrize(
@@ -30,7 +69,7 @@ def test_header_format0_480tpq(simple_solo):
 
 def test_track_events(simple_solo):
     timeline = decode_tokens(encode_solo(simple_solo))
-    events = read_events_for_test(timeline_to_midi_bytes(timeline))
+    events = read_events(timeline_to_midi_bytes(timeline))
 
     tempo = [(t, m) for t, m in events if m[:2] == b"\xff\x51"]
     assert len(tempo) == len(timeline.tempo_curve) == 8
@@ -52,7 +91,7 @@ def test_track_events(simple_solo):
 
 def test_note_offs_pair_with_ons(simple_solo):
     timeline = decode_tokens(encode_solo(simple_solo))
-    events = read_events_for_test(timeline_to_midi_bytes(timeline))
+    events = read_events(timeline_to_midi_bytes(timeline))
     ons = sum(m[0] & 0xF0 == 0x90 for _, m in events)
     offs = sum(m[0] & 0xF0 == 0x80 for _, m in events)
     assert ons == offs
@@ -60,7 +99,7 @@ def test_note_offs_pair_with_ons(simple_solo):
 
 def test_off_before_on_at_same_tick(aaba_solo):
     timeline = decode_tokens(encode_solo(aaba_solo))
-    events = read_events_for_test(timeline_to_midi_bytes(timeline))
+    events = read_events(timeline_to_midi_bytes(timeline))
     active: set[tuple[int, int]] = set()
     for _, message in events:
         status, kind = message[0], message[0] & 0xF0

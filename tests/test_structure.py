@@ -77,20 +77,10 @@ def test_chroma_needs_two_frames():
         ChromaSequence(np.zeros((1, 12)))
 
 
-@pytest.mark.parametrize("rate", [0.0, -1.0, float("inf"), float("nan")])
-def test_chroma_rejects_bad_frame_rate(rate, aaba_solo):
-    with pytest.raises(ValueError, match="frame rate"):
-        render_chroma([(0.0, 1.0, 60)], [], span=(0.0, 2.0), frame_rate=rate)
-    with pytest.raises(ValueError, match="frame rate"):
-        chroma_from_solo(aaba_solo, rate)
-    with pytest.raises(ValueError, match="frame rate"):
-        chroma_from_timeline(decode_tokens(encode_solo(aaba_solo)), rate)
-
-
 def test_scape_plot_for_chroma_matches_scape_plot(aaba_solo):
     chroma = chroma_from_solo(aaba_solo)
-    expected = scape_plot(compute_ssm(chroma, 0.3, -1.0))
-    np.testing.assert_array_equal(scape_plot_for_chroma(chroma, 0.3, -1.0), expected)
+    expected = scape_plot(compute_ssm(chroma))
+    np.testing.assert_array_equal(scape_plot_for_chroma(chroma), expected)
 
 
 def test_chroma_from_solo_and_timeline_agree(aaba_solo):
@@ -105,12 +95,12 @@ def test_chroma_from_solo_and_timeline_agree(aaba_solo):
 
 
 def test_ssm_identical_frames():
-    m = compute_ssm(ChromaSequence(one_hot_frames([0, 0])), threshold=0.2, penalty=-2.0)
+    m = compute_ssm(ChromaSequence(one_hot_frames([0, 0])))
     assert m[0, 1] == 1.0
 
 
 def test_ssm_orthogonal_frames_get_penalty():
-    m = compute_ssm(ChromaSequence(one_hot_frames([0, 7])), threshold=0.2, penalty=-2.0)
+    m = compute_ssm(ChromaSequence(one_hot_frames([0, 7])))
     assert m[0, 1] == -2.0
 
 
@@ -118,8 +108,16 @@ def test_ssm_cosine_retained_above_threshold():
     frames = np.zeros((2, 12))
     frames[0, 0] = 1.0
     frames[1, 0] = frames[1, 7] = 1.0 / np.sqrt(2)  # 45 degrees
-    m = compute_ssm(ChromaSequence(frames), threshold=0.5, penalty=-2.0)
+    m = compute_ssm(ChromaSequence(frames))
     assert m[0, 1] == pytest.approx(np.sqrt(0.5))
+
+
+@pytest.mark.parametrize("cosine, expected", [(0.21, 0.21), (0.2, 0.2), (0.19, -2.0)])
+def test_ssm_threshold_is_0_2_and_penalty_minus_2(cosine, expected):
+    frames = np.zeros((2, 12))
+    frames[0, 0] = 1.0
+    frames[1, 0], frames[1, 7] = cosine, np.sqrt(1.0 - cosine**2)
+    assert compute_ssm(ChromaSequence(frames))[0, 1] == pytest.approx(expected)
 
 
 def test_ssm_symmetric_with_unit_diagonal(aaba_solo):
