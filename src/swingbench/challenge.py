@@ -227,77 +227,150 @@ class CorpusOracleModel(SequenceModel):
 # The largest n-gram order a model may have: the index holds a level per
 # order, and every step adds a term per order.
 MAX_ORDER = 32
+# The longest context range whose next tokens a step counts one at a time,
+# in Python; numpy counts a longer one.
+SHORT_RANGE = 32
 
 
 def _add_alpha(weight: float, alpha: float, count, total, vocab_size: int):
     """One order's weighted add-alpha term ``weight * (alpha + count) /
-    (total + alpha * V)``: a counted gram's at index build, and with a count
-    of 0 the floor of every other token after a context of ``total``
-    grams (0 for a context never seen)."""
+    (total + alpha * V)`` of a token counted ``count`` times after a
+    context of ``total`` grams; with a count of 0, the floor of every token
+    never seen after it (``total`` is 0 for a context never seen)."""
     alpha = float(alpha)  # an int alpha from a model file must not wrap in narrow arrays
     return weight * (alpha + count) / (total + alpha * vocab_size)
 
 
-class _CountLevel:
-    """The n-gram counts of one context length ``m``, as sorted arrays.
+@dataclass
+class _ContextLevel:
+    """The contexts of one length ``m``: ``contexts``, their sorted codes;
+    ``starts``, where each context's range begins in the index's shared
+    order (with one more entry, where the last range ends); and ``held``,
+    by context id, the components that the index keeps whole for the
+    contexts of its longest ranges.
 
     A context of length ``m`` extends one of length ``m - 1`` by the token
-    on its left, so its code is ``id(m - 1) * V + token``; its id is its
-    rank in ``contexts``.  ``grams`` holds ``id * V + next token`` for every
-    gram seen, sorted, so the grams after context ``c`` are the slice
-    ``offsets[c]:offsets[c + 1]`` of ``grams``, ``tokens`` and ``terms``,
-    each gram's weighted add-alpha term; the gram counts give the terms
-    and the context totals and are not kept.  Codes take the narrowest
-    integer type that holds the token count times V, tokens the narrowest
-    that holds an id, and offsets and totals the type of the counts, which
-    the build narrows to hold its token count.  No binary search may give
-    numpy a needle wider than the codes it searches, which would copy the
-    whole array to the needle's type on every call: a step bisects
-    ``context_view``, a memoryview of ``contexts``, with Python ints, and
+    on its left, so its code is ``id(m - 1) * (V + 1) + token``, and its
+    id is its rank in ``contexts``.  Where an entry has fewer than ``m``
+    tokens of its own piece to its left, its context holds the token
+    ``V`` of the end before it: such a context holds the entries near a
+    piece's start, so that every range of one level follows the one
+    before it, and no query can name it.
+    """
+
+    contexts: np.ndarray
+    starts: np.ndarray
+    held: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.context_view = memoryview(self.contexts)
+
+
+class _CountIndex:
+    """The n-gram counts of a token store, as ranges of one sorted order.
+
+    Every position of the store, and one end after each piece, is an
+    entry.  ``grams`` holds each entry's code, sorted: the id of its
+    deepest context (``len(levels) - 1`` tokens, or as many as its piece
+    gives it) times ``V + 1``, plus its next token, or ``V`` at a piece's
+    end.  The contexts of each length are ordered as their entries are,
+    so every context owns one range of ``grams``.  A context's total is
+    its range's length less the piece ends in it (``ends`` holds their
+    places in ``grams``).  The count of token ``x`` after context ``c`` is
+    the length of the range of ``c`` followed by ``x``, a context one
+    token longer: each ``x`` after ``c`` is followed by an entry, its
+    piece's end if nothing else.  At the deepest level it is the length
+    of the run of the code ``id(c) * (V + 1) + x``.
+
+    No count is stored.  A context's component is computed from the next
+    tokens in its range when it is read, except for the contexts with the
+    longest ranges, as many as there are entries per ``V`` (8 bytes an
+    entry at most), whose components are held whole.
+
+    Codes take the narrowest integer type that holds the entry count
+    times ``V + 1``, and starts and ends the narrowest that holds the
+    entry count.  No binary search may give numpy a needle wider than the
+    codes it searches, which would copy the whole array to the needle's
+    type on every call: a step bisects memoryviews with Python ints, and
     the vectorised searches cast their needles.
     """
 
-    def __init__(self, contexts: np.ndarray, grams: np.ndarray, counts: np.ndarray,
-                 weight: float, alpha: float, vocab_size: int):
-        self.contexts = contexts
-        self.context_view = memoryview(contexts)
-        self.grams = grams
-        self.tokens = (grams % vocab_size).astype(_int_type(vocab_size - 1))
-        bounds = np.arange(len(contexts) + 1, dtype=grams.dtype) * vocab_size  # each id's first code
-        offsets = np.searchsorted(grams, bounds)
-        self.offsets = offsets.astype(counts.dtype)
-        # every context is followed by a gram, so each slice ends on one
-        self.totals = np.diff(np.cumsum(counts)[offsets[1:] - 1], prepend=0).astype(counts.dtype)
-        self.terms = _add_alpha(weight, alpha, counts,
-                                np.repeat(self.totals, np.diff(offsets)), vocab_size)
+    def __init__(self, tokens: np.ndarray, lengths: np.ndarray, weights: Sequence[float],
+                 alpha: float, vocab_size: int):
+        """Counts ``tokens``, the pieces of a ``_token_store`` back to back
+        with their ``lengths``; an entry counts after a context only when
+        the context's tokens lie inside its own piece.  Each level's
+        components are weighted by its entry of ``weights``."""
+        self.weights, self.alpha, self.vocab_size = weights, alpha, vocab_size
+        radix, pieces = vocab_size + 1, len(lengths)
+        n = len(tokens) + pieces
+        position, code = _int_type(n), _int_type(max(n, 1) * radix)
+        # each entry's next token, V after each piece
+        nexts = np.insert(tokens.astype(_int_type(vocab_size)), np.cumsum(lengths), vocab_size)
+        ids = np.zeros(n, dtype=code)  # every entry has the empty context, id 0
+        contexts = [ids[:1].copy()]
+        for m in range(1, len(weights)):
+            # the token m to the left of each entry: the V of a piece's end
+            # where that lies past its own piece's start, and before the first
+            left = np.full(n, vocab_size, dtype=nexts.dtype)
+            left[m:] = nexts[:-m]
+            ids *= radix
+            ids += left  # the codes
+            del left
+            # each code's rank, as np.unique's return_inverse gives it, without its int64 copies
+            by_code = np.argsort(ids)
+            sorted_codes = ids[by_code]
+            first = np.empty(n, dtype=bool)  # where each distinct code begins in sorted_codes
+            first[:1] = True
+            np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=first[1:])
+            contexts.append(sorted_codes[first])
+            del sorted_codes
+            ranks = np.cumsum(first, dtype=code)
+            ranks -= 1
+            ids[by_code] = ranks
+            del by_code, first, ranks
+        ids *= radix
+        ids += nexts
+        del nexts
+        ids.sort()
+        self.grams, self.gram_view = ids, memoryview(ids)
+        self.ends = np.flatnonzero(ids % radix == vocab_size).astype(position)
+        # the deepest level's ranges, then each level's from its first child's
+        starts = np.searchsorted(ids, np.arange(len(contexts[-1]) + 1, dtype=code) * radix)
+        self.levels = [_ContextLevel(contexts[-1], starts.astype(position))]
+        for parents in reversed(contexts[:-1]):
+            child = self.levels[0]
+            first = np.searchsorted(child.contexts, np.arange(len(parents), dtype=code) * radix)
+            starts = np.append(child.starts[first], n).astype(position)
+            self.levels.insert(0, _ContextLevel(parents, starts))
+        # the longest ranges keep their components whole, 8 bytes an entry in all at most
+        sizes = np.sort(np.concatenate([np.diff(level.starts) for level in self.levels]))
+        rows = n // vocab_size
+        cut = max(int(sizes[-rows - 1]) if rows < len(sizes) else 0, SHORT_RANGE)
+        for m, level in enumerate(self.levels):
+            for c in np.flatnonzero(np.diff(level.starts) > cut).tolist():
+                level.held[c] = self.component(m, c)
 
-
-def _build_index(
-    tokens: np.ndarray, lengths: np.ndarray, weights: Sequence[float], alpha: float,
-    vocab_size: int,
-) -> list[_CountLevel]:
-    """One ``_CountLevel`` per context length 0 .. len(weights) - 1 over a
-    ``_token_store``.  A position counts at length ``m`` only when its
-    ``m`` context tokens lie inside its own sequence."""
-    n = len(tokens)
-    position, code = _int_type(n), _int_type(max(n, 1) * vocab_size)
-    at = np.arange(n, dtype=position)  # the positions with a context of the current length
-    # how many tokens of its own sequence precede each of them
-    depth = at - np.repeat((np.cumsum(lengths) - lengths).astype(position), lengths)
-    ids = np.zeros(n, dtype=code)  # every position has the empty context, id 0
-    contexts = np.unique(ids[:1])
-    levels = []
-    for m, weight in enumerate(weights):
-        if m:
-            keep = depth >= m
-            at, depth = at[keep], depth[keep]
-            ids = ids[keep] * vocab_size + tokens[at - m]  # the codes; frees the last ids
-            contexts, ids = np.unique(ids, return_inverse=True)
-            ids = ids.astype(code)  # frees the full-width ids
-        grams, counts = np.unique(ids * vocab_size + tokens[at], return_counts=True)
-        counts = counts.astype(position)  # frees the full-width counts
-        levels.append(_CountLevel(contexts, grams, counts, weight, alpha, vocab_size))
-    return levels
+    def component(self, m: int, c: int) -> np.ndarray:
+        """Order ``m + 1``'s weighted add-alpha component after the context
+        of ``m`` tokens with id ``c``."""
+        held = self.levels[m].held.get(c)
+        if held is not None:
+            return held
+        weight, alpha, vocab = self.weights[m], self.alpha, self.vocab_size
+        lo, hi = self.levels[m].starts.item(c), self.levels[m].starts.item(c + 1)
+        if hi - lo > SHORT_RANGE:
+            counts = np.bincount(self.grams[lo:hi] % (vocab + 1), minlength=vocab + 1)
+            return _add_alpha(weight, alpha, counts[:vocab], hi - lo - counts.item(vocab), vocab)
+        found: dict[int, int] = {}
+        for code in self.gram_view[lo:hi]:
+            token = code % (vocab + 1)
+            found[token] = found.get(token, 0) + 1
+        total = hi - lo - found.pop(vocab, 0)  # less the piece ends
+        component = np.full(vocab, _add_alpha(weight, alpha, 0, total, vocab))
+        for token, count in found.items():
+            component[token] = _add_alpha(weight, alpha, count, total, vocab)
+        return component
 
 
 def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -321,11 +394,13 @@ class NGramModel(SequenceModel):
     model never assigns zero to a continuation.
 
     The model is fixed by the id sequences it is built from.  Their counts
-    live in one sorted index, ``index`` (a ``_CountLevel`` per context
-    length), built with numpy on the first query together with each
-    counted gram's weighted term; a history's contexts are found by binary
-    search, one token further left per level.  The order is at most
-    ``MAX_ORDER``.
+    are ranges of one sorted order, ``index`` (a ``_CountIndex`` with a
+    ``_ContextLevel`` per context length), built with numpy on the first
+    query.  A history's contexts are found by binary search, one token
+    further left per level, and each term is computed from a count and a
+    total, both range lengths, when it is read; only the components after
+    the contexts with the longest ranges are held whole.  The order is at
+    most ``MAX_ORDER``.
     """
 
     def __init__(
@@ -357,22 +432,22 @@ class NGramModel(SequenceModel):
         return [self._tokens[s : s + n].tolist() for s, n in zip(starts, self._lengths.tolist())]
 
     @cached_property
-    def index(self) -> list[_CountLevel]:
+    def index(self) -> _CountIndex:
         """The counts of every sequence: level ``m`` for contexts of ``m`` tokens."""
-        return _build_index(self._tokens, self._lengths, self.weights, self.alpha,
-                            self.vocab_size)
+        return _CountIndex(self._tokens, self._lengths, self.weights, self.alpha,
+                           self.vocab_size)
 
     def _context_ids(self, history: Sequence[int]) -> list[int]:
         """Ids of the history's last 0, 1, 2 ... tokens as contexts, up to
         ``order - 1`` tokens, stopping at the first one never seen."""
         ids: list[int] = []
         code = 0
-        for m, level in enumerate(self.index[: len(history) + 1]):
+        for m, level in enumerate(self.index.levels[: len(history) + 1]):
             if m:
                 token = int(history[-m])
                 if not 0 <= token < self.vocab_size:  # never counted; its code would alias
                     break
-                code = ids[-1] * self.vocab_size + token
+                code = ids[-1] * (self.vocab_size + 1) + token
             at = bisect_left(level.context_view, code)
             if at == len(level.contexts) or level.context_view[at] != code:
                 break
@@ -380,51 +455,63 @@ class NGramModel(SequenceModel):
         return ids
 
     def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        """The sum of the per-order terms: a counted gram's from the index,
-        and every other token's the floor of its context, or of an empty
-        one where the context was not found."""
+        """The sum of the per-order components, each after its context in
+        the history, or the floor of an empty context where that context
+        was never seen.  Each component is added whole, as the per-step
+        formula adds it, so the bits do not depend on how it was formed."""
         ids = self._context_ids(history)
-        p, component = np.zeros(self.vocab_size), np.empty(self.vocab_size)
+        p = np.zeros(self.vocab_size)
         for m, weight in enumerate(self.weights):
-            level = self.index[m]
-            total = level.totals.item(ids[m]) if m < len(ids) else 0
-            component.fill(_add_alpha(weight, self.alpha, 0, total, self.vocab_size))
             if m < len(ids):
-                lo, hi = level.offsets.item(ids[m]), level.offsets.item(ids[m] + 1)
-                component[level.tokens[lo:hi]] = level.terms[lo:hi]
-            p += component
+                p += self.index.component(m, ids[m])
+            else:
+                p += _add_alpha(weight, self.alpha, 0, 0, self.vocab_size)
         return p
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
         """Each token's probability from the per-order terms of
         ``next_token_distribution`` summed in the same order, so entry ``i``
-        has the bits of the dense distribution's; the context ids of every
-        step are looked up together, level by level."""
-        index, vocab = self.index, self.vocab_size
+        has the bits of the dense distribution's.  The context ids of every
+        step, and of one step past the last, are looked up together, level
+        by level; a token's count after a context is the range length of
+        the next step's context one level deeper, and at the deepest level
+        that of its gram's code."""
+        index, vocab, radix = self.index, self.vocab_size, self.vocab_size + 1
         tail = list(context[max(0, len(context) - self.order + 1) :])
         history = np.array([*tail, *continuation], dtype=np.int64)
         target = history[len(tail) :]
-        steps = np.arange(len(tail), len(history))  # where each scored token sits in history
+        if not len(target):
+            return np.zeros(0)
+        # where each scored token sits in history, and where the history ends
+        steps = np.arange(len(tail), len(history) + 1)
         # ids outside the vocabulary were never counted, and their codes would alias
         counted = (history >= 0) & (history < vocab)
         # ids[m, i]: the id of step i's m-token context, -1 when it was never seen
-        ids = np.empty((self.order, len(target)), dtype=np.int64)
-        ids[0] = _find(index[0].contexts, np.zeros(len(target), dtype=np.int64))
+        ids = np.empty((self.order, len(steps)), dtype=np.int64)
+        ids[0] = _find(index.levels[0].contexts, np.zeros(len(steps), dtype=np.int64))
         for m in range(1, self.order):
             left = np.maximum(steps - m, 0)  # the token that extends the context
             seen = (ids[m - 1] >= 0) & (steps >= m) & counted[left]
-            codes = np.where(seen, ids[m - 1] * vocab + history[left], -1)
-            ids[m] = _find(index[m].contexts, codes)
+            codes = np.where(seen, ids[m - 1] * radix + history[left], -1)
+            ids[m] = _find(index.levels[m].contexts, codes)
         p = np.zeros(len(target))
         for m, weight in enumerate(self.weights):
-            level, seen = index[m], ids[m] >= 0
+            at, seen = ids[m, :-1], ids[m, :-1] >= 0
+            starts = index.levels[m].starts
+            lo, hi = starts[at[seen]], starts[at[seen] + 1]
             total = np.zeros(len(target), dtype=np.int64)
-            total[seen] = level.totals[ids[m, seen]]
-            term = _add_alpha(weight, self.alpha, 0, total, vocab)  # each step's floor
-            seen &= counted[steps]
-            at = _find(level.grams, ids[m, seen] * vocab + target[seen])
-            term[seen] = np.where(at >= 0, level.terms[at], term[seen])
-            p += term
+            total[seen] = hi - lo - (index.ends.searchsorted(hi) - index.ends.searchsorted(lo))
+            count = np.zeros(len(target), dtype=np.int64)
+            if m + 1 < self.order:  # the next step's context ends with the token
+                deeper, longer = index.levels[m + 1].starts, ids[m + 1, 1:]
+                found = longer >= 0
+                count[found] = deeper[longer[found] + 1] - deeper[longer[found]]
+            else:
+                seen &= counted[len(tail) :]
+                codes = (at[seen] * radix + target[seen]).astype(index.grams.dtype)
+                count[seen] = (index.grams.searchsorted(codes, "right")
+                               - index.grams.searchsorted(codes))
+            p += _add_alpha(weight, self.alpha, count, total, vocab)
         return p
 
     # --- persistence ---

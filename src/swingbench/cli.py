@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bars", type=_int_at_least(1), default=32)
     p.add_argument("--count", type=_int_at_least(1), default=1)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--max-tokens", type=_int_at_least(1), default=20000)
     p.set_defaults(fn=cmd_generate)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import sys
@@ -237,7 +238,8 @@ def test_ngram_order_validation():
         message = rf"order must be in 1\.\.{MAX_ORDER}, got {order}"
         with pytest.raises(ChallengeError, match=message):
             NGramModel(order=order, vocab_size=5)
-    assert len(NGramModel(order=MAX_ORDER, vocab_size=5, sequences=[[0, 1]]).index) == MAX_ORDER
+    deepest = NGramModel(order=MAX_ORDER, vocab_size=5, sequences=[[0, 1]])
+    assert len(deepest.index.levels) == MAX_ORDER
 
 
 def test_train_rejects_empty_corpus():
@@ -314,39 +316,75 @@ def test_ngram_readers_have_the_bits_of_the_per_step_formula(order, vocab, alpha
 
 
 def _assert_index_holds_the_tables(model, tables):
-    """The model's count index read back against the oracle's dict tables:
-    the same contexts and grams, each context's total, and each gram's term
-    with the bits of ``_add_alpha`` on the oracle's count and total (the
-    terms are positive, so equal floats have equal bits)."""
-    assert len(model.index) == len(tables)
-    contexts = [()]  # contexts[c]: the tuple of context id c one level up
-    for m, (level, table) in enumerate(zip(model.index, tables)):
+    """The model's count index read back against the oracle's dict tables.
+    Each level's ranges follow one another over the shared order; each
+    context's total is its range's length less the piece ends in it; and
+    each gram's count is the number of its next token in the range, and
+    also the length of the range of the context one token longer (at the
+    deepest level, of the gram's run of codes), as the readers take it.
+    A context that only piece ends follow has a total of 0 and is the tail
+    of a piece; contexts with the token ``V`` in them are not read.  Every
+    held component has the bits of ``_add_alpha`` on the oracle's counts
+    (the terms are positive, so equal floats have equal bits)."""
+    index, vocab = model.index, model.vocab_size
+    radix, deepest = vocab + 1, len(index.levels) - 1
+    assert len(index.levels) == len(tables)
+    grams = index.grams.tolist()
+    assert grams == sorted(grams)
+    assert index.ends.tolist() == [i for i, code in enumerate(grams) if code % radix == vocab]
+    assert len(grams) == sum(map(len, model.sequences)) + len(model.sequences)
+    tails = {tuple(seq[len(seq) - m :]) for seq in model.sequences for m in range(len(seq) + 1)}
+    contexts = [()]  # contexts[c]: the tuple of context id c one level up, None if it holds V
+    for m, (level, table) in enumerate(zip(index.levels, tables)):
         if m:
             parents = contexts
-            contexts = [(int(code) % model.vocab_size, *parents[int(code) // model.vocab_size])
-                        for code in level.contexts]
+            contexts = [None if parents[code // radix] is None or code % radix == vocab
+                        else (code % radix, *parents[code // radix])
+                        for code in level.contexts.tolist()]
         else:
             contexts = [()] * len(level.contexts)
-        terms = {}
+        starts = level.starts.tolist()
+        assert starts[0] == 0 and starts[-1] == len(grams) and len(starts) == len(contexts) + 1
+        counted = {}
         for c, ctx in enumerate(contexts):
-            lo, hi = level.offsets[c], level.offsets[c + 1]
-            terms[ctx] = dict(zip(level.tokens[lo:hi].tolist(), level.terms[lo:hi].tolist()))
-            assert level.totals[c] == sum(table.get(ctx, {}).values())
-        expected = {}
-        for ctx, counts in table.items():
-            total = sum(counts.values())
-            expected[ctx] = {token: challenge._add_alpha(model.weights[m], model.alpha, count,
-                                                         total, model.vocab_size)
-                             for token, count in counts.items()}
-        assert terms == expected
+            lo, hi = starts[c], starts[c + 1]
+            assert lo < hi  # every context holds an entry
+            total = hi - lo - int(np.searchsorted(index.ends, hi) - np.searchsorted(index.ends, lo))
+            counts = {}
+            for code in grams[lo:hi]:
+                counts[code % radix] = counts.get(code % radix, 0) + 1
+            assert counts.pop(vocab, 0) == hi - lo - total
+            if ctx is None:
+                continue
+            if not total:
+                assert ctx in tails and ctx not in table  # seen only at a piece's end
+                continue
+            counted[ctx] = counts
+            for token, count in counts.items():
+                if m < deepest:
+                    longer = model._context_ids([*ctx, token])
+                    deeper = index.levels[m + 1].starts
+                    assert deeper[longer[m + 1] + 1] - deeper[longer[m + 1]] == count
+                else:
+                    run = bisect.bisect_right(grams, c * radix + token)
+                    assert run - bisect.bisect_left(grams, c * radix + token) == count
+            if c in level.held:
+                expected = [challenge._add_alpha(model.weights[m], model.alpha, counts.get(x, 0),
+                                                 total, vocab) for x in range(vocab)]
+                assert level.held[c].tolist() == expected
+        assert counted == table
 
 
 def _assert_same_index(a, b):
-    assert len(a.index) == len(b.index)
-    for x, y in zip(a.index, b.index):
-        for name in ("contexts", "grams", "tokens", "offsets", "totals", "terms"):
-            assert np.array_equal(getattr(x, name), getattr(y, name)), name
-            assert getattr(x, name).dtype == getattr(y, name).dtype, name
+    x, y = a.index, b.index
+    assert len(x.levels) == len(y.levels)
+    pairs = [(x.grams, y.grams), (x.ends, y.ends)]
+    for u, v in zip(x.levels, y.levels):
+        pairs += [(u.contexts, v.contexts), (u.starts, v.starts)]
+        assert sorted(u.held) == sorted(v.held)
+        pairs += [(u.held[c], v.held[c]) for c in u.held]
+    for u, v in pairs:
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,7 +412,8 @@ def test_count_index_memory_is_bounded():
     # the codec-generate benchmark corpus, ~119k tokens: per-order dict
     # tables keyed by context tuples peak at ~50 MB on it, int64 arrays at
     # ~18 MB, the narrow arrays with per-gram terms and int64 codes at
-    # ~13.7 MB, and with narrow codes and a flat token store at ~10.5 MB.
+    # ~13.7 MB, with narrow codes and a flat token store at ~10.3 MB, and
+    # as ranges of one sorted order at ~3.9 MB.
     sequences = [V.tokens_to_ids(encode_solo(s))
                  for s in random_corpus(1, 100, prefix="codec", n_bars=32)]
     assert sum(map(len, sequences)) > 100_000
@@ -385,7 +424,7 @@ def test_count_index_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12.5 * 2**20
+    assert peak < 4.5 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -396,13 +435,72 @@ def test_count_index_memory_is_bounded():
 )
 def test_count_index_codes_are_the_narrowest_that_hold_n_times_v(motif_sequences, vocab,
                                                                  sequences, code):
+    # the entries are the tokens and one end a piece, coded with V + 1 ids
     sequences = motif_sequences if sequences is None else sequences
-    assert challenge._int_type(sum(map(len, sequences)) * vocab) is code
+    entries = sum(map(len, sequences)) + len(sequences)
+    assert challenge._int_type(entries * (vocab + 1)) is code
     model = train_ngram(sequences, order=4, vocab_size=vocab)
-    for level in model.index:
-        assert level.contexts.dtype == level.grams.dtype == code
+    assert model.index.grams.dtype == code
+    assert model.index.ends.dtype == challenge._int_type(entries)
+    for level in model.index.levels:
+        assert level.contexts.dtype == code
+        assert level.starts.dtype == challenge._int_type(entries)
     _assert_index_holds_the_tables(model, ngram_count_tables(sequences, 4))
     _assert_score_is_the_dense_entry(model, sequences[0][:3], sequences[0][3:9])
+
+
+@pytest.mark.parametrize(
+    ("order", "sequences", "probes"),
+    [
+        # (2) and (1, 2) are followed only by the piece's end
+        (3, [[0, 1, 2], [0, 1, 0, 1]], [[1, 2], [2], [0, 1, 2], [3]]),
+        # empty pieces around and between counted ones
+        (3, [[], [0, 1], [], [], [1, 1, 0], []], [[], [0], [1, 1], [0, 1]]),
+        # every piece shorter than the order
+        (5, [[0], [1, 2], [2, 0, 1]], [[0], [2, 0], [2, 0, 1], [1, 2, 0, 1]]),
+        # the deepest model there is, over pieces longer and shorter than it
+        (MAX_ORDER, [[0, 1, 2, 3] * 10, [1, 2, 3, 0] * 9, [3, 2]],
+         [[0, 1, 2, 3] * 9, [1, 2, 3, 0] * 9 + [1], [3, 2], [2, 3, 0, 1]]),
+    ],
+    ids=["context-seen-at-a-piece-end", "empty-pieces", "pieces-shorter-than-the-order",
+         "max-order"],
+)
+def test_count_index_edge_cases_hold_the_tables(order, sequences, probes):
+    model = NGramModel(order, 4, sequences=sequences)
+    oracle = NGramOracle(sequences, order, 4, model.alpha)
+    _assert_index_holds_the_tables(model, ngram_count_tables(sequences, order))
+    for history in probes:
+        expected = np.array(oracle.distribution(history))
+        assert model.next_token_distribution(history).tobytes() == expected.tobytes()
+        _assert_score_is_the_dense_entry(model, history[:2], history[2:])
+
+
+def test_every_way_of_forming_a_component_has_the_bits_of_the_per_step_formula():
+    # 1,200 tokens of 4 ids in a vocabulary of 64: the index holds 18
+    # components whole, and fewer ranges than the 21 longer than 32
+    sequence = np.random.default_rng(7).integers(0, 4, 1200).tolist()
+    model, oracle = NGramModel(4, 64, sequences=[sequence]), NGramOracle([sequence], 4, 64, 0.01)
+    seen = set()
+    for end in range(3, 400):
+        history = sequence[end - 3 : end]
+        for m, c in enumerate(model._context_ids(history)):
+            lo, hi = model.index.levels[m].starts[c : c + 2]
+            long = hi - lo > challenge.SHORT_RANGE
+            seen.add("held" if c in model.index.levels[m].held
+                     else "counted by numpy" if long else "counted in a loop")
+        expected = np.array(oracle.distribution(history))
+        assert model.next_token_distribution(history).tobytes() == expected.tobytes()
+    assert seen == {"held", "counted by numpy", "counted in a loop"}
+
+
+def test_context_seen_only_at_a_piece_end_gives_the_unseen_floor():
+    # (2) and (1, 2) end the only piece that holds them: they hold entries
+    # of the index, and count no token, as no context at all
+    model = NGramModel(3, 4, sequences=[[0, 1, 2], [0, 1, 0]])
+    assert len(model._context_ids([1, 2])) == 3
+    unseen = model.next_token_distribution([3])  # (3) was never seen
+    assert model.next_token_distribution([1, 2]).tobytes() == unseen.tobytes()
+    assert [model.score([1, 2], [x])[0] for x in range(4)] == unseen.tolist()
 
 
 def test_saved_model_loads_to_the_same_index_and_file(tmp_path, motif_sequences):

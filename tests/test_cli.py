@@ -619,15 +619,18 @@ def test_generate_header_states_max_tokens(tmp_path, motif_file):
     assert "# cfg max_tokens=600" in (out / "gen-000.tokens").read_text().splitlines()
 
 
-@pytest.mark.parametrize("temperature", ["nan", "inf"])
-def test_generate_non_finite_temperature_is_a_named_error(tmp_path, motif_file, capsys,
-                                                          temperature):
-    model_path = tmp_path / "model.json"
-    run("train-model", "--corpus", motif_file, "--out", model_path, "--order", 2)
-    code = run("generate", "--model-file", model_path, "--out", tmp_path / "g",
-               "--temperature", temperature)
-    assert code == 1
-    assert "temperature must be positive and finite" in capsys.readouterr().err
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_generate_bad_temperature_is_a_usage_error_naming_the_flag(tmp_path, capsys,
+                                                                    temperature):
+    # refused before the model file is read, which here does not exist
+    out = tmp_path / "g"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--model-file", str(tmp_path / "missing.json"), "--out", str(out),
+              f"--temperature={temperature}"])
+    assert exc.value.code == 2
+    rule = "finite" if temperature.endswith(("nan", "inf")) else "positive"
+    assert f"argument --temperature: must be {rule}, got {temperature}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_challenge_header_names_the_model_file(tmp_path, motif_file):

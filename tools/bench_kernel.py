@@ -26,12 +26,21 @@ index (median of 5), the ``tracemalloc`` peak and kept bytes of one build
 per token, the bytes a token that the trained model and its index keep
 together, and microseconds per ``generate_tokens`` step: two pieces
 capped at GEN_TOKENS tokens (seeds SEED and SEED + 1) per repeat, median
-of 5 repeats.  The first repeat also builds the grammar masks.  It
-builds the corpus oracle on the same corpus and reports the
-``tracemalloc`` peak and kept bytes of the build per token, then times
-the oracle over the questions of the ``challenge-motif`` workload's
-oracle leg (its motif corpus and questions, seed MOTIF_SEED), in
-microseconds per scored token, median of 5.
+of 5 repeats.  The first repeat also builds the grammar masks.  It saves
+the model and runs the ``codec-generate`` workload's ``generate`` command
+on it 5 times, each from a small parent process that imports nothing
+else, and reports the command's own peak RSS from ``os.wait4`` (at exec
+Linux gives a child the high-water RSS of the process that spawned it,
+so a child of this script would read this script's).  It times the
+order-5 n-gram trained on the motif corpus of the ``challenge-motif``
+workload over the questions of its n-gram leg (seed MOTIF_SEED), in
+microseconds per scored token, median of 5, after one run that builds
+the index.  It builds the corpus oracle on the ``codec-generate`` corpus
+and reports the ``tracemalloc`` peak and kept bytes of the build per
+token, then times the oracle over the questions of the
+``challenge-motif`` workload's oracle leg (its motif corpus and
+questions, seed MOTIF_SEED), in microseconds per scored token, median of
+5.
 
 ``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
 holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
@@ -89,8 +98,16 @@ SEED = 0
 # n-gram order, and the cap on each generated piece, of the codec-generate workload
 ORDER = 5
 GEN_TOKENS = 3000
-# seed of the challenge-motif inputs and questions the oracle is timed on
+# seed of the challenge-motif inputs and questions the n-gram and oracle are timed on
 MOTIF_SEED = 1
+# Runs the command in its arguments and prints its exit code and peak RSS
+# in KiB; started with ``-S``, it imports nothing but ``os`` and ``sys``.
+SPAWNER = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
 # Stages of ``report --corpus`` timed in the yardstick child: (module, name).
 STAGES = [
     (cli, "load_corpus"),
@@ -168,7 +185,48 @@ def ingest() -> tuple[dict, list[list[int]]]:
     return result, [VOCAB.tokens_to_ids(tokens) for tokens in encoded]
 
 
+def motif_questions(count: int) -> tuple[list[list[int]], list]:
+    """The ``challenge-motif`` workload's corpus as token ids (seed
+    MOTIF_SEED), and ``count`` questions drawn from it as its legs draw them."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.WORKLOADS["challenge-motif"].setup(MOTIF_SEED, Path(tmp))
+        motif = [VOCAB.tokens_to_ids(encode_solo(solo))
+                 for solo in load_corpus(Path(tmp) / "motif.jsonl")]
+    return motif, build_questions(motif, count=count, seed=MOTIF_SEED,
+                                  bar_token_id=VOCAB.bar_token_id)
+
+
+def generate_peak_rss(model) -> list[float]:
+    """Peak RSS in MB of the ``codec-generate`` workload's ``generate``
+    command on ``model``, 5 runs, each started by ``SPAWNER``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    peaks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model.save(path)
+        argv = [sys.executable, "-S", "-c", SPAWNER, sys.executable, "-m", "swingbench.cli",
+                "generate", "--model-file", str(path), "--out", str(Path(tmp) / "gen"),
+                "--bars", "1000", "--count", str(workloads.GEN_COUNT),
+                "--max-tokens", str(workloads.GEN_MAX_TOKENS), "--seed", str(SEED)]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for _ in range(5):
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            code, kib = map(int, done.stdout.split()[-2:])
+            if code != 0:
+                raise SystemExit(f"error: generate exited with code {code}: {done.stderr}")
+            peaks.append(kib / 1024.0)
+    return peaks
+
+
 def ngram(sequences: list[list[int]]) -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
     tokens = sum(map(len, sequences))
     build_s = []
     for _ in range(5):
@@ -193,6 +251,13 @@ def ngram(sequences: list[list[int]]) -> dict:
                                for i in range(2)], 5)
     steps = 2 * (GEN_TOKENS - 1)
     step_us = [1e6 * t / steps for t in step_s]
+    rss = generate_peak_rss(model)
+    motif, questions = motif_questions(workloads.NGRAM_QUESTIONS)
+    motif_model = train_ngram(motif, ORDER, VOCAB.size)
+    run_challenge(motif_model, questions)  # builds the index
+    score_s, _ = timed(lambda: run_challenge(motif_model, questions), 5)
+    scored = sum(4 * question.truncation_length for question in questions)
+    score_us = [1e6 * t / scored for t in score_s]
     result = {
         "corpus": "perfbench codec-generate inputs, seed = SEED",
         "order": ORDER,
@@ -206,11 +271,22 @@ def ngram(sequences: list[list[int]]) -> dict:
         "sampled_tokens": steps,
         "generate_us_per_step": step_us,
         "median_generate_us_per_step": statistics.median(step_us),
+        "generate_command": "the codec-generate generate leg on this model, seed = SEED, "
+                            "started by a small parent (SPAWNER)",
+        "generate_peak_rss_mb": rss,
+        "median_generate_peak_rss_mb": statistics.median(rss),
+        "score_questions": "perfbench challenge-motif n-gram leg, seed = MOTIF_SEED, "
+                           f"order {ORDER} trained on its corpus",
+        "score_scored_tokens": scored,
+        "score_us_per_token": score_us,
+        "median_score_us_per_token": statistics.median(score_us),
     }
     print(f"n-gram, {tokens} tokens: index build {result['median_index_build_s']:.3f} s, "
           f"peak {peak / tokens:.1f} and kept {kept / tokens:.1f} bytes a token (with the model "
           f"{result['model_kept_bytes_per_token']:.1f}); generate "
-          f"{result['median_generate_us_per_step']:.1f} us a step", file=sys.stderr)
+          f"{result['median_generate_us_per_step']:.1f} us a step, its command's peak RSS "
+          f"{result['median_generate_peak_rss_mb']:.1f} MB; score "
+          f"{result['median_score_us_per_token']:.2f} us a scored token", file=sys.stderr)
     return result
 
 
@@ -225,12 +301,7 @@ def oracle(sequences: list[list[int]]) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    with tempfile.TemporaryDirectory() as tmp:
-        workloads.WORKLOADS["challenge-motif"].setup(MOTIF_SEED, Path(tmp))
-        motif = [VOCAB.tokens_to_ids(encode_solo(solo))
-                 for solo in load_corpus(Path(tmp) / "motif.jsonl")]
-    questions = build_questions(motif, count=workloads.ORACLE_QUESTIONS, seed=MOTIF_SEED,
-                                bar_token_id=VOCAB.bar_token_id)
+    motif, questions = motif_questions(workloads.ORACLE_QUESTIONS)
     model = CorpusOracleModel(motif, VOCAB.size)
     score_s, answered = timed(lambda: run_challenge(model, questions), 5)
     if answered.accuracy != 1.0:
