@@ -48,6 +48,9 @@ PROMPT_BARS = CONTINUATION_BARS = 8
 CLOSE_TIMEOUT_S = 10.0
 # Seconds a child model may take to send a whole reply line.
 READ_TIMEOUT_S = 60.0
+# Bytes a reply line may hold for each id of the vocabulary: ample for a
+# 17-digit probability and its index in either reply syntax.
+REPLY_BYTES_PER_ID = 64
 # Bytes of a child model's stderr quoted at the end of its error messages.
 STDERR_TAIL_BYTES = 2048
 
@@ -200,25 +203,15 @@ class CorpusOracleModel(SequenceModel):
         return lo, hi, depth
 
     def _column(self, lo: int, hi: int, depth: int) -> np.ndarray:
-        """The id at ``depth`` of each piece in ``lo:hi``, ascending.  Every
-        piece of a range of two or more goes on past ``depth`` (none is a
-        prefix of another); a lone piece that ends there has no id."""
-        if hi - lo == 1:
-            start = self._starts.item(lo) + depth
-            return self._ids[start : min(start + 1, self._starts.item(lo) + self._lengths.item(lo))]
+        """The id at ``depth`` of each piece in ``lo:hi``, a range of two or
+        more, ascending.  Every piece of such a range goes on past ``depth``
+        (none is a prefix of another)."""
         return self._ids[self._starts[lo:hi] + depth]
-
-    def next_token_distribution(self, history: Sequence[int]) -> np.ndarray:
-        following = np.unique(self._column(*self._follow((0, len(self._lengths), 0), history)))
-        if not len(following):
-            return np.full(self.vocab_size, 1.0 / self.vocab_size)
-        p = np.full(self.vocab_size, ORACLE_EPSILON / self.vocab_size)
-        p[following] += (1.0 - ORACLE_EPSILON) / len(following)
-        return p
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
         """Follows the context once, then the continuation a token at a
-        time; each entry has the bits of the dense distribution's."""
+        time.  This is the one way to query the model: it has no
+        ``next_token_distribution``."""
         out = np.full(len(continuation), 1.0 / self.vocab_size)  # off the corpus or past a piece
         self._follow(self._follow((0, len(self._lengths), 0), context), continuation, out)
         return out
@@ -575,7 +568,9 @@ class LineProtocolModel(SequenceModel):
     ids (an empty line for an empty history) and reads one line back:
     either ``vocab_size`` space-separated probabilities, or a sparse form
     ``* idx:prob idx:prob ...`` where unlisted tokens share the leftover
-    mass uniformly.
+    mass uniformly.  A reply line longer than ``REPLY_BYTES_PER_ID`` bytes
+    an id (characters, on a text stream), its line break aside, is refused
+    before it is parsed.
     """
 
     def __init__(self, reader: IO[str], writer: IO[str], vocab_size: int):
@@ -638,8 +633,21 @@ class LineProtocolModel(SequenceModel):
             )
         return p
 
+    @property
+    def _line_limit(self) -> int:
+        return REPLY_BYTES_PER_ID * self.vocab_size
+
+    def _too_long(self) -> ModelProtocolError:
+        return ModelProtocolError(
+            f"external model sent a reply line longer than {self._line_limit} bytes "
+            f"({REPLY_BYTES_PER_ID} an id)"
+        )
+
     def _read_line(self) -> str:
-        return self.reader.readline()
+        line = self.reader.readline(self._line_limit + 1)
+        if len(line) > self._line_limit and not line.endswith("\n"):
+            raise self._too_long()
+        return line
 
     def _closed_message(self) -> str:
         return "external model closed the stream"
@@ -674,9 +682,12 @@ class SubprocessModel(LineProtocolModel):
 
     def _read_line(self) -> str:
         """The next reply line, read from the pipe itself so that the wait is
-        bounded: the whole line must arrive within READ_TIMEOUT_S seconds."""
+        bounded: the whole line must arrive within READ_TIMEOUT_S seconds, and
+        it must not outgrow the line limit."""
         deadline = time.monotonic() + READ_TIMEOUT_S
         while b"\n" not in self._unread:
+            if len(self._unread) > self._line_limit:
+                raise self._too_long()
             if not self._poll.poll(max(0.0, 1000.0 * (deadline - time.monotonic()))):
                 raise ModelProtocolError(
                     f"external model {shlex.join(self._proc.args)!r} sent no whole reply "
@@ -687,6 +698,8 @@ class SubprocessModel(LineProtocolModel):
                 break
             self._unread += chunk
         line, newline, self._unread = self._unread.partition(b"\n")
+        if len(line) > self._line_limit:
+            raise self._too_long()
         return (line + newline).decode(errors="replace")
 
     def _closed_message(self) -> str:

@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import hashlib
 import math
-import re
 import shlex
 import sys
 from dataclasses import dataclass
@@ -27,9 +26,8 @@ import numpy as np
 
 from . import challenge as chal
 from . import metrics, structure
-from .chords import ChordError, chord_to_pitches
 from .corpus import Solo, load_corpus
-from .midi import write_midi
+from .midi import CHORD_REGISTER, write_midi
 from .tokenizer import (
     DEFAULT_VOCABULARY as VOCAB,
     DecodedTimeline,
@@ -76,25 +74,6 @@ def _write_text(path: Path, header: Sequence[str], lines: Iterable[str]) -> None
 
 def _fmt(value: float | None, decimals: int) -> str:
     return "NA" if value is None else f"{value:.{decimals}f}"
-
-
-def _parse_bands(text: str) -> list[tuple[int, int | None]]:
-    """``lo:hi,...`` (``lo:`` is open-ended) as duration bands, 1 <= lo <= hi."""
-    bands = []
-    for part in text.split(","):
-        match = re.fullmatch(r"([0-9]+):([0-9]*)", part)
-        lo = int(match[1]) if match else 0
-        hi = int(match[2]) if match and match[2] else None
-        if lo < 1 or (hi is not None and hi < lo):
-            raise CliError(f"--bands: {part!r} is not a band lo:hi or lo: "
-                           "with 1 <= lo <= hi")
-        bands.append((lo, hi))
-    return bands
-
-
-def _band_label(band: tuple[int, int | None]) -> str:
-    lo, hi = band
-    return f"SI_{lo}_{hi}" if hi is not None else f"SI_{lo}"
 
 
 # --- piece loading ------------------------------------------------------------
@@ -203,34 +182,28 @@ def cmd_tokenize(args) -> int:
 
 def cmd_detokenize(args) -> int:
     out_dir = Path(args.out)
-    config = {"command": "detokenize", "chord_register": args.chord_register}
+    config = {"command": "detokenize", "chord_register": CHORD_REGISTER}
     files = [Path(p) for p in args.tokens]
+    # every file is decoded before --out is made, so a failure leaves nothing
     timelines = [_decode_file(file) for file in files]
-    # every chord is voiced once before --out is made, so a failure leaves nothing
-    for file, timeline in zip(files, timelines):
-        for symbol in {chord.symbol for chord in timeline.chords}:
-            try:
-                chord_to_pitches(symbol, args.chord_register)
-            except ChordError as exc:
-                raise CliError(f"{file}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
     for file, timeline in zip(files, timelines):
         target = out_dir / (file.stem + ".mid")
         meta = "; ".join(provenance_header(config, [file]))
-        write_midi(timeline, target, chord_register=args.chord_register, meta_text=meta)
+        write_midi(timeline, target, meta_text=meta)
         print(f"wrote {target}")
     return 0
 
 
 def cmd_report(args) -> int:
-    bands = _parse_bands(args.bands)
+    bands = structure.DEFAULT_SI_BANDS
     out_dir = Path(args.out)
     sources, input_files = _load_sources(args)
     pieces = [_piece(piece_id, source) for piece_id, source in sources.items()]
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "report",
-        "bands": args.bands,
+        "bands": ",".join(f"{lo}:{hi or ''}" for lo, hi in bands),
         "tau": structure.DEFAULT_SSM_THRESHOLD,
         "delta": structure.DEFAULT_SSM_PENALTY,
         "frame_rate": 1.0,
@@ -245,12 +218,8 @@ def cmd_report(args) -> int:
     for piece in pieces:
         row = metrics.metric_row(piece.piece_id, piece.bars, piece.chords)
         plot = structure.scape_plot_for_chroma(piece.chroma)
-        values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity]
-        for lo, hi in bands:
-            try:
-                values.append(structure.structureness_indicator(plot, lo, hi))
-            except ValueError:
-                values.append(None)  # piece shorter than the band
+        values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity,
+                  *structure.band_indicators(plot)]
         rows.append((piece.piece_id, values))
         if args.scape_images:
             structure.write_scape_pgm(plot, out_dir / f"{piece.piece_id}.pgm")
@@ -265,7 +234,8 @@ def cmd_report(args) -> int:
         return "\t".join([label, *map(_fmt, values, decimals)])
 
     lines = [
-        "piece_id\tH1\tH4\tGS\tCPI\t" + "\t".join(_band_label(b) for b in bands),
+        "\t".join(["piece_id", "H1", "H4", "GS", "CPI",
+                   *(f"SI_{lo}_{hi}" if hi else f"SI_{lo}" for lo, hi in bands)]),
         *(line(piece_id, values) for piece_id, values in rows),
         line("MEAN", [column_mean(column) for column in zip(*(v for _, v in rows))]),
     ]
@@ -477,14 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detokenize", help="decode token files into MIDI")
     p.add_argument("--tokens", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--chord-register", type=int, default=60)
     p.set_defaults(fn=cmd_detokenize)
 
     p = sub.add_parser("report", help="full metric table per piece")
     _add_source_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--bands", default="3:8,8:15,15:",
-                   help="structureness duration bands lo:hi,... (default %(default)s)")
     p.add_argument("--scape-images", action="store_true")
     p.set_defaults(fn=cmd_report)
 

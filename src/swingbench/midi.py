@@ -21,6 +21,9 @@ TICKS_PER_BAR = TICKS_PER_QUARTER * 4
 MELODY_CHANNEL = 0
 CHORD_CHANNEL = 1
 CHORD_VELOCITY = 48
+# The MIDI pitch whose octave holds each chord's root; every chord symbol
+# voices inside pitches 48-92 here.
+CHORD_REGISTER = 60
 
 
 def encode_variable_length(value: int) -> bytes:
@@ -39,9 +42,7 @@ def _tick(bar: int, position: int) -> int:
     return bar * TICKS_PER_BAR + position * TICKS_PER_POSITION
 
 
-def timeline_to_midi_bytes(
-    timeline: DecodedTimeline, chord_register: int = 60, meta_text: str | None = None
-) -> bytes:
+def timeline_to_midi_bytes(timeline: DecodedTimeline, meta_text: str | None = None) -> bytes:
     """Render a decoded timeline as the bytes of a format-0 MIDI file.
 
     ``meta_text`` is embedded as a text meta event at tick 0 (used for
@@ -75,7 +76,7 @@ def timeline_to_midi_bytes(
     for i, chord in enumerate(timeline.chords):
         on = chord_ticks[i]
         off = chord_ticks[i + 1] if i + 1 < len(chord_ticks) else end_tick
-        for pitch in chord_to_pitches(chord.symbol, chord_register):
+        for pitch in chord_to_pitches(chord.symbol, CHORD_REGISTER):
             events.append((on, 2, bytes([0x90 | CHORD_CHANNEL, pitch, CHORD_VELOCITY])))
             events.append((off, 1, bytes([0x80 | CHORD_CHANNEL, pitch, 0])))
 
@@ -100,11 +101,6 @@ def timeline_to_midi_bytes(
     return header + b"MTrk" + len(track).to_bytes(4, "big") + bytes(track)
 
 
-def write_midi(
-    timeline: DecodedTimeline,
-    path: str | Path,
-    chord_register: int = 60,
-    meta_text: str | None = None,
-) -> None:
-    Path(path).write_bytes(timeline_to_midi_bytes(timeline, chord_register, meta_text))
+def write_midi(timeline: DecodedTimeline, path: str | Path, meta_text: str | None = None) -> None:
+    Path(path).write_bytes(timeline_to_midi_bytes(timeline, meta_text))
 

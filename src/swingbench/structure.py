@@ -60,7 +60,9 @@ DEFAULT_SSM_PENALTY = -2.0
 MELODY_WEIGHT = 1.0
 CHORD_WEIGHT = 0.5
 
-# Duration bands, in frames and so in seconds, for short-, medium-, long-term repeats.
+# The paper's SI_3^8, SI_8^15 and SI_15: duration bands, in frames and so in
+# seconds, for short-, medium- and long-term repeats (an upper bound of None
+# is the piece's length).
 DEFAULT_SI_BANDS: tuple[tuple[int, int | None], ...] = ((3, 8), (8, 15), (15, None))
 
 
@@ -473,10 +475,12 @@ def scape_plot_for_chroma(chroma: ChromaSequence) -> np.ndarray:
     return scape_plot(compute_ssm(chroma))
 
 
-def band_indicators(
-    plot: np.ndarray, bands: Sequence[tuple[int, int | None]] = DEFAULT_SI_BANDS
-) -> list[float]:
-    return [structureness_indicator(plot, lo, hi) for lo, hi in bands]
+def band_indicators(plot: np.ndarray) -> list[float | None]:
+    """The structureness indicator of each of DEFAULT_SI_BANDS; None for a
+    band whose shortest duration is longer than the piece."""
+    n = plot.shape[0]
+    return [structureness_indicator(plot, lo, hi) if lo <= n else None
+            for lo, hi in DEFAULT_SI_BANDS]
 
 
 # --- exports ----------------------------------------------------------------

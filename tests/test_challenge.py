@@ -95,9 +95,8 @@ def test_distribution_contract_rejects_nan_and_inf(bad):
 def test_oracle_model_predicts_next():
     pieces = [[1, 2, 3, 4], [5, 6, 7, 8]]
     model = CorpusOracleModel(pieces, vocab_size=10)
-    p = model.next_token_distribution([1, 2])
-    assert p[3] > 0.99
-    assert model.next_token_distribution([9, 9]).max() == pytest.approx(0.1)
+    assert model.score([1, 2], [3])[0] > 0.99
+    assert model.score([9, 9], [0])[0] == pytest.approx(0.1)
 
 
 def _oracle_reference(pieces, vocab_size, history, epsilon=1e-6):
@@ -120,23 +119,28 @@ def test_oracle_matches_its_prefix_definition(pieces, history):
     model = CorpusOracleModel(pieces, vocab_size=4)
     # every prefix of every piece, and a drawn history that may leave them all
     for probe in [p[:j] for p in pieces for j in range(len(p) + 1)] + [history]:
-        assert np.array_equal(
-            model.next_token_distribution(probe), _oracle_reference(pieces, 4, probe)
-        )
+        # each id after the probe, and each of the probe's own ids after its prefix
+        assert np.array_equal([model.score(probe, [token])[0] for token in range(4)],
+                              _oracle_reference(pieces, 4, probe))
+        assert np.array_equal(model.score([], probe),
+                              [_oracle_reference(pieces, 4, probe[:i])[token]
+                               for i, token in enumerate(probe)])
 
 
-def _assert_score_is_the_dense_entry(model, context, continuation):
+def _assert_score_is_the_dense_entry(model, context, continuation, dense=None):
+    """Each entry of the model's ``score`` has the bits of the matching entry
+    of ``dense``'s distribution, the model's own unless given."""
     got = model.score(context, continuation)
     assert got.shape == (len(continuation),)
     for i, token in enumerate(continuation):
-        p = model.next_token_distribution([*context, *continuation[:i]])
+        p = (dense or model).next_token_distribution([*context, *continuation[:i]])
         assert got[i] == p[token]  # the same bits, not merely close
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 3), max_size=6), min_size=1, max_size=5), st.data())
 def test_oracle_score_is_the_dense_entry(pieces, data):
-    model = CorpusOracleModel(pieces, vocab_size=4)
+    model, trie = CorpusOracleModel(pieces, vocab_size=4), TrieOracle(pieces, 4)
     piece = data.draw(st.sampled_from(pieces))
     cut = data.draw(st.integers(0, len(piece)))
     tail = data.draw(st.lists(st.integers(0, 3), max_size=4))
@@ -144,7 +148,7 @@ def test_oracle_score_is_the_dense_entry(pieces, data):
     # along a piece and on past its end, from the end of a piece, and from
     # a drawn history that may leave the corpus
     for context, continuation in [(piece[:cut], piece[cut:] + tail), (piece, tail), (drawn, tail)]:
-        _assert_score_is_the_dense_entry(model, context, continuation)
+        _assert_score_is_the_dense_entry(model, context, continuation, dense=trie)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,8 +167,8 @@ def test_oracle_has_the_bits_of_the_trie(vocab, data):
     model, trie = CorpusOracleModel(pieces, vocab), TrieOracle(pieces, vocab)
     for cut in range(len(history) + 1):
         head, tail = history[:cut], history[cut:]
-        assert (model.next_token_distribution(head).tobytes()
-                == trie.next_token_distribution(head).tobytes())
+        every_id = [model.score(head, [token])[0] for token in range(vocab)]
+        assert np.array(every_id).tobytes() == trie.next_token_distribution(head).tobytes()
         assert model.score(head, tail).tobytes() == trie.score(head, tail).tobytes()
 
 
@@ -1010,8 +1014,12 @@ class _PipeEnd:
         history = [int(x) for x in self.requests[-1].split()]
         self.pending.append(self.fn(history))
 
-    def readline(self):
-        return self.pending.pop(0)
+    def readline(self, limit=-1):
+        line = self.pending.pop(0)
+        if 0 <= limit < len(line):  # the rest stays for the next read, as in io
+            line, rest = line[:limit], line[limit:]
+            self.pending.insert(0, rest)
+        return line
 
 
 def test_line_protocol_dense():
@@ -1066,6 +1074,17 @@ def test_line_protocol_sparse_rejects_duplicate_index():
     model = LineProtocolModel(pipe, pipe, vocab_size=4)
     with pytest.raises(ModelProtocolError, match="twice"):
         model.next_token_distribution([])
+
+
+def test_line_protocol_refuses_a_reply_line_over_its_limit():
+    limit = challenge.REPLY_BYTES_PER_ID * 4
+    # a reply of exactly the limit is read; one byte more, with no line break, is refused
+    replies = iter(["*" + " " * (limit - 1) + "\n", "*" + " " * limit])
+    pipe = _PipeEnd(lambda history: next(replies), 4)
+    model = LineProtocolModel(pipe, pipe, vocab_size=4)
+    assert model.next_token_distribution([0]) == pytest.approx(np.full(4, 0.25))
+    with pytest.raises(ModelProtocolError, match=f"longer than {limit} bytes"):
+        model.next_token_distribution([0, 1])
 
 
 _PROBABILITY_TEXT = st.one_of(
@@ -1162,6 +1181,25 @@ def test_subprocess_model_reads_replies_however_the_child_writes_them():
     with SubprocessModel([sys.executable, "-c", script], 3) as model:
         chosen = [int(np.argmax(model.next_token_distribution([i]))) for i in range(3)]
     assert chosen == [0, 1, 2]
+
+
+def test_subprocess_model_refuses_a_reply_line_over_its_limit():
+    limit = challenge.REPLY_BYTES_PER_ID * V.size
+    # a reply of exactly the limit is read; one byte more, with no line break,
+    # is refused at once, not after READ_TIMEOUT_S
+    script = (
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        f"print('*' + ' ' * {limit - 1}, flush=True)\n"
+        "sys.stdin.readline()\n"
+        f"sys.stdout.write('*' + ' ' * {limit})\n"
+        "sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+    )
+    with SubprocessModel([sys.executable, "-c", script], V.size) as model:
+        assert model.next_token_distribution([0]) == pytest.approx(np.full(V.size, 1 / V.size))
+        with pytest.raises(ModelProtocolError, match=f"longer than {limit} bytes"):
+            model.next_token_distribution([0, 1])
 
 
 def test_subprocess_model_matches_builtin_uniform(questions):

@@ -206,13 +206,16 @@ def test_scape_builds_only_the_piece_it_plots(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["report", "scape"])
 def test_stride_is_a_usage_error(tmp_path, corpus_file, capsys, command):
-    # structureness has no settings: one frame a second, tau 0.2, delta -2.0
+    # structureness has no settings: one frame a second, tau 0.2, delta -2.0,
+    # and report's bands are the paper's 3-8, 8-15 and 15- seconds
     piece = ["--piece", "rand-000"] if command == "scape" else []
-    for flag in ("--stride", "--frame-rate", "--tau", "--delta"):
+    bands = [("--bands", "3:8")] if command == "report" else []
+    for flag, value in [("--stride", 2), ("--frame-rate", 2), ("--tau", 2), ("--delta", 2),
+                        *bands]:
         with pytest.raises(SystemExit) as exc:
-            run(command, "--corpus", corpus_file, *piece, "--out", tmp_path / "out", flag, 2)
+            run(command, "--corpus", corpus_file, *piece, "--out", tmp_path / "out", flag, value)
         assert exc.value.code == 2, flag
-        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err, flag
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err, flag
         assert not (tmp_path / "out").exists(), flag
 
 
@@ -224,21 +227,6 @@ def test_report_header_lists_its_settings(tmp_path, corpus_file):
             if line.startswith("# cfg ")]
     assert keys == ["bands", "chord_collapse", "command", "delta", "entropy_windows",
                     "frame_rate", "scape_images", "source", "tau"]
-
-
-@pytest.mark.parametrize("bands, bad", [
-    ("8:3", "8:3"),  # hi below lo
-    ("3:8,0:5", "0:5"),  # no duration 0
-    ("3:8,x", "x"),  # not a band
-    ("3:8,8", "8"),  # no colon
-    ("3:8,,15:", ""),  # empty
-    ("3:-8", "3:-8"),
-])
-def test_report_refuses_a_band_that_cannot_exist(tmp_path, corpus_file, capsys, bands, bad):
-    out = tmp_path / "rep"
-    assert run("report", "--corpus", corpus_file, "--out", out, "--bands", bands) == 1
-    assert f"error: --bands: {bad!r} is not a band" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_grammar_error_names_the_token_file(tmp_path, capsys):
@@ -306,6 +294,40 @@ def test_report_and_scape_bytes_pinned(tmp_path, source):
         for f in sorted(out.rglob("*")) if f.is_file()
     }
     assert digests == PINNED_OUTPUTS[source]
+
+
+# Each report row of a corpus whose pieces last 2, 4 and 32 s, recorded
+# while report still took its bands as a setting.  A band whose shortest
+# duration is longer than the piece prints NA; MEAN averages the defined cells.
+PINNED_SHORT_ROWS = {
+    "piece_id": "H1\tH4\tGS\tCPI\tSI_3_8\tSI_8_15\tSI_15",
+    "one-bar": "1.5850\t1.5850\tNA\tNA\tNA\tNA\tNA",
+    "two-bars": "1.5850\t1.5850\t1.0000\tNA\t0.2027\tNA\tNA",
+    "sixteen-bars": "1.5850\t2.1902\t1.0000\t57.14\t0.6171\t0.4839\t0.5000",
+    "MEAN": "1.5850\t1.7867\t1.0000\t57.14\t0.4099\t0.4839\t0.5000",
+}
+
+
+@pytest.mark.parametrize("source", ["corpus", "tokens"])
+def test_report_prints_na_for_a_band_past_the_end_of_the_piece(tmp_path, source):
+    corpus = tmp_path / "short.jsonl"
+    save_corpus([sectional_solo("one-bar", form="A", repetitions=1, section_bars=1),
+                 sectional_solo("two-bars", form="A", repetitions=1, section_bars=2),
+                 sectional_solo("sixteen-bars", form="AB", repetitions=2, section_bars=4)],
+                corpus)
+    if source == "corpus":
+        source_args = ("--corpus", corpus)
+    else:
+        assert run("tokenize", "--corpus", corpus, "--out", tmp_path / "tokens") == 0
+        source_args = ("--tokens-dir", tmp_path / "tokens")
+    assert run("report", *source_args, "--out", tmp_path / "rep") == 0
+    rows = dict(line.split("\t", 1)
+                for line in (tmp_path / "rep" / "report.tsv").read_text().splitlines()
+                if not line.startswith("#"))
+    assert rows == PINNED_SHORT_ROWS
+    # the mean of the SI_3_8 cells that are defined, to the printed precision
+    si_3_8 = [float(rows[piece].split("\t")[4]) for piece in ("two-bars", "sixteen-bars")]
+    assert float(rows["MEAN"].split("\t")[4]) == pytest.approx(sum(si_3_8) / 2, abs=1e-4)
 
 
 def test_challenge_oracle_perfect(tmp_path, motif_file, capsys):
@@ -961,17 +983,36 @@ def test_detokenize_decodes_every_file_before_making_out(tmp_path, corpus_file, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("register", [200, -50])
-def test_detokenize_voices_every_chord_before_making_out(tmp_path, corpus_file, capsys,
-                                                         register):
+# SHA-256 of each MIDI file that detokenize writes for a corpus with chords,
+# recorded while the chord register was still a setting.
+PINNED_MIDI = {
+    "rand-000.mid": "6ada27c3f6a165d1168ae8e50cca41d442cfad02749a942e24d48d5464a62ce9",
+    "rand-001.mid": "067f4b411300a9f9218a1f0bd93af7606d772ab7579d1806a12ee9814c879323",
+    "rand-002.mid": "07aa1452617d311d9c3b16415c2cf24256a10f853f0b6fae4a64615003414e8e",
+    "rand-003.mid": "b872a49e90cecab40c061320009775e9ce87fb8393934957dd05945670c89d10",
+}
+
+
+def test_detokenize_midi_bytes_pinned(tmp_path, corpus_file):
     tok = tmp_path / "tok"
     assert run("tokenize", "--corpus", corpus_file, "--out", tok) == 0
-    first = sorted(tok.glob("*.tokens"))[0]
-    out = tmp_path / "out"
-    assert run("detokenize", "--tokens", first, "--out", out,
-               "--chord-register", register) == 1
-    assert f"error: {first}: register {register} outside MIDI range" in capsys.readouterr().err
-    assert not out.exists()
+    assert all(any(t.category == "ChordTone" for t in read_tokens(f))
+               for f in tok.glob("*.tokens"))
+    assert run("detokenize", "--tokens", *sorted(tok.glob("*.tokens")), "--out",
+               tmp_path / "mid") == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted((tmp_path / "mid").glob("*.mid"))}
+    assert digests == PINNED_MIDI
+
+
+def test_chord_register_is_a_usage_error(tmp_path, capsys):
+    # chords are voiced at one register, midi.CHORD_REGISTER
+    with pytest.raises(SystemExit) as exc:
+        run("detokenize", "--tokens", tmp_path / "one.tokens", "--out", tmp_path / "out",
+            "--chord-register", 60)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --chord-register 60" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["tokenize", "report"])

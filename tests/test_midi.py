@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
+from swingbench.chords import ChordSymbol, chord_to_pitches
 from swingbench.midi import (
+    CHORD_REGISTER,
     TICKS_PER_POSITION,
     encode_variable_length,
     timeline_to_midi_bytes,
     write_midi,
 )
-from swingbench.tokenizer import decode_tokens, encode_solo
+from swingbench.tokenizer import (
+    CHORD_SLASH,
+    CHORD_TONE,
+    CHORD_TYPE,
+    DEFAULT_VOCABULARY as VOCAB,
+    decode_tokens,
+    encode_solo,
+)
 
 
 def read_events(data: bytes) -> list[tuple[int, bytes]]:
@@ -116,3 +127,12 @@ def test_write_midi_file(tmp_path, simple_solo):
     path = tmp_path / "out.mid"
     write_midi(decode_tokens(encode_solo(simple_solo)), path)
     assert path.read_bytes()[:4] == b"MThd"
+
+
+def test_every_chord_in_the_vocabulary_voices_inside_midi_range():
+    # so detokenize, which voices every chord at CHORD_REGISTER, cannot fail there
+    triples = list(product(*map(VOCAB.value_range, (CHORD_TONE, CHORD_TYPE, CHORD_SLASH))))
+    assert len(triples) == 12 * 47 * 12
+    pitches = [pitch for triple in triples
+               for pitch in chord_to_pitches(ChordSymbol(*triple), CHORD_REGISTER)]
+    assert (min(pitches), max(pitches)) == (48, 92)

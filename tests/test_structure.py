@@ -18,6 +18,7 @@ from oracles import fitness_oracle
 from swingbench import structure
 from swingbench.corpus import transpose_solo
 from swingbench.structure import (
+    DEFAULT_SI_BANDS,
     ChromaSequence,
     band_indicators,
     chroma_from_solo,
@@ -488,6 +489,19 @@ def test_indicator_rejects_bad_bands():
         structureness_indicator(plot, 8, 3)
     with pytest.raises(ValueError):
         structureness_indicator(plot, 11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 14, 15, 16])
+def test_band_indicators_are_none_for_a_band_past_the_end_of_the_piece(n):
+    plot = np.random.default_rng(n).random((n, n))
+    si = band_indicators(plot)
+    assert [value is not None for value in si] == [n >= 3, n >= 8, n >= 15]
+    for (lo, hi), value in zip(DEFAULT_SI_BANDS, si):
+        if value is None:  # the one case the indicator refuses
+            with pytest.raises(ValueError):
+                structureness_indicator(plot, lo, hi)
+        else:
+            assert value == structureness_indicator(plot, lo, hi)
 
 
 def test_indicator_transposition_invariance(aaba_solo):

@@ -71,8 +71,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+import compare  # noqa: E402
 import numpy as np  # noqa: E402
+import workloads  # noqa: E402
 
 from swingbench import cli, metrics, structure  # noqa: E402
 from swingbench.challenge import (  # noqa: E402
@@ -158,9 +161,6 @@ def line_protocol() -> dict:
 
 def ingest() -> tuple[dict, list[list[int]]]:
     """Ingest timings, and the token ids of the corpus they ingest."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     with tempfile.TemporaryDirectory() as tmp:
         workloads.WORKLOADS["codec-generate"].setup(SEED, Path(tmp))
         path = Path(tmp) / "codec.jsonl"
@@ -188,9 +188,6 @@ def ingest() -> tuple[dict, list[list[int]]]:
 def motif_questions(count: int) -> tuple[list[list[int]], list]:
     """The ``challenge-motif`` workload's corpus as token ids (seed
     MOTIF_SEED), and ``count`` questions drawn from it as its legs draw them."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     with tempfile.TemporaryDirectory() as tmp:
         workloads.WORKLOADS["challenge-motif"].setup(MOTIF_SEED, Path(tmp))
         motif = [VOCAB.tokens_to_ids(encode_solo(solo))
@@ -202,9 +199,6 @@ def motif_questions(count: int) -> tuple[list[list[int]], list]:
 def generate_peak_rss(model) -> list[float]:
     """Peak RSS in MB of the ``codec-generate`` workload's ``generate``
     command on ``model``, 5 runs, each started by ``SPAWNER``."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     peaks = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -224,9 +218,6 @@ def generate_peak_rss(model) -> list[float]:
 
 
 def ngram(sequences: list[list[int]]) -> dict:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     tokens = sum(map(len, sequences))
     build_s = []
     for _ in range(5):
@@ -298,9 +289,6 @@ def oracle(sequences: list[list[int]]) -> dict:
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     motif, questions = motif_questions(workloads.ORACLE_QUESTIONS)
     model = CorpusOracleModel(motif, VOCAB.size)
     score_s, answered = timed(lambda: run_challenge(model, questions), 5)
@@ -443,9 +431,6 @@ def numpy_estimate(fixed: dict, frames: list[int]) -> dict:
 
 
 def assemble(args) -> dict:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import compare
-
     def records(path: Path) -> list[dict]:
         return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
                 if line.strip()]
