@@ -85,16 +85,22 @@ class SequenceModel:
         return out
 
 
-def checked_distribution(model: SequenceModel, history: Sequence[int]) -> np.ndarray:
-    """Query a model and enforce the probability contract at the boundary."""
-    p = np.asarray(model.next_token_distribution(history), dtype=float)
-    if p.shape != (model.vocab_size,):
-        raise ChallengeError(
-            f"model returned shape {p.shape}, expected ({model.vocab_size},)"
-        )
+def _checked_probabilities(values, length: int, verb: str) -> np.ndarray:
+    """``values`` as a float array, refused unless it holds ``length``
+    probabilities in [0, 1]; ``verb`` says what the model did to give them."""
+    p = np.asarray(values, dtype=float)
+    if p.shape != (length,):
+        raise ChallengeError(f"model {verb} shape {p.shape}, expected ({length},)")
     # Negated comparisons: NaN fails both checks, inf the range check.
     if not ((p >= 0) & (p <= 1)).all():
-        raise ChallengeError("model returned probabilities outside [0, 1] or NaN")
+        raise ChallengeError(f"model {verb} probabilities outside [0, 1] or NaN")
+    return p
+
+
+def checked_distribution(model: SequenceModel, history: Sequence[int]) -> np.ndarray:
+    """Query a model and enforce the probability contract at the boundary."""
+    p = _checked_probabilities(model.next_token_distribution(history), model.vocab_size,
+                               "returned")
     if not abs(float(p.sum()) - 1.0) <= DISTRIBUTION_TOLERANCE:
         raise ChallengeError(f"model distribution sums to {p.sum()!r}, not 1")
     return p
@@ -871,14 +877,7 @@ def score_continuation(
     candidate = candidate[:length]
     if not (0 <= min(candidate) and max(candidate) < model.vocab_size):
         raise ChallengeError(f"candidate token id outside [0, {model.vocab_size})")
-    probs = np.asarray(model.score(prompt, candidate), dtype=float)
-    if probs.shape != (len(candidate),):
-        raise ChallengeError(
-            f"model scored shape {probs.shape}, expected ({len(candidate)},)"
-        )
-    # Negated comparisons: NaN fails both checks, inf the range check.
-    if not ((probs >= 0) & (probs <= 1)).all():
-        raise ChallengeError("model scored probabilities outside [0, 1] or NaN")
+    probs = _checked_probabilities(model.score(prompt, candidate), len(candidate), "scored")
     total = 0.0
     for p in probs:
         total += float(p)

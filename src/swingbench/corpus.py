@@ -3,14 +3,9 @@
 A solo is a melody track (notes with onset, duration, pitch, loudness,
 phrase and midlevel-unit annotations) plus a beat track (beat onsets,
 chords, form parts).  Corpora are stored as JSON Lines: one solo record
-per line, with positional field lists so the column order is fixed:
-
-    {"id": "...",
-     "notes": [[onset_sec, duration_sec, pitch, loudness_db, phrase_start, mlu_label], ...],
-     "beats": [[onset_sec, duration_sec, bar_index, position_in_bar, chord], ...],
-     "parts": [[letter, repetition, start_bar, end_bar], ...]}
-
-``mlu_label`` and ``chord`` are null when absent.  Floats are written with
+per line, a string ``id`` and the ``notes``, ``beats`` and ``parts`` rows,
+each row the fields of a :class:`Note`, :class:`Beat` or :class:`FormPart`
+in order; ``_ROW_KINDS`` states their JSON types.  Floats are written with
 full precision, so save -> load is the identity on valid solos.
 
 Only 4/4 material is accepted: every bar must contain exactly four beats
@@ -29,6 +24,7 @@ import json
 import logging
 import math
 import operator
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -228,109 +224,82 @@ def validate_solo(solo: Solo) -> list[str]:
 
 # --- interchange format -------------------------------------------------
 
-
-def _note_to_row(n: Note) -> list:
-    return [n.onset_sec, n.duration_sec, n.pitch, n.loudness_db, n.phrase_start, n.mlu_label]
+_NULL, _LIST = type(None), {list}
 
 
-def _beat_to_row(b: Beat) -> list:
-    return [b.onset_sec, b.duration_sec, b.bar_index, b.position_in_bar, b.chord]
+class _RowKind:
+    """One row kind of the interchange format, stated once: the record key
+    that holds its rows, the name an error gives a row, the dataclass, and
+    in column order each field's name and the JSON types it may hold.
+
+    An int is read as a float where a float may stand, a bool is never an
+    int, and a last field that may be null may also be left out.  Rows that
+    all hold exactly the types ``save_corpus`` writes go straight into the
+    dataclass; other rows are read, or refused, field by field.
+    """
+
+    def __init__(self, key: str, name: str, cls: type, *fields: tuple):
+        self.key, self.name, self.cls, self.fields = key, name, cls, fields
+        self.to_row = operator.attrgetter(*(field[0] for field in fields))
+        self.column_types = [frozenset(types) for _, *types in fields]
+
+    def read(self, record: dict, where: str) -> tuple:
+        """The dataclasses of the record's rows of this kind."""
+        rows = record.get(self.key, [])
+        if type(rows) is not list:
+            raise CorpusError(f"{where}: {self.key!r} is not a list ({rows!r})")
+        # a column at a time, half the cost of row by row; extra fields are ignored
+        columns = list(zip(*rows)) if set(map(type, rows)) == _LIST else ()
+        if len(columns) == len(self.fields) and all(
+                set(map(type, c)) <= t for c, t in zip(columns, self.column_types)):
+            return tuple(map(self.cls, *columns))
+        return tuple(self._read_fields(row, f"{where} {self.name} {i}")
+                     for i, row in enumerate(rows))
+
+    def _read_fields(self, row, where: str):
+        if type(row) is not list:
+            raise CorpusError(f"{where}: row is not a list ({row!r})")
+        if len(row) == len(self.fields) - 1 and _NULL in self.fields[-1]:
+            row = [*row, None]  # the last field, left out
+        values = []
+        for (name, *types), value in zip(self.fields, row):
+            if type(value) is int and float in types and abs(value) <= sys.float_info.max:
+                value = float(value)  # an int past the float range is refused below
+            elif type(value) not in types:
+                raise CorpusError(f"{where}: field {name!r} has wrong type ({value!r})")
+            values.append(value)
+        if len(values) < len(self.fields):
+            raise CorpusError(f"{where}: missing field {self.fields[len(values)][0]!r}")
+        return self.cls(*values)
 
 
-def _part_to_row(p: FormPart) -> list:
-    return [p.letter, p.repetition, p.start_bar, p.end_bar]
+_ROW_KINDS = (
+    _RowKind("notes", "note", Note, ("onset_sec", float), ("duration_sec", float),
+             ("pitch", int), ("loudness_db", float), ("phrase_start", bool),
+             ("mlu_label", str, _NULL)),
+    _RowKind("beats", "beat", Beat, ("onset_sec", float), ("duration_sec", float),
+             ("bar_index", int), ("position_in_bar", int), ("chord", str, _NULL)),
+    _RowKind("parts", "part", FormPart, ("letter", str), ("repetition", int),
+             ("start_bar", int), ("end_bar", int)),
+)
 
 
 def solo_to_record(solo: Solo) -> dict:
-    return {
-        "id": solo.id,
-        "notes": [_note_to_row(n) for n in solo.notes],
-        "beats": [_beat_to_row(b) for b in solo.beats],
-        "parts": [_part_to_row(p) for p in solo.parts],
-    }
-
-
-def _field(row: list, idx: int, name: str, kind, where: str):
-    try:
-        value = row[idx]
-    except IndexError:
-        raise CorpusError(f"{where}: missing field {name!r}") from None
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    raise CorpusError(f"{where}: field {name!r} has wrong type ({value!r})")
-
-
-def _note_from_row(row: list, where: str) -> Note:
-    mlu = row[5] if len(row) > 5 else None
-    if mlu is not None and not isinstance(mlu, str):
-        raise CorpusError(f"{where}: field 'mlu_label' has wrong type ({mlu!r})")
-    return Note(
-        onset_sec=_field(row, 0, "onset_sec", float, where),
-        duration_sec=_field(row, 1, "duration_sec", float, where),
-        pitch=_field(row, 2, "pitch", int, where),
-        loudness_db=_field(row, 3, "loudness_db", float, where),
-        phrase_start=_field(row, 4, "phrase_start", bool, where),
-        mlu_label=mlu,
-    )
-
-
-def _beat_from_row(row: list, where: str) -> Beat:
-    chord = row[4] if len(row) > 4 else None
-    if chord is not None and not isinstance(chord, str):
-        raise CorpusError(f"{where}: field 'chord' has wrong type ({chord!r})")
-    return Beat(
-        onset_sec=_field(row, 0, "onset_sec", float, where),
-        duration_sec=_field(row, 1, "duration_sec", float, where),
-        bar_index=_field(row, 2, "bar_index", int, where),
-        position_in_bar=_field(row, 3, "position_in_bar", int, where),
-        chord=chord,
-    )
+    """A solo as its JSON record; each row is a tuple, which JSON writes as
+    an array."""
+    return {"id": solo.id, **{kind.key: list(map(kind.to_row, getattr(solo, kind.key)))
+                              for kind in _ROW_KINDS}}
 
 
 def solo_from_record(record: dict, where: str = "record") -> Solo:
+    """The solo of a JSON record; a record that does not follow the schema
+    raises :class:`CorpusError` naming ``where``, or the solo and the row."""
     if not isinstance(record, dict) or "id" not in record:
         raise CorpusError(f"{where}: record must be an object with an 'id' field")
     solo_id = record["id"]
-    where = f"solo {solo_id!r}"
-    # A row as save_corpus writes it passes one test and goes straight into
-    # its Note or Beat; any other row (an int for a float, a short row, a
-    # wrong type) is converted or refused field by field.
-    notes = []
-    for i, row in enumerate(record.get("notes", [])):
-        if (type(row) is list and len(row) == 6
-                and type(row[0]) is type(row[1]) is type(row[3]) is float
-                and type(row[2]) is int and type(row[4]) is bool
-                and (row[5] is None or type(row[5]) is str)):
-            notes.append(Note(*row))
-        else:
-            notes.append(_note_from_row(row, f"{where} note {i}"))
-    beats = []
-    for i, row in enumerate(record.get("beats", [])):
-        if (type(row) is list and len(row) == 5
-                and type(row[0]) is type(row[1]) is float
-                and type(row[2]) is type(row[3]) is int
-                and (row[4] is None or type(row[4]) is str)):
-            beats.append(Beat(*row))
-        else:
-            beats.append(_beat_from_row(row, f"{where} beat {i}"))
-    parts = []
-    for i, row in enumerate(record.get("parts", [])):
-        w = f"{where} part {i}"
-        parts.append(
-            FormPart(
-                letter=_field(row, 0, "letter", str, w),
-                repetition=_field(row, 1, "repetition", int, w),
-                start_bar=_field(row, 2, "start_bar", int, w),
-                end_bar=_field(row, 3, "end_bar", int, w),
-            )
-        )
-    return Solo(id=str(solo_id), notes=tuple(notes), beats=tuple(beats), parts=tuple(parts))
+    if type(solo_id) is not str:
+        raise CorpusError(f"{where}: solo id {solo_id!r} is not a string")
+    return Solo(solo_id, *(kind.read(record, f"solo {solo_id!r}") for kind in _ROW_KINDS))
 
 
 def save_corpus(solos: Iterable[Solo], path: str | Path) -> None:
@@ -345,10 +314,11 @@ def save_corpus(solos: Iterable[Solo], path: str | Path) -> None:
 def load_corpus(path: str | Path) -> list[Solo]:
     """Load and validate a JSON Lines corpus file.
 
-    Raises :class:`CorpusError` naming the offending solo and field on any
-    schema or invariant violation, or the line of a solo whose id repeats
-    an earlier one or cannot be a file name, and :class:`EmptyCorpusError`
-    when the file holds no records.
+    Raises :class:`CorpusError` naming the offending solo and row or field
+    on any schema or invariant violation, or the line of a record that is
+    not JSON or of a solo whose id is not a string, repeats an earlier one
+    or cannot be a file name, and :class:`EmptyCorpusError` when the file
+    holds no records.
     """
     path = Path(path)
     solos: list[Solo] = []
@@ -361,7 +331,7 @@ def load_corpus(path: str | Path) -> list[Solo]:
             where = f"{path} line {lineno}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # or nesting, ints past Python's limits
                 raise CorpusError(f"{where}: invalid JSON ({exc})") from None
             solo = solo_from_record(record, where=where)
             # each id names its solo's output files (<id>.tokens, <id>.pgm)

@@ -110,19 +110,21 @@ def parse_token(text: str) -> EventToken:
     return EventToken(m.group(1), int(m.group(2)))
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 # --- quantization formulas ----------------------------------------------
+
+
+def _floor_into(x: float, lo: int, hi: int) -> int:
+    """``floor(x)`` clamped to ``lo..hi``: ``x`` is clamped first, so a huge
+    or infinite ``x`` gives a bound and never overflows ``math.floor``."""
+    return lo if x < lo else hi if x > hi else math.floor(x)
 
 
 def quantize_velocity(loudness_db: float) -> int:
     """Map loudness in dB to a velocity bin in 1..32."""
     if not math.isfinite(loudness_db):
         raise QuantizationError(f"loudness must be finite, got {loudness_db}")
-    v = math.floor((80.0 + 3.0 * (loudness_db - 65.0)) / 4.0)
-    return min(max(v, MIN_VELOCITY_BIN), MAX_VELOCITY_BIN)
+    return _floor_into((80.0 + 3.0 * (loudness_db - 65.0)) / 4.0,
+                       MIN_VELOCITY_BIN, MAX_VELOCITY_BIN)
 
 
 def velocity_to_midi(velocity_bin: int) -> int:
@@ -139,10 +141,9 @@ def quantize_duration(note_duration_sec: float, beat_duration_sec: float) -> int
     """
     if note_duration_sec <= 0 or beat_duration_sec <= 0:
         raise QuantizationError("durations must be positive")
-    units = _round_half_up(POSITIONS_PER_BEAT * note_duration_sec / beat_duration_sec)
-    if units < MIN_DURATION_UNITS:
-        return None
-    return min(units, MAX_DURATION_UNITS)
+    units = _floor_into(POSITIONS_PER_BEAT * note_duration_sec / beat_duration_sec + 0.5,
+                        MIN_DURATION_UNITS - 1, MAX_DURATION_UNITS)
+    return units if units >= MIN_DURATION_UNITS else None
 
 
 def justify_position(
@@ -159,7 +160,7 @@ def justify_position(
             f"[{beat_onset_sec}, {beat_onset_sec + beat_duration_sec})"
         )
     p = beat_position + POSITIONS_PER_BEAT * (note_onset_sec - beat_onset_sec) / beat_duration_sec
-    return min(max(_round_half_up(p), 0), POSITIONS_PER_BAR - 1)
+    return _floor_into(p + 0.5, 0, POSITIONS_PER_BAR - 1)
 
 
 def derive_tempo_events(beat_duration_sec: float) -> tuple[int, int]:
@@ -174,8 +175,8 @@ def derive_tempo_events(beat_duration_sec: float) -> tuple[int, int]:
     cls = bisect_right(bounds, bpm) - 1
     cls = min(max(cls, 0), NUM_TEMPO_CLASSES - 1)
     lo, hi = bounds[cls], bounds[cls + 1]
-    step = math.floor(TEMPO_STEPS_PER_CLASS * (bpm - lo) / (hi - lo))
-    step = min(max(step, 0), TEMPO_STEPS_PER_CLASS - 1)
+    step = _floor_into(TEMPO_STEPS_PER_CLASS * (bpm - lo) / (hi - lo),
+                       0, TEMPO_STEPS_PER_CLASS - 1)
     return cls + 1, TEMPO_STEPS_PER_CLASS * cls + step
 
 

@@ -330,7 +330,10 @@ def _field(row: list, idx: int, name: str, kind, where: str):
     except IndexError:
         raise CorpusError(f"{where}: missing field {name!r}") from None
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is bool and isinstance(value, bool):
@@ -340,14 +343,27 @@ def _field(row: list, idx: int, name: str, kind, where: str):
     raise CorpusError(f"{where}: field {name!r} has wrong type ({value!r})")
 
 
+def _rows(record: dict, key: str, where: str, name: str):
+    """Each row of ``record[key]`` and the place an error names it by."""
+    rows = record.get(key, [])
+    if not isinstance(rows, list):
+        raise CorpusError(f"{where}: {key!r} is not a list ({rows!r})")
+    for i, row in enumerate(rows):
+        w = f"{where} {name} {i}"
+        if not isinstance(row, list):
+            raise CorpusError(f"{w}: row is not a list ({row!r})")
+        yield row, w
+
+
 def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
     if not isinstance(record, dict) or "id" not in record:
         raise CorpusError(f"{where}: record must be an object with an 'id' field")
     solo_id = record["id"]
+    if not isinstance(solo_id, str):
+        raise CorpusError(f"{where}: solo id {solo_id!r} is not a string")
     where = f"solo {solo_id!r}"
     notes = []
-    for i, row in enumerate(record.get("notes", [])):
-        w = f"{where} note {i}"
+    for row, w in _rows(record, "notes", where, "note"):
         mlu = row[5] if len(row) > 5 else None
         if mlu is not None and not isinstance(mlu, str):
             raise CorpusError(f"{w}: field 'mlu_label' has wrong type ({mlu!r})")
@@ -362,8 +378,7 @@ def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
             )
         )
     beats = []
-    for i, row in enumerate(record.get("beats", [])):
-        w = f"{where} beat {i}"
+    for row, w in _rows(record, "beats", where, "beat"):
         chord = row[4] if len(row) > 4 else None
         if chord is not None and not isinstance(chord, str):
             raise CorpusError(f"{w}: field 'chord' has wrong type ({chord!r})")
@@ -377,8 +392,7 @@ def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
             )
         )
     parts = []
-    for i, row in enumerate(record.get("parts", [])):
-        w = f"{where} part {i}"
+    for row, w in _rows(record, "parts", where, "part"):
         parts.append(
             FormPart(
                 letter=_field(row, 0, "letter", str, w),
@@ -387,7 +401,7 @@ def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
                 end_bar=_field(row, 3, "end_bar", int, w),
             )
         )
-    return Solo(id=str(solo_id), notes=tuple(notes), beats=tuple(beats), parts=tuple(parts))
+    return Solo(id=solo_id, notes=tuple(notes), beats=tuple(beats), parts=tuple(parts))
 
 
 @dataclass

@@ -88,7 +88,8 @@ def test_distribution_contract_rejects_nan_and_inf(bad):
         def next_token_distribution(self, history):
             return np.array([0.5, 0.5, bad, 0.0])
 
-    with pytest.raises(ChallengeError):
+    with pytest.raises(ChallengeError,
+                       match=r"^model returned probabilities outside \[0, 1\] or NaN$"):
         checked_distribution(NonFinite(4), [])
 
 
@@ -757,7 +758,8 @@ def test_score_contract_enforced(scores):
         def score(self, context, continuation):
             return np.array(scores)
 
-    with pytest.raises(ChallengeError, match="model scored"):
+    with pytest.raises(ChallengeError, match=r"^model scored (shape \(.*\), expected \(3,\)"
+                                             r"|probabilities outside \[0, 1\] or NaN)$"):
         score_continuation(BadScore(4), [0], [1, 2, 3])
 
 

@@ -15,7 +15,7 @@ import swingbench
 from swingbench import challenge as chal
 from swingbench.challenge import train_ngram
 from swingbench.cli import build_parser, main
-from swingbench.corpus import Beat, Note, Solo, save_corpus
+from swingbench.corpus import Beat, Note, Solo, save_corpus, solo_to_record
 from swingbench.synthetic import motif_corpus, random_corpus, sectional_corpus, sectional_solo
 from swingbench.tokenizer import BAR, decode_tokens, read_tokens, repair_token_stream
 
@@ -937,6 +937,53 @@ def test_infinite_beat_onset_is_refused_by_every_corpus_command(tmp_path, capsys
         assert capsys.readouterr().err.splitlines() == [
             "error: solo 'long': beat at inf: onset_sec must be finite"], argv[0]
         assert not out.exists(), argv[0]
+
+
+def _hostile_corpus(path: Path, change) -> Path:
+    """A one-solo corpus, ``change``d from what save_corpus writes."""
+    record = json.loads(json.dumps(solo_to_record(sectional_solo("s", form="AB",
+                                                                   section_bars=2))))
+    change(record)
+    path.write_text(json.dumps(record) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r: r["notes"].__setitem__(0, 0), "solo 's' note 0: row is not a list (0)"),
+    (lambda r: r["notes"].__setitem__(0, {}), "solo 's' note 0: row is not a list ({})"),
+    (lambda r: r.update(parts=[3]), "solo 's' part 0: row is not a list (3)"),
+    (lambda r: r.update(notes=128), "solo 's': 'notes' is not a list (128)"),
+    (lambda r: r.update(beats=None), "solo 's': 'beats' is not a list (None)"),
+    (lambda r: r.update(id=None), "{corpus} line 1: solo id None is not a string"),
+    (lambda r: r.update(id=True), "{corpus} line 1: solo id True is not a string"),
+    (lambda r: r.update(id={"a": 1}), "{corpus} line 1: solo id {'a': 1} is not a string"),
+], ids=["note-int", "note-object", "part-int", "notes-int", "beats-null", "id-null", "id-bool",
+        "id-object"])
+def test_record_of_the_wrong_json_type_is_one_named_error(tmp_path, capsys, change, message):
+    corpus = _hostile_corpus(tmp_path / "hostile.jsonl", change)
+    assert run("tokenize", "--corpus", corpus, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: " + message.replace("{corpus}", str(corpus))]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, field, value, expected", [
+    ("notes", 3, 1e308, "NoteVelocity(32)"),
+    ("notes", 3, -1e308, "NoteVelocity(1)"),
+    ("notes", 1, 1e308, "NoteDuration(32)"),
+    ("beats", 1, 1e-320, "Tempo(59)"),
+], ids=["loud", "quiet", "long-note", "short-beat"])
+def test_number_past_a_quantizer_range_encodes_at_its_bound(tmp_path, row, field, value,
+                                                            expected):
+    def change(record):
+        record[row][0 if row == "notes" else -1][field] = value
+    corpus = _hostile_corpus(tmp_path / "hostile.jsonl", change)
+    assert run("tokenize", "--corpus", corpus, "--out", tmp_path / "out") == 0
+    # the first note's token, or the last beat's: the bound, not an OverflowError
+    category = expected.split("(")[0]
+    tokens = [str(t) for t in read_tokens(tmp_path / "out" / "s.tokens")
+              if t.category == category]
+    assert tokens[0 if row == "notes" else -1] == expected
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

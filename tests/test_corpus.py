@@ -65,6 +65,15 @@ def test_load_rejects_malformed_json(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("line", ["[" * 100_000 + "]" * 100_000, "1" * 5000],
+                         ids=["nested-too-deep", "int-too-long"])
+def test_load_names_the_line_of_json_that_python_cannot_read(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n" + line + "\n")
+    with pytest.raises(CorpusError, match=r"line 2: invalid JSON"):
+        load_corpus(path)
+
+
 def test_load_rejects_wrong_field_type(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -72,6 +81,14 @@ def test_load_rejects_wrong_field_type(tmp_path):
         '"beats":[[0.0,0.5,0,0,null],[0.5,0.5,0,1,null],[1.0,0.5,0,2,null],[1.5,0.5,0,3,null]],"parts":[]}\n'
     )
     with pytest.raises(CorpusError, match="duration_sec"):
+        load_corpus(path)
+
+
+def test_load_rejects_an_int_too_large_for_a_float(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    save_corpus([Solo("x", (Note(0.0, 0.5, 60, 65.0),), tuple(four_four_beats(1)))], path)
+    path.write_text(path.read_text().replace("65.0", "1" + "0" * 400))
+    with pytest.raises(CorpusError, match=r"^solo 'x' note 0: field 'loudness_db' has wrong type"):
         load_corpus(path)
 
 

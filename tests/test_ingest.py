@@ -4,8 +4,12 @@ same exception and message on corrupted records."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from oracles import (
     solo_from_record_oracle,
     validate_solo_oracle,
 )
-from swingbench.corpus import solo_from_record, solo_to_record, validate_solo
+from swingbench.cli import main
+from swingbench.corpus import CorpusError, solo_from_record, solo_to_record, validate_solo
 from swingbench.metrics import bars_from_solo
 from swingbench.synthetic import motif_solo, random_solo, sectional_solo
 from swingbench.tokenizer import DEFAULT_VOCABULARY, TokenizationError, encode_solo
@@ -79,6 +84,8 @@ def test_bars_from_solo_places_notes_as_the_reference_does(solo):
 # Field indices of each row kind, by the JSON type save_corpus writes there.
 _FLOAT_FIELDS = {"notes": (0, 1, 3), "beats": (0, 1)}
 _INT_FIELDS = {"notes": (2,), "beats": (2, 3), "parts": (1, 2, 3)}
+# Finite numbers whose arithmetic overflows or underflows, as floats and as ints.
+_EXTREME_NUMBERS = [1e308, -1e308, 1e-320, 2**63, -(2**63), float(2**63)]
 _ANY_VALUE = st.sampled_from(
     [True, False, 0, 1, -1, 13, 200, 0.5, -2.0, "x", "line", "C7", None, math.nan,
      math.inf, -math.inf, [], {}]
@@ -116,6 +123,13 @@ def _corrupt(draw, record: dict, kind: str) -> None:
     elif kind == "row-not-a-list":
         _, rows, i = _row(draw, record, ("notes", "beats", "parts"))
         rows[i] = draw(st.sampled_from([None, 3, "row", {}]))
+    elif kind == "rows-not-a-list":
+        record[draw(st.sampled_from(["notes", "beats", "parts"]))] = draw(
+            st.sampled_from([None, 128, 0.5, True, "rows", {}]))
+    elif kind == "extreme-number":
+        section, rows, i = _row(draw, record, ("notes", "beats", "parts"))
+        fields = _FLOAT_FIELDS.get(section, ()) + _INT_FIELDS[section]
+        rows[i][draw(st.sampled_from(fields))] = draw(st.sampled_from(_EXTREME_NUMBERS))
     elif kind == "repeated-row":
         _, rows, i = _row(draw, record, ("notes", "beats"))
         rows.insert(i, list(rows[i]))
@@ -159,27 +173,35 @@ def _corrupt(draw, record: dict, kind: str) -> None:
 
 CORRUPTIONS = [
     "bool-for-int", "int-for-float", "non-finite", "string", "null", "any-value", "short-row",
-    "extra-fields", "row-not-a-list", "repeated-row", "non-string-label", "unknown-chord",
-    "unsorted-notes", "unsorted-beats", "bad-mlu", "unknown-part-letter", "repetition",
-    "onset-at-track-end", "onset-in-gap",
+    "extra-fields", "row-not-a-list", "rows-not-a-list", "extreme-number", "repeated-row",
+    "non-string-label", "unknown-chord", "unsorted-notes", "unsorted-beats", "bad-mlu",
+    "unknown-part-letter", "repetition", "onset-at-track-end", "onset-in-gap",
 ]
+
+
+def _corrupted_record(draw, kind: str) -> dict:
+    """A drawn solo's record with one corruption of the given kind."""
+    record = _json_record(draw(solos()))
+    needs = {"unsorted-notes": "notes", "bad-mlu": "notes", "unknown-chord": "beats",
+             "unknown-part-letter": "parts", "repetition": "parts",
+             "onset-at-track-end": "notes", "onset-in-gap": "notes"}.get(kind)
+    if needs and not record[needs]:
+        record = _json_record(sectional_solo("sectional"))
+    _corrupt(draw, record, kind)
+    return record
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_corrupted_records_fail_as_the_references_do(kind, data):
-    solo = data.draw(solos())
-    record = _json_record(solo)
-    needs = {"unsorted-notes": "notes", "bad-mlu": "notes", "unknown-chord": "beats",
-             "unknown-part-letter": "parts", "repetition": "parts",
-             "onset-at-track-end": "notes", "onset-in-gap": "notes"}.get(kind)
-    if needs and not record[needs]:
-        record = _json_record(sectional_solo("sectional"))
-    _corrupt(data.draw, record, kind)
+    record = _corrupted_record(data.draw, kind)
     ours = _ingest(solo_from_record, validate_solo, record)
     reference = _ingest(solo_from_record_oracle, validate_solo_oracle, record)
     assert ours[:3] == reference[:3]
+    assert ours[0] == "read" or ours[1] is CorpusError  # never a raw error
+    if kind.endswith("not-a-list"):
+        assert ours[:2] == ("raised", CorpusError) and "is not a list (" in ours[2]
     if kind in ("onset-at-track-end", "onset-in-gap"):  # a note no beat holds is refused
         assert ours[0] == "read" and any("is in no beat's span" in v for v in ours[2])
 
@@ -191,6 +213,7 @@ def test_corrupted_records_fail_as_the_references_do(kind, data):
         for include_structure in (True, False):
             expected = _encode(encode_solo_oracle, reference[3], include_structure)
             got = _encode(encode_solo, ours[3], include_structure)
+            assert got[0] == "encoded" or got[1] is TokenizationError
             if expected[0] == "encoded" and not all(map(DEFAULT_VOCABULARY.is_valid,
                                                         expected[1])):
                 assert got[:2] == ("raised", TokenizationError)
@@ -200,3 +223,21 @@ def test_corrupted_records_fail_as_the_references_do(kind, data):
                 assert got[2].startswith(named) and got[2].endswith(expected[2])
             else:
                 assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["tokenize", "report"]),
+       kind=st.sampled_from(CORRUPTIONS))
+def test_cli_reads_a_corrupted_corpus_or_names_one_error(data, command, kind):
+    """A valid solo, then one with a corruption: the command exits 0, or 1
+    with one ``error:`` line, and no exception escapes ``main``."""
+    records = [{**_json_record(data.draw(solos())), "id": "valid"},
+               _corrupted_record(data.draw, kind)]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--corpus", str(corpus), "--out", str(Path(tmp) / "out")])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert (code, len(errors)) in ((0, 0), (1, 1)), err.getvalue()

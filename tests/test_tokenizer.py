@@ -59,7 +59,8 @@ V = DEFAULT_VOCABULARY
 # --- quantizers -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("db,expected", [(65.0, 20), (30.0, 1), (90.0, 32)])
+@pytest.mark.parametrize("db,expected", [(65.0, 20), (30.0, 1), (90.0, 32),
+                                         (1e308, 32), (-1e308, 1)])
 def test_quantize_velocity(db, expected):
     assert quantize_velocity(db) == expected
 
@@ -87,10 +88,14 @@ def test_quantize_duration_quarter_note():
 
 def test_quantize_duration_clips_at_half_note():
     assert quantize_duration(1.5, 0.5) == 32
+    # a length past float range clips too, and does not overflow math.floor
+    assert quantize_duration(1e308, 0.5) == 32
+    assert quantize_duration(0.5, 1e-320) == 32
 
 
 def test_quantize_duration_discards_sub_64th():
     assert quantize_duration(0.5 / 40.0, 0.5) is None
+    assert quantize_duration(1e-320, 1e308) is None
 
 
 def test_quantize_duration_rejects_nonpositive():
@@ -124,6 +129,8 @@ def test_derive_tempo_events_class_edges():
     assert derive_tempo_events(60.0 / 50.0) == (1, 0)
     assert derive_tempo_events(60.0 / 49.0) == (1, 0)  # clamped up to 50
     assert derive_tempo_events(60.0 / 500.0) == (5, 59)  # clamped down to <320
+    assert derive_tempo_events(1e-320) == (5, 59)  # an infinite bpm too
+    assert derive_tempo_events(1e308) == (1, 0)
 
 
 def test_tempo_steps_are_even_within_class():
