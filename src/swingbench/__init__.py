@@ -6,73 +6,9 @@ Submodules: :mod:`corpus` (data model and interchange format),
 :mod:`structure` (scape plots and structureness indicators),
 :mod:`challenge` (continuation prediction and the n-gram baseline),
 :mod:`midi` (standard MIDI writer), :mod:`synthetic` (test corpora),
-and :mod:`cli` (the ``swingbench`` command).
+and :mod:`cli` (the ``swingbench`` command).  Import names from these
+submodules: the package itself imports none of them, so that each command
+loads only the modules it runs.
 """
-
-from .chords import (
-    CHORD_QUALITIES,
-    ChordError,
-    ChordSymbol,
-    chord_to_pitches,
-    format_chord,
-    parse_chord,
-)
-from .corpus import (
-    Beat,
-    CorpusError,
-    EmptyCorpusError,
-    FormPart,
-    Note,
-    Solo,
-    TranspositionError,
-    load_corpus,
-    save_corpus,
-    transpose_solo,
-    validate_solo,
-)
-from .tokenizer import (
-    DEFAULT_VOCABULARY,
-    DecodedTimeline,
-    EventToken,
-    TokenGrammarError,
-    TokenizationError,
-    Vocabulary,
-    decode_tokens,
-    derive_tempo_events,
-    encode_solo,
-    justify_position,
-    quantize_duration,
-    quantize_velocity,
-    velocity_to_midi,
-)
-from .metrics import (
-    MetricError,
-    chord_progression_irregularity,
-    grooving_pattern,
-    grooving_similarity,
-    histogram_entropy,
-    piece_entropy,
-    piece_grooving,
-    pitch_class_histogram,
-)
-from .structure import (
-    compute_ssm,
-    render_chroma,
-    scape_plot,
-    segment_fitness,
-    structureness_indicator,
-)
-from .challenge import (
-    ChallengeQuestion,
-    NGramModel,
-    SequenceModel,
-    UniformModel,
-    answer_question,
-    build_questions,
-    generate_tokens,
-    run_challenge,
-    score_continuation,
-    train_ngram,
-)
 
 __version__ = "0.1.0"

@@ -30,14 +30,20 @@ import tempfile
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .tokenizer import DEFAULT_VOCABULARY as VOCAB, TokenGrammarError, _GrammarWalker
+from .tokenizer import (
+    DEFAULT_VOCABULARY as VOCAB,
+    POSITION,
+    EventToken,
+    TokenGrammarError,
+    _GrammarWalker,
+)
 
 DISTRIBUTION_TOLERANCE = 1e-9
 # Probability mass the corpus oracle spreads over every token.
@@ -934,6 +940,39 @@ class GenerationError(RuntimeError):
     """No id the grammar allows has probability, or the cap leaves no Bar."""
 
 
+@lru_cache(maxsize=None)
+def _grammar_classes() -> tuple[list[EventToken], np.ndarray]:
+    """The vocabulary split into the classes that :meth:`_GrammarWalker.step`
+    cannot tell apart, since it reads a token's category and only a
+    Position's value: one token of each class, and each id's class."""
+    tokens = VOCAB.ids_to_tokens(range(VOCAB.size))
+    number: dict[object, int] = {}  # a class's key -> its number, in the order of its first id
+    classes = [number.setdefault(tok if tok.category == POSITION else tok.category, len(number))
+               for tok in tokens]
+    return [tokens[classes.index(c)] for c in range(len(number))], np.array(classes)
+
+
+_MASKS: dict[tuple, np.ndarray] = {}
+
+
+def _allowed_mask(walker: _GrammarWalker) -> np.ndarray:
+    """A read-only 0/1 weight per vocabulary id: 1 where ``walker.step``
+    would accept it now, asked once per class of ids it cannot tell
+    apart.  Cached by what decides that: ``expected`` in a group,
+    ``(bar_open, last_position)`` between groups."""
+    key = walker.expected or (walker.bar_open, walker.last_position)
+    if key not in _MASKS:
+        (tokens, classes), state = _grammar_classes(), vars(walker).copy()
+        accepts = np.zeros(len(tokens))
+        for i, tok in enumerate(tokens):
+            accepts[i] = walker.step(tok) is None
+            vars(walker).update(state)
+        mask = accepts[classes]
+        mask.flags.writeable = False
+        _MASKS[key] = mask
+    return _MASKS[key]
+
+
 def generate_tokens(
     model: SequenceModel,
     primer: Sequence[int],
@@ -962,7 +1001,7 @@ def generate_tokens(
             if not 0 <= token < VOCAB.size:
                 raise TokenGrammarError(len(out), f"unknown token id {token}")
         else:
-            p = checked_distribution(model, out) * walker.allowed()
+            p = checked_distribution(model, out) * _allowed_mask(walker)
             top = p.max()
             if not top:
                 raise GenerationError(f"step {len(out)}: no id the grammar allows has probability")

@@ -10,7 +10,6 @@ distinct symbols.
 
 from __future__ import annotations
 
-import difflib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -169,6 +168,8 @@ def parse_chord(symbol: str) -> ChordSymbol:
 
     type_index = _QUALITY_INDEX.get(rest)
     if type_index is None:
+        import difflib  # only to name the qualities an unknown one is close to
+
         near = difflib.get_close_matches(rest, _QUALITY_INDEX.keys(), n=3, cutoff=0.4)
         raise ChordError(
             f"unknown chord quality {rest!r} in {symbol!r}"

@@ -7,6 +7,9 @@ meta event: every setting that applies to the run and a SHA-256 of each
 input file.  ``vocab.tsv``, model files, ``*.scape.txt`` and
 ``.pgm`` images carry none.  Identical configuration and inputs yield
 byte-identical outputs; all randomness flows from the single --seed flag.
+
+The commands import ``challenge``, ``structure`` and numpy only when they
+run them, so ``tokenize`` and ``detokenize`` start without numpy.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
-from . import challenge as chal
-from . import metrics, structure
+from . import metrics
 from .corpus import Solo, load_corpus
 from .midi import CHORD_REGISTER, write_midi
 from .tokenizer import (
@@ -36,6 +36,10 @@ from .tokenizer import (
     encode_solo,
     read_tokens,
 )
+
+if TYPE_CHECKING:
+    from .challenge import NGramModel
+    from .structure import ChromaSequence
 
 
 class CliError(RuntimeError):
@@ -87,7 +91,7 @@ class Piece:
     piece_id: str
     bars: list[metrics.BarContent]
     chords: list
-    chroma: structure.ChromaSequence
+    chroma: ChromaSequence
 
 
 def _token_files(token_dir: Path) -> list[Path]:
@@ -117,6 +121,8 @@ def _load_sources(args) -> tuple[dict[str, Solo | DecodedTimeline], list[Path]]:
 
 
 def _piece(piece_id: str, source: Solo | DecodedTimeline) -> Piece:
+    from . import structure
+
     solo = isinstance(source, Solo)
     return Piece(
         piece_id=piece_id,
@@ -196,6 +202,10 @@ def cmd_detokenize(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import numpy as np
+
+    from . import structure
+
     bands = structure.DEFAULT_SI_BANDS
     out_dir = Path(args.out)
     sources, input_files = _load_sources(args)
@@ -246,6 +256,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_scape(args) -> int:
+    from . import structure
+
     out_dir = Path(args.out)
     sources, _ = _load_sources(args)
     if args.piece not in sources:
@@ -259,8 +271,10 @@ def cmd_scape(args) -> int:
     return 0
 
 
-def _load_ngram(path: str) -> chal.NGramModel:
-    model = chal.NGramModel.load(path)
+def _load_ngram(path: str) -> NGramModel:
+    from .challenge import NGramModel
+
+    model = NGramModel.load(path)
     if model.vocab_size != VOCAB.size:
         raise CliError(
             f"model vocabulary ({model.vocab_size}) does not match this build ({VOCAB.size})"
@@ -284,6 +298,8 @@ def _external_command(text: str | None) -> list[str]:
 
 
 def _build_model(args, sequences: list[list[int]], command: list[str] | None):
+    from . import challenge as chal
+
     if args.model == "uniform":
         return chal.UniformModel(VOCAB.size)
     if args.model == "oracle":
@@ -302,6 +318,8 @@ def _build_model(args, sequences: list[list[int]], command: list[str] | None):
 
 
 def cmd_challenge(args) -> int:
+    from . import challenge as chal
+
     if args.model_file and args.model != "ngram":
         raise CliError(
             f"--model-file holds an n-gram model; it cannot be used with --model {args.model}"
@@ -359,8 +377,10 @@ def cmd_challenge(args) -> int:
 
 
 def cmd_train_model(args) -> int:
+    from .challenge import train_ngram
+
     sequences, _, _ = _token_sequences(args)
-    model = chal.train_ngram(
+    model = train_ngram(
         sequences, order=args.order, vocab_size=VOCAB.size, alpha=args.alpha
     )
     out = Path(args.out)
@@ -371,6 +391,8 @@ def cmd_train_model(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .challenge import generate_tokens
+
     out_dir = Path(args.out)
     model = _load_ngram(args.model_file)
     config = {
@@ -384,9 +406,9 @@ def cmd_generate(args) -> int:
     }
     header = provenance_header(config, [Path(args.model_file)])
     for i in range(args.count):
-        ids = chal.generate_tokens(model, [VOCAB.bar_token_id], target_bars=args.bars,
-                                   temperature=args.temperature, seed=args.seed + i,
-                                   max_tokens=args.max_tokens)
+        ids = generate_tokens(model, [VOCAB.bar_token_id], target_bars=args.bars,
+                              temperature=args.temperature, seed=args.seed + i,
+                              max_tokens=args.max_tokens)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_text(out_dir / f"gen-{i:03d}.tokens", header, VOCAB.texts(VOCAB.ids_to_tokens(ids)))
     print(f"generated {args.count} pieces of {args.bars} bars -> {out_dir}")
@@ -396,13 +418,15 @@ def cmd_generate(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _int_at_least(lowest: int, at_most: int | None = None) -> Callable[[str], int]:
+def _int_at_least(lowest: int, at_most: Callable[[], int] | None = None) -> Callable[[str], int]:
+    """An int of at least ``lowest`` and, if given, at most ``at_most()``,
+    which is asked only when the flag is given."""
     def integer(text: str) -> int:
         value = int(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
-        if at_most is not None and value > at_most:
-            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {value}")
+        if at_most is not None and value > (bound := at_most()):
+            raise argparse.ArgumentTypeError(f"must be at most {bound}, got {value}")
         return value
     return integer
 
@@ -416,7 +440,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-_ORDER = _int_at_least(1, at_most=chal.MAX_ORDER)
+def _max_order() -> int:
+    from .challenge import MAX_ORDER
+
+    return MAX_ORDER
+
+
+_ORDER = _int_at_least(1, at_most=_max_order)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -470,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", help="pretrained n-gram model JSON")
     p.add_argument("--external-cmd", help="command for the line-protocol model")
     p.add_argument("--order", type=_ORDER,
-                   help=f"n-gram order 1..{chal.MAX_ORDER}, --model ngram only "
+                   help="n-gram order from 1 to challenge.MAX_ORDER, --model ngram only "
                         f"(default {DEFAULT_ORDER})")
     p.add_argument("--alpha", type=_positive_float,
                    help=f"add-alpha smoothing, --model ngram only (default {DEFAULT_ALPHA})")
@@ -483,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_no_structure_arg(p)
     p.add_argument("--out", required=True)
     p.add_argument("--order", type=_ORDER, default=DEFAULT_ORDER,
-                   help=f"n-gram order 1..{chal.MAX_ORDER} (default %(default)s)")
+                   help="n-gram order from 1 to challenge.MAX_ORDER (default %(default)s)")
     p.add_argument("--alpha", type=_positive_float, default=DEFAULT_ALPHA,
                    help="add-alpha smoothing (default %(default)s)")
     p.set_defaults(fn=cmd_train_model)
@@ -501,13 +531,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported_errors() -> tuple[type[BaseException], ...]:
+    """The errors ``main`` reports in one line; challenge's two are among
+    them once a command has loaded that module."""
+    chal = sys.modules.get(f"{__package__}.challenge")
+    extra = (chal.GenerationError, chal.ModelProtocolError) if chal else ()
+    return (CliError, ValueError, OSError, MemoryError, *extra)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, chal.GenerationError, chal.ModelProtocolError, ValueError, OSError,
-            MemoryError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

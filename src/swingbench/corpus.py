@@ -21,7 +21,6 @@ schema; the README's corpus format section says what it must do.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import operator
 import sys
@@ -31,8 +30,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .chords import ChordError, ChordSymbol, parse_chord, transpose_chord_string
-
-log = logging.getLogger(__name__)
 
 # Retained midlevel-unit types of the WJazzD annotations.
 DEFAULT_MLU_LABELS: tuple[str, ...] = (
@@ -233,7 +230,8 @@ class _RowKind:
     in column order each field's name and the JSON types it may hold.
 
     An int is read as a float where a float may stand, a bool is never an
-    int, and a last field that may be null may also be left out.  Rows that
+    int, a last field that may be null may also be left out, and a row
+    with more fields than the kind's is refused.  Rows that
     all hold exactly the types ``save_corpus`` writes go straight into the
     dataclass; other rows are read, or refused, field by field.
     """
@@ -248,9 +246,10 @@ class _RowKind:
         rows = record.get(self.key, [])
         if type(rows) is not list:
             raise CorpusError(f"{where}: {self.key!r} is not a list ({rows!r})")
-        # a column at a time, half the cost of row by row; extra fields are ignored
-        columns = list(zip(*rows)) if set(map(type, rows)) == _LIST else ()
-        if len(columns) == len(self.fields) and all(
+        # a column at a time, half the cost of row by row, when every row is whole
+        columns = (list(zip(*rows)) if set(map(type, rows)) == _LIST
+                   and set(map(len, rows)) == {len(self.fields)} else ())
+        if columns and all(
                 set(map(type, c)) <= t for c, t in zip(columns, self.column_types)):
             return tuple(map(self.cls, *columns))
         return tuple(self._read_fields(row, f"{where} {self.name} {i}")
@@ -259,6 +258,9 @@ class _RowKind:
     def _read_fields(self, row, where: str):
         if type(row) is not list:
             raise CorpusError(f"{where}: row is not a list ({row!r})")
+        if len(row) > len(self.fields):
+            raise CorpusError(f"{where}: {len(row)} fields, more than the "
+                              f"{len(self.fields)} of a {self.name}")
         if len(row) == len(self.fields) - 1 and _NULL in self.fields[-1]:
             row = [*row, None]  # the last field, left out
         values = []
@@ -316,21 +318,24 @@ def load_corpus(path: str | Path) -> list[Solo]:
 
     Raises :class:`CorpusError` naming the offending solo and row or field
     on any schema or invariant violation, or the line of a record that is
-    not JSON or of a solo whose id is not a string, repeats an earlier one
-    or cannot be a file name, and :class:`EmptyCorpusError` when the file
-    holds no records.
+    not UTF-8 text or not JSON or of a solo whose id is not a string,
+    repeats an earlier one or cannot be a file name, and
+    :class:`EmptyCorpusError` when the file holds no records.
     """
     path = Path(path)
     solos: list[Solo] = []
     ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    # read as bytes, so that a line that is not UTF-8 is named like any other
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             where = f"{path} line {lineno}"
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{where}: not UTF-8 text ({exc})") from None
             except (ValueError, RecursionError) as exc:  # or nesting, ints past Python's limits
                 raise CorpusError(f"{where}: invalid JSON ({exc})") from None
             solo = solo_from_record(record, where=where)
@@ -349,7 +354,6 @@ def load_corpus(path: str | Path) -> list[Solo]:
             solos.append(solo)
     if not solos:
         raise EmptyCorpusError(f"{path}: corpus contains no solos")
-    log.info("loaded %d solos from %s", len(solos), path)
     return solos
 
 

@@ -6,6 +6,9 @@ are invariant to tempo.  Piece-level aggregation conventions: empty bars
 are skipped when averaging entropy but contribute all-zero grooving
 patterns to the pairwise similarity; consecutive duplicate chords are
 collapsed by :func:`chord_changes` before trigram counting.
+
+Every command imports this module; numpy is imported by the functions
+that compute with it, so that ``tokenize`` and ``detokenize`` never load it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
-
-import numpy as np
 
 from .chords import ChordSymbol
 from .corpus import Solo
@@ -61,12 +62,16 @@ def pitch_class_histogram(pitches: Sequence[int]) -> np.ndarray | None:
     """Normalized 12-bin pitch class histogram, or None for an empty window."""
     if len(pitches) == 0:
         return None
+    import numpy as np
+
     h = np.bincount(np.asarray(pitches, dtype=np.int64) % PITCH_CLASSES, minlength=PITCH_CLASSES)
     return h / h.sum()
 
 
 def histogram_entropy(histogram: np.ndarray) -> float:
     """Entropy of a normalized histogram in bits, with 0*log(0) = 0."""
+    import numpy as np
+
     h = np.asarray(histogram, dtype=float)
     if h.shape != (PITCH_CLASSES,) or np.any(h < 0) or not math.isclose(h.sum(), 1.0, abs_tol=1e-9):
         raise MetricError("histogram must be 12 non-negative values summing to 1")
@@ -95,6 +100,8 @@ def piece_entropy(bars: Sequence[BarContent], window_bars: int = 1) -> float:
             values.append(histogram_entropy(h))
     if not values:
         raise MetricError("all windows are empty")
+    import numpy as np
+
     return float(np.mean(values))
 
 
@@ -103,6 +110,8 @@ def piece_entropy(bars: Sequence[BarContent], window_bars: int = 1) -> float:
 
 def grooving_pattern(onset_positions: Sequence[int]) -> np.ndarray:
     """64-dimensional binary onset-presence vector of a bar."""
+    import numpy as np
+
     g = np.zeros(POSITIONS_PER_BAR, dtype=np.uint8)
     for p in onset_positions:
         if not 0 <= p < POSITIONS_PER_BAR:
@@ -113,6 +122,8 @@ def grooving_pattern(onset_positions: Sequence[int]) -> np.ndarray:
 
 def grooving_similarity(ga: np.ndarray, gb: np.ndarray) -> float:
     """1 minus the normalized Hamming distance of two binary patterns."""
+    import numpy as np
+
     ga = np.asarray(ga)
     gb = np.asarray(gb)
     if ga.shape != gb.shape:
@@ -124,6 +135,8 @@ def piece_grooving(bars: Sequence[BarContent]) -> float:
     """Mean grooving similarity over all unordered pairs of bars."""
     if len(bars) < 2:
         raise MetricError("grooving similarity needs at least two bars")
+    import numpy as np
+
     patterns = np.stack([grooving_pattern(b.onset_positions) for b in bars]).astype(float)
     # differing slots of every pair: |a| + |b| - 2 a.b, exact for 0/1 entries
     onsets = patterns.sum(axis=1)

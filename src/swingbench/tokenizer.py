@@ -12,7 +12,8 @@ markers.  Form parts open right after the ``Bar`` of their first bar
 
 ``_GROUP_GRAMMAR`` is the one statement of this grammar inside a position;
 ``decode_tokens`` walks it strictly, ``repair_token_stream`` leniently and
-``generate_tokens`` by its ``allowed`` mask, through the same ``_GrammarWalker``.
+``challenge.generate_tokens`` by the ids it allows, through the same
+``_GrammarWalker``.
 
 Quantization:
 
@@ -35,8 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .chords import NUM_CHORD_TYPES, ChordSymbol, parse_chord
 from .corpus import DEFAULT_MLU_LABELS, Beat, FormPart, Note, Solo, beat_index
@@ -582,26 +581,12 @@ def _group_head(category: str) -> str:
     return _group_head(next(k for k, nxt in _GROUP_GRAMMAR.items() if k and category in nxt))
 
 
-@lru_cache(maxsize=None)
-def _grammar_classes() -> tuple[list[EventToken], np.ndarray]:
-    """The vocabulary split into the classes that :meth:`_GrammarWalker.step`
-    cannot tell apart, since it reads a token's category and only a
-    Position's value: one token of each class, and each id's class."""
-    tokens = DEFAULT_VOCABULARY.ids_to_tokens(range(DEFAULT_VOCABULARY.size))
-    number: dict[object, int] = {}  # a class's key -> its number, in the order of its first id
-    classes = [number.setdefault(tok if tok.category == POSITION else tok.category, len(number))
-               for tok in tokens]
-    return [tokens[classes.index(c)] for c in range(len(number))], np.array(classes)
-
-
 class _GrammarWalker:
     """Walks a token stream through the event grammar, one token at a time.
 
     ``expected`` holds the categories the open event group may continue
     with, or None between groups.
     """
-
-    _masks: dict[tuple, np.ndarray] = {}
 
     def __init__(self):
         self.bar_open = False
@@ -635,23 +620,6 @@ class _GrammarWalker:
                 return "{tok} before the first Position of the bar", (POSITION,)
             self.expected = _GROUP_GRAMMAR[cat]
         return None
-
-    def allowed(self) -> np.ndarray:
-        """A read-only 0/1 weight per vocabulary id: 1 where :meth:`step`
-        would accept it now, asked once per class of ids it cannot tell
-        apart.  Cached by what decides that: ``expected`` in a group,
-        ``(bar_open, last_position)`` between groups."""
-        key = self.expected or (self.bar_open, self.last_position)
-        if key not in self._masks:
-            (tokens, classes), state = _grammar_classes(), vars(self).copy()
-            accepts = np.zeros(len(tokens))
-            for i, tok in enumerate(tokens):
-                accepts[i] = self.step(tok) is None
-                vars(self).update(state)
-            mask = accepts[classes]
-            mask.flags.writeable = False
-            self._masks[key] = mask
-        return self._masks[key]
 
     def advance(self, i: int, tok: EventToken) -> None:
         """Accept ``tok`` as token ``i``, or raise :class:`TokenGrammarError`

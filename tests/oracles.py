@@ -343,8 +343,9 @@ def _field(row: list, idx: int, name: str, kind, where: str):
     raise CorpusError(f"{where}: field {name!r} has wrong type ({value!r})")
 
 
-def _rows(record: dict, key: str, where: str, name: str):
-    """Each row of ``record[key]`` and the place an error names it by."""
+def _rows(record: dict, key: str, where: str, name: str, fields: int):
+    """Each row of ``record[key]``, a list of at most ``fields`` fields, and
+    the place an error names it by."""
     rows = record.get(key, [])
     if not isinstance(rows, list):
         raise CorpusError(f"{where}: {key!r} is not a list ({rows!r})")
@@ -352,6 +353,8 @@ def _rows(record: dict, key: str, where: str, name: str):
         w = f"{where} {name} {i}"
         if not isinstance(row, list):
             raise CorpusError(f"{w}: row is not a list ({row!r})")
+        if len(row) > fields:
+            raise CorpusError(f"{w}: {len(row)} fields, more than the {fields} of a {name}")
         yield row, w
 
 
@@ -363,7 +366,7 @@ def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
         raise CorpusError(f"{where}: solo id {solo_id!r} is not a string")
     where = f"solo {solo_id!r}"
     notes = []
-    for row, w in _rows(record, "notes", where, "note"):
+    for row, w in _rows(record, "notes", where, "note", 6):
         mlu = row[5] if len(row) > 5 else None
         if mlu is not None and not isinstance(mlu, str):
             raise CorpusError(f"{w}: field 'mlu_label' has wrong type ({mlu!r})")
@@ -378,7 +381,7 @@ def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
             )
         )
     beats = []
-    for row, w in _rows(record, "beats", where, "beat"):
+    for row, w in _rows(record, "beats", where, "beat", 5):
         chord = row[4] if len(row) > 4 else None
         if chord is not None and not isinstance(chord, str):
             raise CorpusError(f"{w}: field 'chord' has wrong type ({chord!r})")
@@ -392,7 +395,7 @@ def solo_from_record_oracle(record: dict, where: str = "record") -> Solo:
             )
         )
     parts = []
-    for row, w in _rows(record, "parts", where, "part"):
+    for row, w in _rows(record, "parts", where, "part", 4):
         parts.append(
             FormPart(
                 letter=_field(row, 0, "letter", str, w),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NGramOracle, TrieOracle, ngram_count_tables
+from oracles import NGramOracle, TrieOracle, allowed_mask_oracle, ngram_count_tables
 from scipy import stats
 
 from swingbench import challenge
@@ -28,6 +28,7 @@ from swingbench.challenge import (
     SequenceModel,
     SubprocessModel,
     UniformModel,
+    _allowed_mask,
     answer_question,
     build_questions,
     checked_distribution,
@@ -39,6 +40,7 @@ from swingbench.challenge import (
 from swingbench.synthetic import motif_corpus, random_corpus
 from swingbench.tokenizer import DEFAULT_VOCABULARY as V
 from swingbench.tokenizer import (
+    _GROUP_GRAMMAR,
     EventToken,
     TokenGrammarError,
     _GrammarWalker,
@@ -955,6 +957,49 @@ def test_cap_cuts_an_open_group_of_the_primer_too(motif_sequences):
     assert ids[:-1] == primer and V.token(ids[-1]).category == "Tempo"
 
 
+def test_allowed_mask_of_every_walker_state_is_what_step_accepts():
+    groups = [None, *{nxt for nxt in _GROUP_GRAMMAR.values() if nxt}]
+    states = [(False, None, None)] + [
+        (True, position, expected)
+        for position in [None, *range(64)]
+        for expected in groups
+        if position is not None or expected is None
+    ]
+    for bar_open, last_position, expected in states:
+        walker = _GrammarWalker()
+        walker.bar_open, walker.last_position, walker.expected = bar_open, last_position, expected
+        mask = _allowed_mask(walker)
+        assert mask.tolist() == allowed_mask_oracle(walker), (bar_open, last_position, expected)
+        assert not mask.flags.writeable
+        # asking changes no state
+        assert (walker.bar_open, walker.last_position, walker.expected) == (
+            bar_open, last_position, expected)
+    # one mask per deciding state: each group's expected categories, and
+    # (bar_open, last_position) between groups
+    assert len(challenge._MASKS) == len(groups) - 1 + 66
+
+
+def test_allowed_mask_of_every_state_reached_is_the_per_id_reference(monkeypatch):
+    # masks built afresh, along encoded solos and along streams sampled from
+    # an n-gram trained on them, hot enough to wander
+    monkeypatch.setattr(challenge, "_MASKS", {})
+    streams = [V.tokens_to_ids(encode_solo(s))
+               for s in [*motif_corpus(3, n_bars=6), *random_corpus(3, 3, n_bars=6)]]
+    model = train_ngram(streams, order=2, vocab_size=V.size)
+    streams += [generate_tokens(model, [V.bar_token_id], target_bars=8, temperature=t, seed=seed)
+                for seed in range(4) for t in (1.0, 4.0)]
+    references: dict[tuple, list[float]] = {}  # the oracle's mask of each state seen
+    for ids in streams:
+        walker = _GrammarWalker()
+        for i, token in enumerate(ids):
+            state = tuple(vars(walker).items())
+            if state not in references:
+                references[state] = allowed_mask_oracle(walker)
+            assert _allowed_mask(walker).tolist() == references[state], (i, state)
+            walker.advance(i, V.token(token))
+    assert len(references) > 50
+
+
 def test_zero_mass_on_the_allowed_ids_names_the_step():
     position_0 = V.token_id(EventToken("Position", 0))
 
@@ -979,7 +1024,7 @@ def test_extreme_temperatures_still_sample(motif_sequences, temperature):
     likeliest = []
     for k, token in enumerate(ids):
         if k:
-            p = model.next_token_distribution(ids[:k]) * walker.allowed()
+            p = model.next_token_distribution(ids[:k]) * _allowed_mask(walker)
             likeliest.append(p[token] == p.max())
         walker.advance(k, V.token(token))
     # a tiny temperature is greedy; a huge one draws nearly uniformly

@@ -1082,14 +1082,46 @@ def test_solo_id_that_cannot_name_its_files_is_refused(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+def _fresh_child(code: str):
+    """Run ``code`` in a new interpreter that imports the package from this
+    checkout; it prints one JSON object on its last line of stdout."""
+    src = str(Path(swingbench.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                           + code], capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is a test-only dependency; the runtime needs numpy alone
-    src = str(Path(swingbench.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import swingbench.cli; "
-        "assert 'scipy' not in sys.modules"
+    assert not _fresh_child(
+        "import json, swingbench.cli\nprint(json.dumps('scipy' in sys.modules))")
+
+
+def test_cli_import_loads_the_codec_layers_but_not_numpy():
+    loaded = _fresh_child(
+        "import json, swingbench.cli\n"
+        "print(json.dumps(sorted(sys.modules)))"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    # perfbench's tracer looks these up in sys.modules once cli is imported
+    assert {f"swingbench.{m}" for m in ("corpus", "tokenizer", "metrics", "midi")} <= set(loaded)
+    unwanted = ["numpy", "swingbench.challenge", "swingbench.structure", "swingbench.synthetic"]
+    assert [m for m in unwanted if m in loaded] == []
+
+
+def test_tokenize_and_detokenize_run_without_numpy(tmp_path, corpus_file):
+    def command(*argv) -> dict:
+        return _fresh_child(
+            "import json\nfrom swingbench import cli\n"
+            f"code = cli.main({[str(a) for a in argv]!r})\n"
+            "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))"
+        )
+
+    assert command("tokenize", "--corpus", corpus_file, "--out", tmp_path / "tok") == {
+        "code": 0, "numpy": False}
+    tokens = sorted((tmp_path / "tok").glob("*.tokens"))
+    assert command("detokenize", "--tokens", *tokens, "--out", tmp_path / "midi") == {
+        "code": 0, "numpy": False}
+    assert len(list((tmp_path / "midi").glob("*.mid"))) == len(tokens) == 4
 
 
 @pytest.mark.parametrize("model", ["oracle", "uniform", "external"])

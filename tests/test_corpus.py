@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import re
 
 import pytest
 
@@ -89,6 +91,38 @@ def test_load_rejects_an_int_too_large_for_a_float(tmp_path):
     save_corpus([Solo("x", (Note(0.0, 0.5, 60, 65.0),), tuple(four_four_beats(1)))], path)
     path.write_text(path.read_text().replace("65.0", "1" + "0" * 400))
     with pytest.raises(CorpusError, match=r"^solo 'x' note 0: field 'loudness_db' has wrong type"):
+        load_corpus(path)
+
+
+def test_load_names_the_file_and_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    save_corpus([Solo("x", (), tuple(four_four_beats(1)))], path)
+    path.write_bytes(path.read_bytes() + b'{"id":"\xff"}\n')
+    expected = rf"^{re.escape(str(path))} line 2: not UTF-8 text \('utf-8' codec"
+    with pytest.raises(CorpusError, match=expected):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("kind, row, fields, extra", [
+    ("note", 1, 6, [True]),
+    ("beat", 3, 5, ["C", 0]),
+    ("part", 0, 4, [None]),
+])
+@pytest.mark.parametrize("every_row", [False, True])
+def test_load_refuses_a_row_with_more_fields_than_its_kind(tmp_path, kind, row, fields, extra,
+                                                           every_row):
+    path = tmp_path / "extra.jsonl"
+    notes = (Note(0.0, 0.5, 60, 65.0), Note(0.5, 0.5, 62, 65.0, mlu_label="lick"))
+    save_corpus([Solo("x", notes, tuple(four_four_beats(1)), (FormPart("A", 1, 0, 0),))], path)
+    record = json.loads(path.read_text())
+    rows = record[f"{kind}s"]
+    for i in range(len(rows)) if every_row else [row]:
+        rows[i] += extra
+    path.write_text(json.dumps(record) + "\n")
+    first = 0 if every_row else row
+    message = (f"solo 'x' {kind} {first}: {fields + len(extra)} fields, "
+               f"more than the {fields} of a {kind}")
+    with pytest.raises(CorpusError, match=f"^{message}$"):
         load_corpus(path)
 
 

@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import allowed_mask_oracle
 
-from swingbench.challenge import generate_tokens, train_ngram
 from swingbench.chords import parse_chord
 from swingbench.corpus import FormPart, Solo, transpose_solo
-from swingbench.synthetic import four_four_beats, motif_corpus, random_corpus, random_solo
+from swingbench.synthetic import four_four_beats, random_corpus, random_solo
 from swingbench.tokenizer import (
-    _GROUP_GRAMMAR,
     BAR,
     CHORD_SLASH,
     CHORD_TONE,
@@ -50,7 +47,6 @@ from swingbench.tokenizer import (
     tempo_value_to_bpm,
     velocity_to_midi,
     write_tokens,
-    _GrammarWalker,
 )
 
 V = DEFAULT_VOCABULARY
@@ -530,49 +526,6 @@ def test_property_decode_accepts_exactly_what_repair_keeps_whole(ids):
         assert not untouched
     else:
         assert untouched
-
-
-def test_allowed_mask_of_every_walker_state_is_what_step_accepts():
-    groups = [None, *{nxt for nxt in _GROUP_GRAMMAR.values() if nxt}]
-    states = [(False, None, None)] + [
-        (True, position, expected)
-        for position in [None, *range(64)]
-        for expected in groups
-        if position is not None or expected is None
-    ]
-    for bar_open, last_position, expected in states:
-        walker = _GrammarWalker()
-        walker.bar_open, walker.last_position, walker.expected = bar_open, last_position, expected
-        mask = walker.allowed()
-        assert mask.tolist() == allowed_mask_oracle(walker), (bar_open, last_position, expected)
-        assert not mask.flags.writeable
-        # asking changes no state
-        assert (walker.bar_open, walker.last_position, walker.expected) == (
-            bar_open, last_position, expected)
-    # one mask per deciding state: each group's expected categories, and
-    # (bar_open, last_position) between groups
-    assert len(_GrammarWalker._masks) == len(groups) - 1 + 66
-
-
-def test_allowed_mask_of_every_state_reached_is_the_per_id_reference(monkeypatch):
-    # masks built afresh, along encoded solos and along streams sampled from
-    # an n-gram trained on them, hot enough to wander
-    monkeypatch.setattr(_GrammarWalker, "_masks", {})
-    streams = [V.tokens_to_ids(encode_solo(s))
-               for s in [*motif_corpus(3, n_bars=6), *random_corpus(3, 3, n_bars=6)]]
-    model = train_ngram(streams, order=2, vocab_size=V.size)
-    streams += [generate_tokens(model, [V.bar_token_id], target_bars=8, temperature=t, seed=seed)
-                for seed in range(4) for t in (1.0, 4.0)]
-    references: dict[tuple, list[float]] = {}  # the oracle's mask of each state seen
-    for ids in streams:
-        walker = _GrammarWalker()
-        for i, token in enumerate(ids):
-            state = tuple(vars(walker).items())
-            if state not in references:
-                references[state] = allowed_mask_oracle(walker)
-            assert walker.allowed().tolist() == references[state], (i, state)
-            walker.advance(i, V.token(token))
-    assert len(references) > 50
 
 
 @settings(max_examples=20, deadline=None)

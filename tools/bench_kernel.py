@@ -1,11 +1,13 @@
 """Seeded timings of the scape-plot DP, compiled kernel against numpy, of
-the external-model line protocol, of corpus ingest and of the n-gram model.
+the external-model line protocol, of corpus ingest, of the n-gram model
+and of each CLI command's start-up.
 
     python3 tools/bench_kernel.py fixed-n --out fixed.json
     python3 tools/bench_kernel.py yardstick --out yardstick.json
+    python3 tools/bench_kernel.py startup --out startup.json [--parent-src PARENT/src]
     python3 tools/bench_kernel.py assemble --parent P.jsonl --change C.jsonl \\
         --fixed-n fixed.json [--parent-fixed-n PARENT_FIXED.json] \\
-        --yardstick yardstick.json --out BENCH.json
+        --yardstick yardstick.json [--startup startup.json] --out BENCH.json
 
 Run from the repository root; the package is imported from ``src``.
 
@@ -47,6 +49,14 @@ holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
 drawn uniformly), in one child process: wall time and peak RSS from
 ``os.wait4``, and the wall time of each analysis stage from wrappers
 installed in the child.
+
+``startup`` runs every CLI command of the three ``perfbench`` workloads
+(inputs built with seed = SEED) as ``python -m swingbench.cli``, a new
+process each time, STARTUP_ROUNDS rounds, and records each command's
+wall times, their median, and whether the command loaded numpy (from one
+more run through ``NUMPY_PROBE``).  With ``--parent-src`` it runs the
+package in that directory too, interleaved with this one, the order of
+the two sides alternating from round to round.
 
 ``assemble`` puts these files together with the ``results.jsonl`` records
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
@@ -110,6 +120,17 @@ SPAWNER = (
     "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)\n"
     "_, status, usage = os.wait4(pid, 0)\n"
     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+# Rounds of the startup section: each runs every command once on each side.
+STARTUP_ROUNDS = 5
+# Runs the CLI command in its arguments, prints on its last line whether
+# numpy was loaded, and exits with the command's exit code.
+NUMPY_PROBE = (
+    "import sys\n"
+    "from swingbench import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules)\n"
+    "sys.exit(code)\n"
 )
 # Stages of ``report --corpus`` timed in the yardstick child: (module, name).
 STAGES = [
@@ -418,6 +439,55 @@ def yardstick() -> dict:
     }
 
 
+def startup(parent_src: Path | None) -> dict:
+    sides = {"change": ROOT / "src", **({"parent": parent_src.resolve()} if parent_src else {})}
+    commands: dict[str, dict[str, dict]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        plans = {side: [] for side in sides}  # per side: (command name, argv) in run order
+        for name, workload in workloads.WORKLOADS.items():
+            inputs = Path(tmp) / name
+            inputs.mkdir()
+            workload.setup(SEED, inputs)
+            for side in sides:
+                plans[side] += [(f"{name}/{leg.name}", leg.argv)
+                                for leg in workload.legs(SEED, inputs, Path(tmp) / side / name)]
+
+        def run(side: str, prefix: list[str], argv: list[str]) -> subprocess.CompletedProcess:
+            env = dict(os.environ, PYTHONPATH=str(sides[side]))
+            done = subprocess.run([sys.executable, *prefix, *argv], env=env, capture_output=True,
+                                  text=True, stdin=subprocess.DEVNULL)
+            if done.returncode != 0:
+                raise SystemExit(f"error: {side} {argv[0]} exited with code {done.returncode}: "
+                                 f"{done.stderr}")
+            return done
+
+        for side, plan in plans.items():  # also compiles each side's bytecode before timing
+            for name, argv in plan:
+                probe = run(side, ["-c", NUMPY_PROBE], argv).stdout.splitlines()[-1]
+                commands.setdefault(name, {})[side] = {"numpy_loaded": probe == "True",
+                                                       "wall_s": []}
+        for round_ in range(STARTUP_ROUNDS):
+            for side in list(sides)[::1 if round_ % 2 == 0 else -1]:
+                for name, argv in plans[side]:
+                    start = time.perf_counter()
+                    run(side, ["-m", "swingbench.cli"], argv)
+                    commands[name][side]["wall_s"].append(time.perf_counter() - start)
+    for name, by_side in commands.items():
+        for side, entry in by_side.items():
+            entry["median_wall_s"] = statistics.median(entry["wall_s"])
+        print(f"startup, {name}: " + ", ".join(
+            f"{side} {entry['median_wall_s'] * 1e3:.0f} ms"
+            f"{' (numpy)' if entry['numpy_loaded'] else ''}" for side, entry in by_side.items()),
+            file=sys.stderr)
+    return {
+        "inputs": "perfbench workload inputs, seed = SEED",
+        "command": "python -m swingbench.cli, a new process per run",
+        "rounds": STARTUP_ROUNDS,
+        "sides": "change: this checkout's src; parent: --parent-src",
+        "commands": commands,
+    }
+
+
 def numpy_estimate(fixed: dict, frames: list[int]) -> dict:
     """Scape DP time of the yardstick under numpy, from the fixed-N points:
     a power law fitted through them in log-log space."""
@@ -446,6 +516,8 @@ def assemble(args) -> dict:
         if parent_fixed and key in parent_fixed:
             sides[key]["parent"] = parent_fixed[key]
     yard["numpy_estimate"] = numpy_estimate(fixed, yard["piece_frames"])
+    if args.startup:
+        sides["startup"] = load(args.startup)
     return {
         "machine": {"cpus": os.cpu_count(), "python": sys.version.split()[0],
                     "numpy": np.__version__},
@@ -465,8 +537,9 @@ def assemble(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fixed-n", "yardstick"):
+    for name in ("fixed-n", "yardstick", "startup"):
         sub.add_parser(name).add_argument("--out", type=Path, required=True)
+    sub.choices["startup"].add_argument("--parent-src", type=Path)
     p = sub.add_parser("yardstick-child")
     p.add_argument("corpus")
     p.add_argument("report_out")
@@ -475,6 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("--parent", "--change", "--fixed-n", "--yardstick", "--out"):
         p.add_argument(name, type=Path, required=True)
     p.add_argument("--parent-fixed-n", type=Path)
+    p.add_argument("--startup", type=Path)
     args = parser.parse_args(argv)
 
     if args.command == "yardstick-child":
@@ -483,6 +557,8 @@ def main(argv: list[str] | None = None) -> int:
         result = fixed_n()
     elif args.command == "yardstick":
         result = yardstick()
+    elif args.command == "startup":
+        result = startup(args.parent_src)
     else:
         result = assemble(args)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
