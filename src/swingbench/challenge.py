@@ -300,13 +300,13 @@ class _CountIndex:
     the vectorised searches cast their needles.
     """
 
-    def __init__(self, tokens: np.ndarray, lengths: np.ndarray, weights: Sequence[float],
+    def __init__(self, tokens: np.ndarray, lengths: np.ndarray, order: int, weight: float,
                  alpha: float, vocab_size: int):
         """Counts ``tokens``, the pieces of a ``_token_store`` back to back
-        with their ``lengths``; an entry counts after a context only when
-        the context's tokens lie inside its own piece.  Each level's
-        components are weighted by its entry of ``weights``."""
-        self.weights, self.alpha, self.vocab_size = weights, alpha, vocab_size
+        with their ``lengths``, after contexts of up to ``order - 1`` tokens
+        that lie inside the entry's own piece; every component is weighted
+        by ``weight``."""
+        self.weight, self.alpha, self.vocab_size = weight, alpha, vocab_size
         radix, pieces = vocab_size + 1, len(lengths)
         n = len(tokens) + pieces
         position, code = _int_type(n), _int_type(max(n, 1) * radix)
@@ -314,7 +314,7 @@ class _CountIndex:
         nexts = np.insert(tokens.astype(_int_type(vocab_size)), np.cumsum(lengths), vocab_size)
         ids = np.zeros(n, dtype=code)  # every entry has the empty context, id 0
         contexts = [ids[:1].copy()]
-        for m in range(1, len(weights)):
+        for m in range(1, order):
             # the token m to the left of each entry: the V of a piece's end
             # where that lies past its own piece's start, and before the first
             left = np.full(n, vocab_size, dtype=nexts.dtype)
@@ -362,7 +362,7 @@ class _CountIndex:
         held = self.levels[m].held.get(c)
         if held is not None:
             return held
-        weight, alpha, vocab = self.weights[m], self.alpha, self.vocab_size
+        weight, alpha, vocab = self.weight, self.alpha, self.vocab_size
         lo, hi = self.levels[m].starts.item(c), self.levels[m].starts.item(c + 1)
         if hi - lo > SHORT_RANGE:
             counts = np.bincount(self.grams[lo:hi] % (vocab + 1), minlength=vocab + 1)
@@ -417,6 +417,9 @@ class NGramModel(SequenceModel):
     ):
         if not 1 <= order <= MAX_ORDER:
             raise ChallengeError(f"n-gram order must be in 1..{MAX_ORDER}, got {order}")
+        # ids fit int32, so the index's codes, below entries * (V + 1), fit int64
+        if not 1 <= vocab_size < 2**31:
+            raise ChallengeError(f"vocabulary size must be in 1..2**31 - 1, got {vocab_size}")
         # alpha * V is the floor of every component's denominator; past the
         # largest float it is inf, and every probability would be 0.
         if not (alpha > 0 and alpha * vocab_size <= sys.float_info.max):
@@ -427,7 +430,7 @@ class NGramModel(SequenceModel):
         # normalised, the weight is an ulp off 1/order at orders 6, 7 and 9-11;
         # every distribution and every model file written so far has these bits
         weight = 1.0 / order
-        self.weights = (weight / float(sum([weight] * order)),) * order
+        self.weight = weight / float(sum([weight] * order))
         self._tokens, self._lengths = _token_store(sequences, vocab_size)
 
     @property
@@ -439,7 +442,7 @@ class NGramModel(SequenceModel):
     @cached_property
     def index(self) -> _CountIndex:
         """The counts of every sequence: level ``m`` for contexts of ``m`` tokens."""
-        return _CountIndex(self._tokens, self._lengths, self.weights, self.alpha,
+        return _CountIndex(self._tokens, self._lengths, self.order, self.weight, self.alpha,
                            self.vocab_size)
 
     def _context_ids(self, history: Sequence[int]) -> list[int]:
@@ -466,11 +469,11 @@ class NGramModel(SequenceModel):
         formula adds it, so the bits do not depend on how it was formed."""
         ids = self._context_ids(history)
         p = np.zeros(self.vocab_size)
-        for m, weight in enumerate(self.weights):
+        for m in range(self.order):
             if m < len(ids):
                 p += self.index.component(m, ids[m])
             else:
-                p += _add_alpha(weight, self.alpha, 0, 0, self.vocab_size)
+                p += _add_alpha(self.weight, self.alpha, 0, 0, self.vocab_size)
         return p
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
@@ -500,7 +503,7 @@ class NGramModel(SequenceModel):
             codes = np.where(seen, ids[m - 1] * radix + history[left], -1)
             ids[m] = _find(index.levels[m].contexts, codes)
         p = np.zeros(len(target))
-        for m, weight in enumerate(self.weights):
+        for m in range(self.order):
             at, seen = ids[m, :-1], ids[m, :-1] >= 0
             starts = index.levels[m].starts
             lo, hi = starts[at[seen]], starts[at[seen] + 1]
@@ -516,7 +519,7 @@ class NGramModel(SequenceModel):
                 codes = (at[seen] * radix + target[seen]).astype(index.grams.dtype)
                 count[seen] = (index.grams.searchsorted(codes, "right")
                                - index.grams.searchsorted(codes))
-            p += _add_alpha(weight, self.alpha, count, total, vocab)
+            p += _add_alpha(self.weight, self.alpha, count, total, vocab)
         return p
 
     # --- persistence ---
@@ -534,7 +537,7 @@ class NGramModel(SequenceModel):
                                      "(older files hold count tables); re-run train-model")
         model = cls(data["order"], data["vocab_size"], data["alpha"], data["sequences"])
         # Files written while models stored their weights hold the equal ones.
-        if "weights" in data and data["weights"] != list(model.weights):
+        if "weights" in data and data["weights"] != [model.weight] * model.order:
             raise ChallengeError("model file field 'weights' must be absent or hold the equal "
                                  f"weights of order {model.order}; re-run train-model")
         return model
@@ -546,7 +549,8 @@ class NGramModel(SequenceModel):
     def load(cls, path: str | Path) -> "NGramModel":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # not UTF-8, not JSON, nested past the stack or a numeral past int's digit limit
+        except (ValueError, RecursionError) as exc:
             raise ChallengeError(f"{path} is not an n-gram model file ({exc})") from None
         return cls.from_dict(data)
 

@@ -20,7 +20,6 @@ import hashlib
 import math
 import shlex
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -83,17 +82,6 @@ def _fmt(value: float | None, decimals: int) -> str:
 # --- piece loading ------------------------------------------------------------
 
 
-@dataclass
-class Piece:
-    """One analyzable piece, built alike from a solo or a decoded timeline:
-    bar contents, chord changes and chroma."""
-
-    piece_id: str
-    bars: list[metrics.BarContent]
-    chords: list
-    chroma: ChromaSequence
-
-
 def _token_files(token_dir: Path) -> list[Path]:
     files = sorted(token_dir.glob("*.tokens"))
     if not files:
@@ -120,17 +108,12 @@ def _load_sources(args) -> tuple[dict[str, Solo | DecodedTimeline], list[Path]]:
     return {file.stem: _decode_file(file) for file in files}, files
 
 
-def _piece(piece_id: str, source: Solo | DecodedTimeline) -> Piece:
+def _chroma(source: Solo | DecodedTimeline) -> ChromaSequence:
     from . import structure
 
-    solo = isinstance(source, Solo)
-    return Piece(
-        piece_id=piece_id,
-        bars=metrics.bars_from_solo(source) if solo else metrics.bars_from_timeline(source),
-        chords=metrics.chord_changes(source.chord_intervals()),
-        chroma=(structure.chroma_from_solo(source) if solo
-                else structure.chroma_from_timeline(source)),
-    )
+    if isinstance(source, Solo):
+        return structure.chroma_from_solo(source)
+    return structure.chroma_from_timeline(source)
 
 
 def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
@@ -209,7 +192,8 @@ def cmd_report(args) -> int:
     bands = structure.DEFAULT_SI_BANDS
     out_dir = Path(args.out)
     sources, input_files = _load_sources(args)
-    pieces = [_piece(piece_id, source) for piece_id, source in sources.items()]
+    # chroma alone can fail on loaded input (a span past memory): render it before --out
+    chromas = [_chroma(source) for source in sources.values()]
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "report",
@@ -225,14 +209,16 @@ def cmd_report(args) -> int:
     header = provenance_header(config, input_files)
 
     rows = []
-    for piece in pieces:
-        row = metrics.metric_row(piece.piece_id, piece.bars, piece.chords)
-        plot = structure.scape_plot_for_chroma(piece.chroma)
+    for (piece_id, source), chroma in zip(sources.items(), chromas):
+        bars = (metrics.bars_from_solo(source) if isinstance(source, Solo)
+                else metrics.bars_from_timeline(source))
+        row = metrics.metric_row(piece_id, bars, metrics.chord_changes(source.chord_intervals()))
+        plot = structure.scape_plot_for_chroma(chroma)
         values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity,
                   *structure.band_indicators(plot)]
-        rows.append((piece.piece_id, values))
+        rows.append((piece_id, values))
         if args.scape_images:
-            structure.write_scape_pgm(plot, out_dir / f"{piece.piece_id}.pgm")
+            structure.write_scape_pgm(plot, out_dir / f"{piece_id}.pgm")
 
     def column_mean(values: Iterable[float | None]) -> float | None:
         defined = [v for v in values if v is not None]
@@ -251,7 +237,7 @@ def cmd_report(args) -> int:
     ]
     report_path = out_dir / "report.tsv"
     _write_text(report_path, header, lines)
-    print(f"wrote {report_path} ({len(pieces)} pieces)")
+    print(f"wrote {report_path} ({len(rows)} pieces)")
     return 0
 
 
@@ -262,12 +248,11 @@ def cmd_scape(args) -> int:
     sources, _ = _load_sources(args)
     if args.piece not in sources:
         raise CliError(f"piece {args.piece!r} not found; have {sorted(sources)}")
-    piece = _piece(args.piece, sources[args.piece])
-    plot = structure.scape_plot_for_chroma(piece.chroma)
+    plot = structure.scape_plot_for_chroma(_chroma(sources[args.piece]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    structure.write_scape_text(plot, out_dir / f"{piece.piece_id}.scape.txt")
-    structure.write_scape_pgm(plot, out_dir / f"{piece.piece_id}.pgm")
-    print(f"wrote scape plot for {piece.piece_id} ({plot.shape[0]} frames)")
+    structure.write_scape_text(plot, out_dir / f"{args.piece}.scape.txt")
+    structure.write_scape_pgm(plot, out_dir / f"{args.piece}.pgm")
+    print(f"wrote scape plot for {args.piece} ({plot.shape[0]} frames)")
     return 0
 
 

@@ -133,16 +133,16 @@ def grooving_similarity(ga: np.ndarray, gb: np.ndarray) -> float:
 
 def piece_grooving(bars: Sequence[BarContent]) -> float:
     """Mean grooving similarity over all unordered pairs of bars."""
-    if len(bars) < 2:
+    n = len(bars)
+    if n < 2:
         raise MetricError("grooving similarity needs at least two bars")
     import numpy as np
 
-    patterns = np.stack([grooving_pattern(b.onset_positions) for b in bars]).astype(float)
-    # differing slots of every pair: |a| + |b| - 2 a.b, exact for 0/1 entries
-    onsets = patterns.sum(axis=1)
-    differing = onsets[:, None] + onsets[None, :] - 2.0 * (patterns @ patterns.T)
-    hamming = differing[np.triu_indices(len(bars), 1)] / POSITIONS_PER_BAR
-    return float(1.0 - hamming.mean())
+    # a slot with an onset in k of the n bars differs in k * (n - k) pairs: the
+    # distance sum is an exact integer, and its mean one correctly rounded division
+    counts = np.stack([grooving_pattern(b.onset_positions) for b in bars]).sum(0, dtype=np.int64)
+    differing = int((counts * (n - counts)).sum())
+    return 1.0 - differing / (POSITIONS_PER_BAR * n * (n - 1) // 2)
 
 
 # --- chord progression irregularity ---------------------------------------

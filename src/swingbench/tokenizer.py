@@ -330,17 +330,22 @@ def write_tokens(tokens: Iterable[EventToken], path: str | Path) -> None:
 def read_tokens(path: str | Path) -> list[EventToken]:
     path = Path(path)
     tokens = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    # read as bytes, so that a line that is not UTF-8 is named like any other
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path} line {lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where}: not UTF-8 text ({exc})") from None
             if not line or line.startswith("#"):
                 continue
             try:
                 tok = parse_token(line)
             except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
             if not DEFAULT_VOCABULARY.is_valid(tok):
-                raise ValueError(f"{path} line {lineno}: token {tok} not in vocabulary")
+                raise ValueError(f"{where}: token {tok} not in vocabulary")
             tokens.append(tok)
     return tokens
 

@@ -13,7 +13,9 @@ probability from those counts a step at a time, where the model reads
 terms it computed once.  The grammar mask oracle asks the walker about
 every vocabulary id, where the walker asks once per class of ids.  The
 ingest references read, check and encode a solo one field and one token at
-a time, and split it into bars with two lookups a note.
+a time, and split it into bars with two lookups a note.  The grooving
+reference averages the Hamming distance of every pair of bars, from one
+float matrix product, where the metric counts each slot's onsets once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from swingbench.challenge import ORACLE_EPSILON
 from swingbench.chords import ChordError, ChordSymbol, parse_chord
 from swingbench.corpus import DEFAULT_MLU_LABELS, Beat, CorpusError, FormPart, Note, Solo
-from swingbench.metrics import BarContent
+from swingbench.metrics import BarContent, grooving_pattern
 from swingbench.tokenizer import (
     BAR,
     CHORD_SLASH,
@@ -43,6 +45,7 @@ from swingbench.tokenizer import (
     PART_START,
     PHRASE,
     POSITION,
+    POSITIONS_PER_BAR,
     POSITIONS_PER_BEAT,
     REP_END,
     REP_START,
@@ -513,3 +516,14 @@ def bars_from_solo_oracle(solo: Solo) -> list[BarContent]:
         bars[bar][0].append(note.pitch)
         bars[bar][1].append(pos)
     return [BarContent(tuple(p), tuple(o)) for p, o in bars]
+
+
+def piece_grooving_oracle(bars: list[BarContent]) -> float:
+    """Mean grooving similarity over every unordered pair of bars: each
+    pair's differing slots are ``|a| + |b| - 2 a.b``, exact for 0/1
+    patterns, with ``a.b`` from one float matrix product."""
+    patterns = np.stack([grooving_pattern(b.onset_positions) for b in bars]).astype(float)
+    onsets = patterns.sum(axis=1)
+    differing = onsets[:, None] + onsets[None, :] - 2.0 * (patterns @ patterns.T)
+    hamming = differing[np.triu_indices(len(bars), 1)] / POSITIONS_PER_BAR
+    return float(1.0 - hamming.mean())

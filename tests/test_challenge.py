@@ -4,7 +4,9 @@ import bisect
 import hashlib
 import json
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,7 +378,7 @@ def _assert_index_holds_the_tables(model, tables):
                     run = bisect.bisect_right(grams, c * radix + token)
                     assert run - bisect.bisect_left(grams, c * radix + token) == count
             if c in level.held:
-                expected = [challenge._add_alpha(model.weights[m], model.alpha, counts.get(x, 0),
+                expected = [challenge._add_alpha(model.weight, model.alpha, counts.get(x, 0),
                                                  total, vocab) for x in range(vocab)]
                 assert level.held[c].tolist() == expected
         assert counted == table
@@ -577,7 +579,7 @@ def test_reloaded_model_keeps_weights_and_distribution_bits(tmp_path, motif_sequ
     path = tmp_path / "model.json"
     model.save(path)
     loaded = NGramModel.load(path)
-    assert loaded.weights == model.weights
+    assert loaded.weight == model.weight
     for cut in (0, 1, 7, 40, 200):
         history = motif_sequences[3][:cut]
         assert np.array_equal(
@@ -672,6 +674,9 @@ def _model_file(**changes):
         (_model_file(alpha=1e308), r"alpha \* vocab_size finite"),
         # a bare 1/7 is an ulp below the normalised weight every order-7 model uses
         (_model_file(order=7, weights=[1 / 7] * 7), "equal weights of order 7"),
+        # no id would fit the index's integer types, and no index divides by 0
+        (_model_file(vocab_size=2**64), "vocabulary size must be in"),
+        (_model_file(vocab_size=0, sequences=[]), "vocabulary size must be in"),
     ],
 )
 def test_bad_model_file_raises_named_error(tmp_path, data, message):
@@ -679,6 +684,48 @@ def test_bad_model_file_raises_named_error(tmp_path, data, message):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ChallengeError, match=message):
         NGramModel.load(path)
+
+
+# Raw JSON that may stand in place of any one value of a model file, or of
+# the whole file: wrong types, extreme and non-finite numbers, empty
+# containers, long strings and numerals, and a byte that is not UTF-8.
+_HOSTILE_JSON = [
+    b'"x"', b"null", b"true", b"false", b"0", b"-1", b"0.5", b"1e308", b"-1e308", b"1e400",
+    b"Infinity", b"-Infinity", b"NaN", b"1e-320", b"9223372036854775808",
+    b"-9223372036854775809", b"18446744073709551616", b"[]", b"{}", b"[[]]", b'""',
+    b'"' + b"x" * 100_000 + b'"', b"9" * 5000, b"\xff",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences=st.lists(st.lists(st.integers(0, V.size - 1), min_size=1, max_size=12),
+                          min_size=1, max_size=3),
+       order=st.integers(1, 4), data=st.data())
+def test_model_file_with_one_hostile_value_loads_or_raises_challenge_error(
+        sequences, order, data):
+    model = train_ngram(sequences, order=order, vocab_size=V.size)
+    doc = model.to_dict()
+    slot = "\0hostile\0"  # stands for the hostile value until the file is written
+    where = data.draw(st.sampled_from(["file", "field", "sequence", "token"]))
+    if where == "file":
+        doc = slot
+    elif where == "field":
+        doc[data.draw(st.sampled_from([*doc, "weights"]))] = slot
+    else:
+        seq = data.draw(st.sampled_from(doc["sequences"]))
+        if where == "sequence":
+            doc["sequences"][doc["sequences"].index(seq)] = slot
+        else:
+            seq[data.draw(st.integers(0, len(seq) - 1))] = slot
+    text = json.dumps(doc).encode().replace(json.dumps(slot).encode(),
+                                            data.draw(st.sampled_from(_HOSTILE_JSON)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_bytes(text)
+        try:
+            NGramModel.load(path)
+        except ChallengeError:
+            pass
 
 
 def test_ngram_rejects_ids_outside_the_vocabulary():

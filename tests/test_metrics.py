@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import piece_grooving_oracle
 from swingbench.metrics import (
     BarContent,
     MetricError,
@@ -177,6 +180,34 @@ def test_piece_grooving_matches_scipy_hamming_bitwise():
         bars = [BarContent((), tuple(np.flatnonzero(p).tolist())) for p in patterns]
         expected = float(1.0 - pdist(patterns, metric="hamming").mean())
         assert piece_grooving(bars) == expected
+
+
+# a bar's onsets: none, every slot, a position repeated, or a few anywhere
+_bar_onsets = st.one_of(
+    st.just(()),
+    st.just(tuple(range(64))),
+    st.lists(st.integers(0, 63), min_size=1, max_size=6).map(lambda p: (*p, p[0])),
+    st.lists(st.integers(0, 63), max_size=6).map(tuple),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 150).flatmap(lambda n: st.lists(_bar_onsets, min_size=n, max_size=n)))
+def test_piece_grooving_is_the_pairwise_reference_bit_for_bit(onsets):
+    bars = [bar((), o) for o in onsets]
+    assert piece_grooving(bars) == piece_grooving_oracle(bars)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_bar_onsets, min_size=2, max_size=20),
+       st.one_of(st.integers(max_value=-1), st.integers(min_value=64)), st.data())
+def test_piece_grooving_and_its_reference_refuse_a_position_off_the_grid(onsets, pos, data):
+    at = data.draw(st.integers(0, len(onsets) - 1))
+    onsets[at] = (*onsets[at], pos)
+    bars = [bar((), o) for o in onsets]
+    for grooving in (piece_grooving, piece_grooving_oracle):
+        with pytest.raises(MetricError, match="outside the 64-slot grid"):
+            grooving(bars)
 
 
 def test_piece_grooving_needs_two_bars():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,6 +432,56 @@ def test_read_tokens_rejects_unknown(tmp_path):
     path.write_text("Bar(0)\nNoteOn(200)\n")
     with pytest.raises(ValueError, match="line 2"):
         read_tokens(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"Bar(0)\nPosition(0)\n\xff\n", "line 3: not UTF-8 text"),
+    # only \n ends a line, so a bare \r is inside one
+    (b"Bar(0)\rBar(0)\n", "line 1: malformed token text"),
+])
+def test_read_tokens_names_the_line_of_bytes_it_cannot_read(tmp_path, text, message):
+    path = tmp_path / "bad.tokens"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"bad.tokens {message}"):
+        read_tokens(path)
+
+
+# Raw text that may stand in place of one line of a token file, or of one
+# token's value: wrong types, extreme and non-finite numbers, empty
+# containers, long strings and numerals, and bytes that are not UTF-8.
+_HOSTILE_TEXT = [
+    b"", b"x", b"()", b"Bar", b"Bar(", b"#", b"0", b"-1", b"0.5", b"1e308", b"-1e308", b"inf",
+    b"-inf", b"nan", b"1e-320", b"9223372036854775808", b"-9223372036854775809", b"[]", b"{}",
+    b"x" * 100_000, b"9" * 5000, b"\xff", b"\xc3(", b"\x00", b"\r",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_bars=st.integers(1, 3), data=st.data())
+def test_token_file_with_one_hostile_line_decodes_or_names_its_error(seed, n_bars, data):
+    solo = random_solo(np.random.default_rng(seed), "fuzz", n_bars=n_bars)
+    lines = [str(tok).encode() for tok in encode_solo(solo)]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["line", "value", "token"]))
+    if kind == "token":  # another vocabulary token: the grammar must refuse it by name
+        lines[at] = str(DEFAULT_VOCABULARY.token(data.draw(
+            st.integers(0, DEFAULT_VOCABULARY.size - 1)))).encode()
+    else:
+        hostile = data.draw(st.sampled_from(_HOSTILE_TEXT))
+        category = lines[at][: lines[at].index(b"(")]
+        lines[at] = hostile if kind == "line" else category + b"(" + hostile + b")"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.tokens"
+        path.write_bytes(b"# swingbench run\n" + b"\n".join(lines) + b"\n")
+        try:
+            tokens = read_tokens(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path} line "), exc
+        else:
+            try:
+                decode_tokens(tokens)
+            except TokenGrammarError:
+                pass
 
 
 # --- repair ------------------------------------------------------------------------

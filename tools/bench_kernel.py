@@ -60,7 +60,10 @@ the two sides alternating from round to round.
 
 ``assemble`` puts these files together with the ``results.jsonl`` records
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
-of ``perfbench/compare.py`` on them.  ``--parent-fixed-n`` is the output
+of ``perfbench/compare.py`` on them.  Its ``machine`` block names numpy's
+BLAS library and version, and ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` as ``assemble`` finds them ("unset" when they are
+not), so run every step from one shell.  ``--parent-fixed-n`` is the output
 of ``fixed-n`` run in a checkout of the parent, whose line-protocol,
 ingest, n-gram and oracle numbers are set beside the change's; a section
 the parent's file lacks is left out of its side.
@@ -518,9 +521,13 @@ def assemble(args) -> dict:
     yard["numpy_estimate"] = numpy_estimate(fixed, yard["piece_frames"])
     if args.startup:
         sides["startup"] = load(args.startup)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "machine": {"cpus": os.cpu_count(), "python": sys.version.split()[0],
-                    "numpy": np.__version__},
+                    "numpy": np.__version__, "blas": blas["name"],
+                    "blas_version": blas["version"],
+                    **{var: os.environ.get(var, "unset")
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "perfbench": {
             "command": "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace T",
             "compare": compare.compare(compare.load_runs(args.parent),
