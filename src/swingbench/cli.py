@@ -173,6 +173,11 @@ def cmd_detokenize(args) -> int:
     out_dir = Path(args.out)
     config = {"command": "detokenize", "chord_register": CHORD_REGISTER}
     files = [Path(p) for p in args.tokens]
+    by_stem: dict[str, Path] = {}
+    for file in files:  # a stem names the output file, so two would overwrite one
+        if file.stem in by_stem:
+            raise CliError(f"{by_stem[file.stem]} and {file} would both write {file.stem}.mid")
+        by_stem[file.stem] = file
     # every file is decoded before --out is made, so a failure leaves nothing
     timelines = [_decode_file(file) for file in files]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,13 +395,15 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
     }
     header = provenance_header(config, [Path(args.model_file)])
+    bars = 0
     for i in range(args.count):
         ids = generate_tokens(model, [VOCAB.bar_token_id], target_bars=args.bars,
                               temperature=args.temperature, seed=args.seed + i,
                               max_tokens=args.max_tokens)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_text(out_dir / f"gen-{i:03d}.tokens", header, VOCAB.texts(VOCAB.ids_to_tokens(ids)))
-    print(f"generated {args.count} pieces of {args.bars} bars -> {out_dir}")
+        bars += ids.count(VOCAB.bar_token_id)
+    print(f"generated {args.count} pieces, {bars} bars in all -> {out_dir}")
     return 0
 
 

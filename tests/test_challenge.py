@@ -697,28 +697,33 @@ _HOSTILE_JSON = [
 ]
 
 
+def hostile_model_file(draw, model: NGramModel) -> bytes:
+    """The bytes of ``model``'s file with one hostile value in place of the
+    whole file, of a field, of a sequence or of a token."""
+    doc = model.to_dict()
+    slot = "\0hostile\0"  # stands for the hostile value until the file is written
+    where = draw(st.sampled_from(["file", "field", "sequence", "token"]))
+    if where == "file":
+        doc = slot
+    elif where == "field":
+        doc[draw(st.sampled_from([*doc, "weights"]))] = slot
+    else:
+        seq = draw(st.sampled_from(doc["sequences"]))
+        if where == "sequence":
+            doc["sequences"][doc["sequences"].index(seq)] = slot
+        else:
+            seq[draw(st.integers(0, len(seq) - 1))] = slot
+    return json.dumps(doc).encode().replace(json.dumps(slot).encode(),
+                                            draw(st.sampled_from(_HOSTILE_JSON)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(sequences=st.lists(st.lists(st.integers(0, V.size - 1), min_size=1, max_size=12),
                           min_size=1, max_size=3),
        order=st.integers(1, 4), data=st.data())
 def test_model_file_with_one_hostile_value_loads_or_raises_challenge_error(
         sequences, order, data):
-    model = train_ngram(sequences, order=order, vocab_size=V.size)
-    doc = model.to_dict()
-    slot = "\0hostile\0"  # stands for the hostile value until the file is written
-    where = data.draw(st.sampled_from(["file", "field", "sequence", "token"]))
-    if where == "file":
-        doc = slot
-    elif where == "field":
-        doc[data.draw(st.sampled_from([*doc, "weights"]))] = slot
-    else:
-        seq = data.draw(st.sampled_from(doc["sequences"]))
-        if where == "sequence":
-            doc["sequences"][doc["sequences"].index(seq)] = slot
-        else:
-            seq[data.draw(st.integers(0, len(seq) - 1))] = slot
-    text = json.dumps(doc).encode().replace(json.dumps(slot).encode(),
-                                            data.draw(st.sampled_from(_HOSTILE_JSON)))
+    text = hostile_model_file(data.draw, train_ngram(sequences, order=order, vocab_size=V.size))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         path.write_bytes(text)
@@ -1294,6 +1299,14 @@ def test_subprocess_model_refuses_a_reply_line_over_its_limit():
         assert model.next_token_distribution([0]) == pytest.approx(np.full(V.size, 1 / V.size))
         with pytest.raises(ModelProtocolError, match=f"longer than {limit} bytes"):
             model.next_token_distribution([0, 1])
+
+
+@pytest.mark.parametrize("reply", [b"0.5 \xff", b"* 0:\xff", b"\xc3( 1"])
+def test_subprocess_model_refuses_a_reply_that_is_not_utf8(reply):
+    script = f"import sys; sys.stdin.readline(); sys.stdout.buffer.write({reply!r} + b'\\n')"
+    with SubprocessModel([sys.executable, "-c", script], 2) as model:
+        with pytest.raises(ModelProtocolError):
+            model.next_token_distribution([0])
 
 
 def test_subprocess_model_matches_builtin_uniform(questions):

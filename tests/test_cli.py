@@ -526,6 +526,20 @@ def test_generate_deterministic(tmp_path, motif_file):
     assert (g1 / "gen-000.tokens").read_bytes() == (g2 / "gen-000.tokens").read_bytes()
 
 
+@pytest.mark.parametrize("argv, count, bars", [
+    (["--max-tokens", "1"], 1, 1),  # the primer's Bar alone
+    (["--bars", "3", "--count", "2"], 2, 6),
+])
+def test_generate_reports_the_bars_it_wrote(tmp_path, motif_file, capsys, argv, count, bars):
+    model = tmp_path / "model.json"
+    assert run("train-model", "--corpus", motif_file, "--out", model, "--order", 3) == 0
+    out = tmp_path / "gen"
+    capsys.readouterr()
+    assert run("generate", "--model-file", model, "--out", out, *argv) == 0
+    assert sum(t.category == BAR for f in out.glob("*.tokens") for t in read_tokens(f)) == bars
+    assert capsys.readouterr().out == f"generated {count} pieces, {bars} bars in all -> {out}\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_generate_count_below_one_is_a_usage_error(count, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1015,6 +1029,19 @@ def test_failed_run_makes_no_out_directory(tmp_path, corpus_file, repetition_13_
     out = tmp_path / "out"
     assert run(command, *inputs, "--out", out) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detokenize_refuses_two_files_of_one_stem(tmp_path, corpus_file, capsys):
+    for side in ("a", "b"):
+        assert run("tokenize", "--corpus", corpus_file, "--out", tmp_path / side) == 0
+    first = sorted((tmp_path / "a").glob("*.tokens"))[0]
+    second = tmp_path / "b" / first.name
+    out = tmp_path / "midi"
+    capsys.readouterr()
+    assert run("detokenize", "--tokens", first, second, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {first} and {second} would both write {first.stem}.mid\n")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,14 @@ from oracles import (
     solo_from_record_oracle,
     validate_solo_oracle,
 )
+from test_challenge import hostile_model_file
+from test_tokenizer import hostile_token_line
+
+from swingbench.challenge import train_ngram
 from swingbench.cli import main
 from swingbench.corpus import CorpusError, solo_from_record, solo_to_record, validate_solo
 from swingbench.metrics import bars_from_solo
-from swingbench.synthetic import motif_solo, random_solo, sectional_solo
+from swingbench.synthetic import motif_corpus, motif_solo, random_solo, sectional_solo
 from swingbench.tokenizer import DEFAULT_VOCABULARY, TokenizationError, encode_solo
 
 
@@ -239,5 +244,63 @@ def test_cli_reads_a_corrupted_corpus_or_names_one_error(data, command, kind):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--corpus", str(corpus), "--out", str(Path(tmp) / "out")])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert (code, len(errors)) in ((0, 0), (1, 1)), err.getvalue()
+
+
+# The valid inputs of the property below: a motif corpus, its token files and
+# an order-3 model trained on it.
+_MOTIFS = motif_corpus(4, n_bars=18)
+_TOKEN_LINES = {solo.id: [str(tok).encode() for tok in encode_solo(solo)] for solo in _MOTIFS}
+_MODEL = train_ngram([DEFAULT_VOCABULARY.tokens_to_ids(encode_solo(solo)) for solo in _MOTIFS],
+                     order=3, vocab_size=DEFAULT_VOCABULARY.size)
+
+# (input corrupted, command line): C the corpus, T the token directory, M the
+# model file, O the output directory, P the piece whose token file is corrupted.
+_COMMANDS = [
+    ("corpus", "challenge --corpus C --count 3 --out O"),
+    ("corpus", "train-model --corpus C --out O/model.json"),
+    ("tokens", "detokenize --tokens T/* --out O"),
+    ("tokens", "scape --tokens-dir T --piece P --out O"),
+    ("tokens", "challenge --tokens-dir T --count 3 --out O"),
+    ("tokens", "train-model --tokens-dir T --out O/model.json"),
+    ("model", "generate --model-file M --bars 2 --max-tokens 200 --out O"),
+    ("model", "challenge --corpus C --model-file M --count 3 --out O"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(_COMMANDS))
+def test_cli_given_one_corrupted_input_exits_0_or_names_one_error(data, command):
+    """One record of a valid corpus, one line of a valid token file or one
+    value of a valid model file is corrupted: the command exits 0, or 1
+    with one ``error:`` line, within a generous bound."""
+    target, line = command
+    records = [_json_record(solo) for solo in _MOTIFS]
+    token_lines = {piece: list(lines) for piece, lines in _TOKEN_LINES.items()}
+    model = json.dumps(_MODEL.to_dict()).encode()
+    piece = data.draw(st.sampled_from(sorted(token_lines)))
+    if target == "corpus":
+        records.append(_corrupted_record(data.draw, data.draw(st.sampled_from(CORRUPTIONS))))
+    elif target == "tokens":
+        hostile_token_line(data.draw, token_lines[piece])
+    else:
+        model = hostile_model_file(data.draw, _MODEL)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        (tmp / "tokens").mkdir()
+        for name, lines in token_lines.items():
+            (tmp / "tokens" / f"{name}.tokens").write_bytes(b"\n".join(lines) + b"\n")
+        (tmp / "model.json").write_bytes(model)
+        words = {"C": [tmp / "corpus.jsonl"], "T": [tmp / "tokens"], "M": [tmp / "model.json"],
+                 "O": [tmp / "out"], "O/model.json": [tmp / "out" / "model.json"], "P": [piece],
+                 "T/*": sorted((tmp / "tokens").iterdir())}
+        argv = [str(arg) for word in line.split() for arg in words.get(word, [word])]
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert time.perf_counter() - start < 30.0, argv
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert (code, len(errors)) in ((0, 0), (1, 1)), err.getvalue()

@@ -456,20 +456,26 @@ _HOSTILE_TEXT = [
 ]
 
 
+def hostile_token_line(draw, lines: list[bytes]) -> None:
+    """Put hostile text in place of one of ``lines`` or of its value, or
+    another vocabulary token in its place."""
+    at = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["line", "value", "token"]))
+    if kind == "token":  # another vocabulary token: the grammar must refuse it by name
+        lines[at] = str(DEFAULT_VOCABULARY.token(draw(
+            st.integers(0, DEFAULT_VOCABULARY.size - 1)))).encode()
+    else:
+        hostile = draw(st.sampled_from(_HOSTILE_TEXT))
+        category = lines[at][: lines[at].index(b"(")]
+        lines[at] = hostile if kind == "line" else category + b"(" + hostile + b")"
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_bars=st.integers(1, 3), data=st.data())
 def test_token_file_with_one_hostile_line_decodes_or_names_its_error(seed, n_bars, data):
     solo = random_solo(np.random.default_rng(seed), "fuzz", n_bars=n_bars)
     lines = [str(tok).encode() for tok in encode_solo(solo)]
-    at = data.draw(st.integers(0, len(lines) - 1))
-    kind = data.draw(st.sampled_from(["line", "value", "token"]))
-    if kind == "token":  # another vocabulary token: the grammar must refuse it by name
-        lines[at] = str(DEFAULT_VOCABULARY.token(data.draw(
-            st.integers(0, DEFAULT_VOCABULARY.size - 1)))).encode()
-    else:
-        hostile = data.draw(st.sampled_from(_HOSTILE_TEXT))
-        category = lines[at][: lines[at].index(b"(")]
-        lines[at] = hostile if kind == "line" else category + b"(" + hostile + b")"
+    hostile_token_line(data.draw, lines)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.tokens"
         path.write_bytes(b"# swingbench run\n" + b"\n".join(lines) + b"\n")

@@ -30,10 +30,7 @@ together, and microseconds per ``generate_tokens`` step: two pieces
 capped at GEN_TOKENS tokens (seeds SEED and SEED + 1) per repeat, median
 of 5 repeats.  The first repeat also builds the grammar masks.  It saves
 the model and runs the ``codec-generate`` workload's ``generate`` command
-on it 5 times, each from a small parent process that imports nothing
-else, and reports the command's own peak RSS from ``os.wait4`` (at exec
-Linux gives a child the high-water RSS of the process that spawned it,
-so a child of this script would read this script's).  It times the
+on it 5 times, and reports the command's own peak RSS.  It times the
 order-5 n-gram trained on the motif corpus of the ``challenge-motif``
 workload over the questions of its n-gram leg (seed MOTIF_SEED), in
 microseconds per scored token, median of 5, after one run that builds
@@ -46,17 +43,26 @@ questions, seed MOTIF_SEED), in microseconds per scored token, median of
 
 ``yardstick`` runs ``report`` over 456 random solos (as many as WJazzD
 holds) at 120 bpm, each 100-150 bars (200-300 one-second frames, lengths
-drawn uniformly), in one child process: wall time and peak RSS from
-``os.wait4``, and the wall time of each analysis stage from wrappers
-installed in the child.
+drawn uniformly), once, under ``perfbench/tracer.py`` (``TRACED_REPORT``):
+the command's wall time, CPU time and peak RSS, and per traced layer
+function its calls (``n``), seconds (``s``) and self seconds
+(``self_s``).
 
 ``startup`` runs every CLI command of the three ``perfbench`` workloads
 (inputs built with seed = SEED) as ``python -m swingbench.cli``, a new
 process each time, STARTUP_ROUNDS rounds, and records each command's
-wall times, their median, and whether the command loaded numpy (from one
-more run through ``NUMPY_PROBE``).  With ``--parent-src`` it runs the
-package in that directory too, interleaved with this one, the order of
-the two sides alternating from round to round.
+wall times and peak RSS, their medians, and whether the command loaded
+numpy (from one more run through ``NUMPY_PROBE``).  With ``--parent-src``
+it runs the package in that directory too, interleaved with this one,
+the order of the two sides alternating from round to round.
+
+Every CLI command that ``fixed-n``, ``yardstick`` and ``startup`` run
+as a process runs through ``run_child``: a small ``python -S`` parent
+(``SPAWNER``) starts it, times it, and reads its exit code, CPU time and
+peak RSS from ``os.wait4``.  At exec Linux gives
+a process the high-water RSS of the one that spawned it, so a command
+started straight from this script would read this script's peak, not
+its own.
 
 ``assemble`` puts these files together with the ``results.jsonl`` records
 of ``perfbench/run.py`` for the parent and the change, and the verdicts
@@ -81,6 +87,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -90,7 +97,7 @@ import compare  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from swingbench import cli, metrics, structure  # noqa: E402
+from swingbench import structure  # noqa: E402
 from swingbench.challenge import (  # noqa: E402
     CorpusOracleModel,
     SubprocessModel,
@@ -116,13 +123,16 @@ ORDER = 5
 GEN_TOKENS = 3000
 # seed of the challenge-motif inputs and questions the n-gram and oracle are timed on
 MOTIF_SEED = 1
-# Runs the command in its arguments and prints its exit code and peak RSS
-# in KiB; started with ``-S``, it imports nothing but ``os`` and ``sys``.
+# Runs the command in its arguments, prints its wall and CPU seconds and
+# peak RSS in KiB, and exits with its exit code; started with ``-S``, it
+# imports nothing but ``os``, ``sys`` and ``time``.
 SPAWNER = (
-    "import os, sys\n"
+    "import os, sys, time\n"
+    "start = time.perf_counter()\n"
     "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)\n"
     "_, status, usage = os.wait4(pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    "print(time.perf_counter() - start, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status))\n"
 )
 # Rounds of the startup section: each runs every command once on each side.
 STARTUP_ROUNDS = 5
@@ -135,15 +145,41 @@ NUMPY_PROBE = (
     "print('numpy' in sys.modules)\n"
     "sys.exit(code)\n"
 )
-# Stages of ``report --corpus`` timed in the yardstick child: (module, name).
-STAGES = [
-    (cli, "load_corpus"),
-    (metrics, "bars_from_solo"),
-    (metrics, "metric_row"),
-    (structure, "chroma_from_solo"),
-    (structure, "compute_ssm"),
-    (structure, "scape_plot"),
-]
+# Runs ``report`` with the arguments after its first under the Tracer of
+# ``tracer.py`` in the directory its first names, and prints the tracer's
+# totals as JSON on its last line.  ``Tracer.installed`` looks up every
+# traced module, so ``challenge`` and ``structure`` are imported first.
+TRACED_REPORT = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from tracer import Tracer\n"
+    "from swingbench import challenge, cli, structure\n"
+    "tracer = Tracer('yardstick')\n"
+    "with tracer.installed():\n"
+    "    code = cli.main(['report', *sys.argv[2:]])\n"
+    "print(json.dumps(tracer.totals()))\n"
+    "sys.exit(code)\n"
+)
+
+
+class Child(NamedTuple):
+    wall_s: float
+    cpu_s: float
+    peak_rss_mb: float
+    stdout: str
+
+
+def run_child(args: list[str], src: Path = ROOT / "src") -> Child:
+    """Run ``python ARGS`` with the package from ``src``, started by
+    ``SPAWNER``; a nonzero exit code is an error."""
+    done = subprocess.run([sys.executable, "-S", "-c", SPAWNER, sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, stdin=subprocess.DEVNULL)
+    if done.returncode != 0:
+        raise SystemExit(f"error: python {' '.join(args)} exited with code {done.returncode}: "
+                         f"{done.stderr}")
+    *out, wall, cpu, kib = done.stdout.rsplit(maxsplit=3)
+    return Child(float(wall), float(cpu), int(kib) / 1024.0, "".join(out))
 
 
 def random_ssm(n: int, seed: int) -> np.ndarray:
@@ -222,23 +258,15 @@ def motif_questions(count: int) -> tuple[list[list[int]], list]:
 
 def generate_peak_rss(model) -> list[float]:
     """Peak RSS in MB of the ``codec-generate`` workload's ``generate``
-    command on ``model``, 5 runs, each started by ``SPAWNER``."""
-    peaks = []
+    command on ``model``, 5 runs."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         model.save(path)
-        argv = [sys.executable, "-S", "-c", SPAWNER, sys.executable, "-m", "swingbench.cli",
-                "generate", "--model-file", str(path), "--out", str(Path(tmp) / "gen"),
-                "--bars", "1000", "--count", str(workloads.GEN_COUNT),
+        argv = ["-m", "swingbench.cli", "generate", "--model-file", str(path),
+                "--out", str(Path(tmp) / "gen"), "--bars", "1000",
+                "--count", str(workloads.GEN_COUNT),
                 "--max-tokens", str(workloads.GEN_MAX_TOKENS), "--seed", str(SEED)]
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        for _ in range(5):
-            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-            code, kib = map(int, done.stdout.split()[-2:])
-            if code != 0:
-                raise SystemExit(f"error: generate exited with code {code}: {done.stderr}")
-            peaks.append(kib / 1024.0)
-    return peaks
+        return [run_child(argv).peak_rss_mb for _ in range(5)]
 
 
 def ngram(sequences: list[list[int]]) -> dict:
@@ -287,7 +315,7 @@ def ngram(sequences: list[list[int]]) -> dict:
         "generate_us_per_step": step_us,
         "median_generate_us_per_step": statistics.median(step_us),
         "generate_command": "the codec-generate generate leg on this model, seed = SEED, "
-                            "started by a small parent (SPAWNER)",
+                            "started by run_child",
         "generate_peak_rss_mb": rss,
         "median_generate_peak_rss_mb": statistics.median(rss),
         "score_questions": "perfbench challenge-motif n-gram leg, seed = MOTIF_SEED, "
@@ -381,30 +409,6 @@ def fixed_n() -> dict:
     }
 
 
-def yardstick_child(corpus: str, out: str, stages_file: str) -> int:
-    """Run ``report`` in this process with a wall-time total per stage."""
-    totals = {f"{module.__name__.split('.')[-1]}.{name}": 0.0 for module, name in STAGES}
-
-    def wrap(module, name):
-        inner = getattr(module, name)
-        key = f"{module.__name__.split('.')[-1]}.{name}"
-
-        def timed_stage(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                totals[key] += time.perf_counter() - start
-
-        setattr(module, name, timed_stage)
-
-    for module, name in STAGES:
-        wrap(module, name)
-    code = cli.main(["report", "--corpus", corpus, "--out", out])
-    Path(stages_file).write_text(json.dumps(totals, indent=1), encoding="utf-8")
-    return code
-
-
 def yardstick() -> dict:
     rng = np.random.default_rng(SEED)
     bars = [int(b) for b in rng.integers(100, 151, size=SOLOS)]
@@ -416,17 +420,8 @@ def yardstick() -> dict:
         ]
         save_corpus(pieces, corpus)
         frames = [len(structure.chroma_from_solo(p)) for p in pieces]
-        stages_file = Path(tmp) / "stages.json"
-        argv = [sys.executable, __file__, "yardstick-child", str(corpus), str(Path(tmp) / "out"),
-                str(stages_file)]
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode != 0:
-            raise SystemExit(f"error: report exited with code {proc.returncode}")
-        stages = json.loads(stages_file.read_text(encoding="utf-8"))
+        child = run_child(["-c", TRACED_REPORT, str(ROOT / "perfbench"),
+                           "--corpus", str(corpus), "--out", str(Path(tmp) / "out")])
     return {
         "solos": SOLOS,
         "seed": SEED,
@@ -434,11 +429,10 @@ def yardstick() -> dict:
                       "so 200-300 frames at 1 Hz",
         "frames": {"min": min(frames), "median": statistics.median(frames), "max": max(frames),
                    "total": sum(frames)},
-        "piece_frames": frames,
-        "wall_s": wall,
-        "cpu_s": usage.ru_utime + usage.ru_stime,
-        "peak_rss_mb": usage.ru_maxrss / 1024.0,
-        "stage_wall_s": stages,
+        "wall_s": child.wall_s,
+        "cpu_s": child.cpu_s,
+        "peak_rss_mb": child.peak_rss_mb,
+        "stage_wall_s": json.loads(child.stdout.splitlines()[-1]),
     }
 
 
@@ -455,31 +449,23 @@ def startup(parent_src: Path | None) -> dict:
                 plans[side] += [(f"{name}/{leg.name}", leg.argv)
                                 for leg in workload.legs(SEED, inputs, Path(tmp) / side / name)]
 
-        def run(side: str, prefix: list[str], argv: list[str]) -> subprocess.CompletedProcess:
-            env = dict(os.environ, PYTHONPATH=str(sides[side]))
-            done = subprocess.run([sys.executable, *prefix, *argv], env=env, capture_output=True,
-                                  text=True, stdin=subprocess.DEVNULL)
-            if done.returncode != 0:
-                raise SystemExit(f"error: {side} {argv[0]} exited with code {done.returncode}: "
-                                 f"{done.stderr}")
-            return done
-
         for side, plan in plans.items():  # also compiles each side's bytecode before timing
             for name, argv in plan:
-                probe = run(side, ["-c", NUMPY_PROBE], argv).stdout.splitlines()[-1]
+                probe = run_child(["-c", NUMPY_PROBE, *argv], sides[side]).stdout.split()[-1]
                 commands.setdefault(name, {})[side] = {"numpy_loaded": probe == "True",
-                                                       "wall_s": []}
+                                                       "wall_s": [], "peak_rss_mb": []}
         for round_ in range(STARTUP_ROUNDS):
             for side in list(sides)[::1 if round_ % 2 == 0 else -1]:
                 for name, argv in plans[side]:
-                    start = time.perf_counter()
-                    run(side, ["-m", "swingbench.cli"], argv)
-                    commands[name][side]["wall_s"].append(time.perf_counter() - start)
+                    child = run_child(["-m", "swingbench.cli", *argv], sides[side])
+                    commands[name][side]["wall_s"].append(child.wall_s)
+                    commands[name][side]["peak_rss_mb"].append(child.peak_rss_mb)
     for name, by_side in commands.items():
         for side, entry in by_side.items():
             entry["median_wall_s"] = statistics.median(entry["wall_s"])
+            entry["median_peak_rss_mb"] = statistics.median(entry["peak_rss_mb"])
         print(f"startup, {name}: " + ", ".join(
-            f"{side} {entry['median_wall_s'] * 1e3:.0f} ms"
+            f"{side} {entry['median_wall_s'] * 1e3:.0f} ms {entry['median_peak_rss_mb']:.1f} MB"
             f"{' (numpy)' if entry['numpy_loaded'] else ''}" for side, entry in by_side.items()),
             file=sys.stderr)
     return {
@@ -489,18 +475,6 @@ def startup(parent_src: Path | None) -> dict:
         "sides": "change: this checkout's src; parent: --parent-src",
         "commands": commands,
     }
-
-
-def numpy_estimate(fixed: dict, frames: list[int]) -> dict:
-    """Scape DP time of the yardstick under numpy, from the fixed-N points:
-    a power law fitted through them in log-log space."""
-    n = np.log([p["frames"] for p in fixed["points"]])
-    t = np.log([p["numpy_median_s"] for p in fixed["points"]])
-    slope, intercept = np.polyfit(n, t, 1)
-    total = float(np.sum(np.exp(intercept) * np.asarray(frames, dtype=float) ** slope))
-    return {"exponent": float(slope), "scape_dp_s": total,
-            "method": "numpy medians at N = 100/200/300/500 fitted as a * N**b, summed over "
-                      "the yardstick's piece lengths; an estimate, not a run"}
 
 
 def assemble(args) -> dict:
@@ -518,7 +492,6 @@ def assemble(args) -> dict:
         sides[key] = {"change": fixed.pop(key)}
         if parent_fixed and key in parent_fixed:
             sides[key]["parent"] = parent_fixed[key]
-    yard["numpy_estimate"] = numpy_estimate(fixed, yard["piece_frames"])
     if args.startup:
         sides["startup"] = load(args.startup)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -547,10 +520,6 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("fixed-n", "yardstick", "startup"):
         sub.add_parser(name).add_argument("--out", type=Path, required=True)
     sub.choices["startup"].add_argument("--parent-src", type=Path)
-    p = sub.add_parser("yardstick-child")
-    p.add_argument("corpus")
-    p.add_argument("report_out")
-    p.add_argument("stages_file")
     p = sub.add_parser("assemble")
     for name in ("--parent", "--change", "--fixed-n", "--yardstick", "--out"):
         p.add_argument(name, type=Path, required=True)
@@ -558,8 +527,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--startup", type=Path)
     args = parser.parse_args(argv)
 
-    if args.command == "yardstick-child":
-        return yardstick_child(args.corpus, args.report_out, args.stages_file)
     if args.command == "fixed-n":
         result = fixed_n()
     elif args.command == "yardstick":
