@@ -30,7 +30,7 @@ import tempfile
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import IO, Sequence
@@ -39,8 +39,6 @@ import numpy as np
 
 from .tokenizer import (
     DEFAULT_VOCABULARY as VOCAB,
-    POSITION,
-    EventToken,
     TokenGrammarError,
     _GrammarWalker,
 )
@@ -232,9 +230,6 @@ class CorpusOracleModel(SequenceModel):
 # The largest n-gram order a model may have: the index holds a level per
 # order, and every step adds a term per order.
 MAX_ORDER = 32
-# The longest context range whose next tokens a step counts one at a time,
-# in Python; numpy counts a longer one.
-SHORT_RANGE = 32
 
 
 def _add_alpha(weight: float, alpha: float, count, total, vocab_size: int):
@@ -338,7 +333,7 @@ class _CountIndex:
         ids += nexts
         del nexts
         ids.sort()
-        self.grams, self.gram_view = ids, memoryview(ids)
+        self.grams = ids
         self.ends = np.flatnonzero(ids % radix == vocab_size).astype(position)
         # the deepest level's ranges, then each level's from its first child's
         starts = np.searchsorted(ids, np.arange(len(contexts[-1]) + 1, dtype=code) * radix)
@@ -351,7 +346,7 @@ class _CountIndex:
         # the longest ranges keep their components whole, 8 bytes an entry in all at most
         sizes = np.sort(np.concatenate([np.diff(level.starts) for level in self.levels]))
         rows = n // vocab_size
-        cut = max(int(sizes[-rows - 1]) if rows < len(sizes) else 0, SHORT_RANGE)
+        cut = int(sizes[-rows - 1]) if rows < len(sizes) else 0
         for m, level in enumerate(self.levels):
             for c in np.flatnonzero(np.diff(level.starts) > cut).tolist():
                 level.held[c] = self.component(m, c)
@@ -359,23 +354,13 @@ class _CountIndex:
     def component(self, m: int, c: int) -> np.ndarray:
         """Order ``m + 1``'s weighted add-alpha component after the context
         of ``m`` tokens with id ``c``."""
-        held = self.levels[m].held.get(c)
-        if held is not None:
-            return held
-        weight, alpha, vocab = self.weight, self.alpha, self.vocab_size
-        lo, hi = self.levels[m].starts.item(c), self.levels[m].starts.item(c + 1)
-        if hi - lo > SHORT_RANGE:
-            counts = np.bincount(self.grams[lo:hi] % (vocab + 1), minlength=vocab + 1)
-            return _add_alpha(weight, alpha, counts[:vocab], hi - lo - counts.item(vocab), vocab)
-        found: dict[int, int] = {}
-        for code in self.gram_view[lo:hi]:
-            token = code % (vocab + 1)
-            found[token] = found.get(token, 0) + 1
-        total = hi - lo - found.pop(vocab, 0)  # less the piece ends
-        component = np.full(vocab, _add_alpha(weight, alpha, 0, total, vocab))
-        for token, count in found.items():
-            component[token] = _add_alpha(weight, alpha, count, total, vocab)
-        return component
+        level, vocab = self.levels[m], self.vocab_size
+        if c in level.held:
+            return level.held[c]
+        lo, hi = level.starts.item(c), level.starts.item(c + 1)
+        counts = np.bincount(self.grams[lo:hi] % (vocab + 1), minlength=vocab + 1)
+        total = hi - lo - counts.item(vocab)  # less the piece ends, counted as the token V
+        return _add_alpha(self.weight, self.alpha, counts[:vocab], total, vocab)
 
 
 def _find(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -944,39 +929,6 @@ class GenerationError(RuntimeError):
     """No id the grammar allows has probability, or the cap leaves no Bar."""
 
 
-@lru_cache(maxsize=None)
-def _grammar_classes() -> tuple[list[EventToken], np.ndarray]:
-    """The vocabulary split into the classes that :meth:`_GrammarWalker.step`
-    cannot tell apart, since it reads a token's category and only a
-    Position's value: one token of each class, and each id's class."""
-    tokens = VOCAB.ids_to_tokens(range(VOCAB.size))
-    number: dict[object, int] = {}  # a class's key -> its number, in the order of its first id
-    classes = [number.setdefault(tok if tok.category == POSITION else tok.category, len(number))
-               for tok in tokens]
-    return [tokens[classes.index(c)] for c in range(len(number))], np.array(classes)
-
-
-_MASKS: dict[tuple, np.ndarray] = {}
-
-
-def _allowed_mask(walker: _GrammarWalker) -> np.ndarray:
-    """A read-only 0/1 weight per vocabulary id: 1 where ``walker.step``
-    would accept it now, asked once per class of ids it cannot tell
-    apart.  Cached by what decides that: ``expected`` in a group,
-    ``(bar_open, last_position)`` between groups."""
-    key = walker.expected or (walker.bar_open, walker.last_position)
-    if key not in _MASKS:
-        (tokens, classes), state = _grammar_classes(), vars(walker).copy()
-        accepts = np.zeros(len(tokens))
-        for i, tok in enumerate(tokens):
-            accepts[i] = walker.step(tok) is None
-            vars(walker).update(state)
-        mask = accepts[classes]
-        mask.flags.writeable = False
-        _MASKS[key] = mask
-    return _MASKS[key]
-
-
 def generate_tokens(
     model: SequenceModel,
     primer: Sequence[int],
@@ -1005,7 +957,7 @@ def generate_tokens(
             if not 0 <= token < VOCAB.size:
                 raise TokenGrammarError(len(out), f"unknown token id {token}")
         else:
-            p = checked_distribution(model, out) * _allowed_mask(walker)
+            p = checked_distribution(model, out) * walker.allowed()
             top = p.max()
             if not top:
                 raise GenerationError(f"step {len(out)}: no id the grammar allows has probability")

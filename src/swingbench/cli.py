@@ -60,13 +60,18 @@ def _hash_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _one_line(text: str, what: str) -> str:
+    """``text``, or a CliError naming ``what`` if it holds any line break str.splitlines knows."""
+    if text and text.splitlines() != [text]:
+        raise CliError(f"{what} must not contain a line break")
+    return text
+
+
 def provenance_header(config: dict, inputs: Sequence[Path]) -> list[str]:
-    lines = ["# swingbench run"]
-    for key in sorted(config):
-        lines.append(f"# cfg {key}={config[key]}")
-    for path in sorted(inputs):
-        lines.append(f"# input {path.name} sha256={_hash_file(path)}")
-    return lines
+    """The run's header lines, refused if a value or name splits one: build it before --out."""
+    lines = ["# swingbench run", *(f"# cfg {key}={config[key]}" for key in sorted(config)),
+             *(f"# input {path.name} sha256={_hash_file(path)}" for path in sorted(inputs))]
+    return [_one_line(line, f"header line {line!r}") for line in lines]
 
 
 def _write_text(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
@@ -86,6 +91,9 @@ def _token_files(token_dir: Path) -> list[Path]:
     files = sorted(token_dir.glob("*.tokens"))
     if not files:
         raise CliError(f"no .tokens files under {token_dir}")
+    for file in files:
+        if file.stem.splitlines() != [file.stem] or "\t" in file.stem:
+            raise CliError(f"token file {str(file)!r}: its name must be one line, without a tab")
     return files
 
 
@@ -180,10 +188,10 @@ def cmd_detokenize(args) -> int:
         by_stem[file.stem] = file
     # every file is decoded before --out is made, so a failure leaves nothing
     timelines = [_decode_file(file) for file in files]
+    metas = ["; ".join(provenance_header(config, [file])) for file in files]
     out_dir.mkdir(parents=True, exist_ok=True)
-    for file, timeline in zip(files, timelines):
+    for file, timeline, meta in zip(files, timelines, metas):
         target = out_dir / (file.stem + ".mid")
-        meta = "; ".join(provenance_header(config, [file]))
         write_midi(timeline, target, meta_text=meta)
         print(f"wrote {target}")
     return 0
@@ -199,7 +207,6 @@ def cmd_report(args) -> int:
     sources, input_files = _load_sources(args)
     # chroma alone can fail on loaded input (a span past memory): render it before --out
     chromas = [_chroma(source) for source in sources.values()]
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "command": "report",
         "bands": ",".join(f"{lo}:{hi or ''}" for lo, hi in bands),
@@ -212,6 +219,7 @@ def cmd_report(args) -> int:
         "source": Path(args.corpus or args.tokens_dir).name,
     }
     header = provenance_header(config, input_files)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for (piece_id, source), chroma in zip(sources.items(), chromas):
@@ -275,11 +283,8 @@ def _load_ngram(path: str) -> NGramModel:
 def _external_command(text: str | None) -> list[str]:
     """``--external-cmd`` split as a POSIX shell would, refused when it is
     missing, names no command or holds a line break."""
-    # str.splitlines knows every line break; one would split the header line
-    if text and text.splitlines() != [text]:
-        raise CliError("--external-cmd must not contain a line break")
     try:
-        command = shlex.split(text or "")
+        command = shlex.split(_one_line(text or "", "--external-cmd"))
     except ValueError as exc:  # an unclosed quotation or a trailing backslash
         raise CliError(f"--external-cmd {text!r} cannot be split into words: {exc}") from None
     if not command:
@@ -332,11 +337,6 @@ def cmd_challenge(args) -> int:
         sequences, count=args.count, seed=args.seed, bar_token_id=VOCAB.bar_token_id
     )
     model = _build_model(args, sequences, command)
-    out_dir = Path(args.out)
-    with model if isinstance(model, chal.SubprocessModel) else contextlib.nullcontext():
-        out_dir.mkdir(parents=True, exist_ok=True)
-        result = chal.run_challenge(model, questions)
-
     config = {
         "command": "challenge",
         "model": args.model,
@@ -351,6 +351,14 @@ def cmd_challenge(args) -> int:
         config["alpha"] = model.alpha
     elif args.model == "external":
         config["external_cmd"] = args.external_cmd
+    if args.model_file:
+        input_files = [*input_files, Path(args.model_file)]
+    out_dir = Path(args.out)
+    with model if isinstance(model, chal.SubprocessModel) else contextlib.nullcontext():
+        header = provenance_header(config, input_files)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        result = chal.run_challenge(model, questions)
+
     lines = ["question\tP0\tP1\tP2\tP3\tchosen\ttrue\tcorrect"]
     for row in result.rows:
         scores = "\t".join(f"{p:.6f}" for p in row["scores"])
@@ -358,10 +366,8 @@ def cmd_challenge(args) -> int:
             f"{row['question']}\t{scores}\t{row['chosen']}\t{row['true']}\t{int(row['correct'])}"
         )
     lines.append(f"# accuracy {result.accuracy:.4f}")
-    if args.model_file:
-        input_files = [*input_files, Path(args.model_file)]
     path = out_dir / "challenge.tsv"
-    _write_text(path, provenance_header(config, input_files), lines)
+    _write_text(path, header, lines)
     print(f"accuracy {result.accuracy:.4f} over {len(questions)} questions -> {path}")
     return 0
 

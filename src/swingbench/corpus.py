@@ -339,10 +339,10 @@ def load_corpus(path: str | Path) -> list[Solo]:
             except (ValueError, RecursionError) as exc:  # or nesting, ints past Python's limits
                 raise CorpusError(f"{where}: invalid JSON ({exc})") from None
             solo = solo_from_record(record, where=where)
-            # each id names its solo's output files (<id>.tokens, <id>.pgm)
-            if not solo.id or "/" in solo.id or "\0" in solo.id:
+            # each id names its solo's output files (<id>.tokens, <id>.pgm) and table rows
+            if solo.id.splitlines() != [solo.id] or any(c in solo.id for c in "/\t\0"):
                 raise CorpusError(f"{where}: solo id {solo.id!r} is not a file name: "
-                                  "it must be non-empty, without '/' or NUL")
+                                  "it must be one non-empty line, without '/', tab or NUL")
             if solo.id in ids:
                 raise CorpusError(f"{where}: solo id {solo.id!r} repeats an earlier solo's")
             ids.add(solo.id)

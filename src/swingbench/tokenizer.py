@@ -586,6 +586,10 @@ def _group_head(category: str) -> str:
     return _group_head(next(k for k, nxt in _GROUP_GRAMMAR.items() if k and category in nxt))
 
 
+# Each grammar mask :meth:`_GrammarWalker.allowed` has built, by the state that decides it.
+_MASKS: dict[object, np.ndarray] = {}
+
+
 class _GrammarWalker:
     """Walks a token stream through the event grammar, one token at a time.
 
@@ -625,6 +629,24 @@ class _GrammarWalker:
                 return "{tok} before the first Position of the bar", (POSITION,)
             self.expected = _GROUP_GRAMMAR[cat]
         return None
+
+    def allowed(self) -> np.ndarray:
+        """A read-only 0/1 weight per vocabulary id, 1 where :meth:`step` accepts it now (the
+        state is put back after each id accepted), cached by what decides it: ``expected``
+        in a group, else ``(bar_open, last_position)``."""
+        key = self.expected or (self.bar_open, self.last_position)
+        if key not in _MASKS:
+            import numpy as np
+
+            state, vocab = vars(self).copy(), DEFAULT_VOCABULARY
+            mask = np.zeros(vocab.size)
+            for i, tok in enumerate(vocab.ids_to_tokens(range(vocab.size))):
+                if self.step(tok) is None:
+                    mask[i] = 1.0
+                    vars(self).update(state)
+            mask.flags.writeable = False
+            _MASKS[key] = mask
+        return _MASKS[key]
 
     def advance(self, i: int, tok: EventToken) -> None:
         """Accept ``tok`` as token ``i``, or raise :class:`TokenGrammarError`

@@ -10,8 +10,9 @@ dicts, one per prefix of a piece, where the model binary-searches one
 sorted id array.  The n-gram oracle counts with one dict per order, a
 token at a time, where the model sorts numpy arrays, and computes each
 probability from those counts a step at a time, where the model reads
-terms it computed once.  The grammar mask oracle asks the walker about
-every vocabulary id, where the walker asks once per class of ids.  The
+terms it computed once.  The grammar mask oracle asks a fresh copy of
+the walker about each vocabulary id, where the walker asks every id
+itself and puts its state back after each one it accepts.  The
 ingest references read, check and encode a solo one field and one token at
 a time, and split it into bars with two lookups a note.  The grooving
 reference averages the Hamming distance of every pair of bars, from one

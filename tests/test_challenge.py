@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import NGramOracle, TrieOracle, allowed_mask_oracle, ngram_count_tables
 from scipy import stats
 
-from swingbench import challenge
+from swingbench import challenge, tokenizer
 from swingbench.challenge import (
     DISTRIBUTION_TOLERANCE,
     MAX_ORDER,
@@ -30,7 +30,6 @@ from swingbench.challenge import (
     SequenceModel,
     SubprocessModel,
     UniformModel,
-    _allowed_mask,
     answer_question,
     build_questions,
     checked_distribution,
@@ -486,20 +485,18 @@ def test_count_index_edge_cases_hold_the_tables(order, sequences, probes):
 
 def test_every_way_of_forming_a_component_has_the_bits_of_the_per_step_formula():
     # 1,200 tokens of 4 ids in a vocabulary of 64: the index holds 18
-    # components whole, and fewer ranges than the 21 longer than 32
+    # components whole and counts the others when they are read
     sequence = np.random.default_rng(7).integers(0, 4, 1200).tolist()
     model, oracle = NGramModel(4, 64, sequences=[sequence]), NGramOracle([sequence], 4, 64, 0.01)
+    assert sum(map(len, (level.held for level in model.index.levels))) == 18
     seen = set()
     for end in range(3, 400):
         history = sequence[end - 3 : end]
         for m, c in enumerate(model._context_ids(history)):
-            lo, hi = model.index.levels[m].starts[c : c + 2]
-            long = hi - lo > challenge.SHORT_RANGE
-            seen.add("held" if c in model.index.levels[m].held
-                     else "counted by numpy" if long else "counted in a loop")
+            seen.add("held" if c in model.index.levels[m].held else "counted")
         expected = np.array(oracle.distribution(history))
         assert model.next_token_distribution(history).tobytes() == expected.tobytes()
-    assert seen == {"held", "counted by numpy", "counted in a loop"}
+    assert seen == {"held", "counted"}
 
 
 def test_context_seen_only_at_a_piece_end_gives_the_unseen_floor():
@@ -1020,7 +1017,7 @@ def test_allowed_mask_of_every_walker_state_is_what_step_accepts():
     for bar_open, last_position, expected in states:
         walker = _GrammarWalker()
         walker.bar_open, walker.last_position, walker.expected = bar_open, last_position, expected
-        mask = _allowed_mask(walker)
+        mask = walker.allowed()
         assert mask.tolist() == allowed_mask_oracle(walker), (bar_open, last_position, expected)
         assert not mask.flags.writeable
         # asking changes no state
@@ -1028,13 +1025,13 @@ def test_allowed_mask_of_every_walker_state_is_what_step_accepts():
             bar_open, last_position, expected)
     # one mask per deciding state: each group's expected categories, and
     # (bar_open, last_position) between groups
-    assert len(challenge._MASKS) == len(groups) - 1 + 66
+    assert len(tokenizer._MASKS) == len(groups) - 1 + 66
 
 
 def test_allowed_mask_of_every_state_reached_is_the_per_id_reference(monkeypatch):
     # masks built afresh, along encoded solos and along streams sampled from
     # an n-gram trained on them, hot enough to wander
-    monkeypatch.setattr(challenge, "_MASKS", {})
+    monkeypatch.setattr(tokenizer, "_MASKS", {})
     streams = [V.tokens_to_ids(encode_solo(s))
                for s in [*motif_corpus(3, n_bars=6), *random_corpus(3, 3, n_bars=6)]]
     model = train_ngram(streams, order=2, vocab_size=V.size)
@@ -1047,9 +1044,27 @@ def test_allowed_mask_of_every_state_reached_is_the_per_id_reference(monkeypatch
             state = tuple(vars(walker).items())
             if state not in references:
                 references[state] = allowed_mask_oracle(walker)
-            assert _allowed_mask(walker).tolist() == references[state], (i, state)
+            assert walker.allowed().tolist() == references[state], (i, state)
             walker.advance(i, V.token(token))
     assert len(references) > 50
+
+
+def test_allowed_mask_follows_any_rule_step_applies(monkeypatch):
+    # a rule the grammar does not have: no Tempo(7) inside a tempo group
+    step = _GrammarWalker.step
+
+    def refuse_tempo_7(walker, tok):
+        if walker.expected == ("Tempo",) and tok == EventToken("Tempo", 7):
+            return "{tok} refused", ()
+        return step(walker, tok)
+
+    monkeypatch.setattr(_GrammarWalker, "step", refuse_tempo_7)
+    monkeypatch.setattr(tokenizer, "_MASKS", {})
+    walker = _GrammarWalker()
+    walker.bar_open, walker.last_position, walker.expected = True, 0, ("Tempo",)
+    mask = walker.allowed()
+    assert mask[V.token_id(EventToken("Tempo", 7))] == 0.0
+    assert mask[V.token_id(EventToken("Tempo", 8))] == 1.0
 
 
 def test_zero_mass_on_the_allowed_ids_names_the_step():
@@ -1076,7 +1091,7 @@ def test_extreme_temperatures_still_sample(motif_sequences, temperature):
     likeliest = []
     for k, token in enumerate(ids):
         if k:
-            p = model.next_token_distribution(ids[:k]) * _allowed_mask(walker)
+            p = model.next_token_distribution(ids[:k]) * walker.allowed()
             likeliest.append(p[token] == p.max())
         walker.advance(k, V.token(token))
     # a tiny temperature is greedy; a huge one draws nearly uniformly

@@ -1095,7 +1095,10 @@ def test_chord_register_is_a_usage_error(tmp_path, capsys):
     (["ok", "../escaped"], 2, "is not a file name"),
     (["", "ok"], 1, "is not a file name"),
     (["ok", "a\0b"], 2, "is not a file name"),
-], ids=["repeated", "parent-dir", "empty", "nul"])
+    (["a\tb", "ok"], 1, "is not a file name"),
+    (["ok", "c\nd"], 2, "is not a file name"),
+    (["ok", "c\u2028d"], 2, "is not a file name"),
+], ids=["repeated", "parent-dir", "empty", "nul", "tab", "line-feed", "line-separator"])
 def test_solo_id_that_cannot_name_its_files_is_refused(tmp_path, capsys, command, ids, line,
                                                        problem):
     corpus = tmp_path / "ids.jsonl"
@@ -1107,6 +1110,55 @@ def test_solo_id_that_cannot_name_its_files_is_refused(tmp_path, capsys, command
     assert f"{corpus} line {line}: solo id {ids[line - 1]!r} {problem}" in err
     # nothing is written, neither under --out nor beside it
     assert not (tmp_path / "out").exists()
+
+
+def _name_case(tmp_path: Path, motif_file: Path, case: str, name: str) -> list:
+    """The argv of one command whose input, named ``name``, it must refuse."""
+    corpus = tmp_path / f"{name}.jsonl"
+    corpus.write_bytes(motif_file.read_bytes())
+    out = ["--out", tmp_path / "out"]
+    if case in ("tokenize", "report"):
+        return [case, "--corpus", corpus, *out]
+    if case == "challenge":
+        return [case, "--corpus", corpus, "--model", "uniform", "--count", 2, *out]
+    if case == "generate":  # train-model writes the file; its name goes into each header
+        model = tmp_path / f"{name}.json"
+        assert run("train-model", "--corpus", motif_file, "--out", model, "--order", 2) == 0
+        return [case, "--model-file", model, "--bars", 2, *out]
+    tokens = tmp_path / "tok"
+    assert run("tokenize", "--corpus", motif_file, "--out", tokens) == 0
+    named = tokens / f"{name}.tokens"
+    (tokens / "motif-000.tokens").rename(named)
+    if case == "detokenize":
+        return [case, "--tokens", named, *out]
+    return [case.split("-")[0], "--tokens-dir", tokens, *out]  # report- and challenge-tokens
+
+
+@pytest.mark.parametrize("case", ["tokenize", "report", "challenge", "generate", "detokenize",
+                                  "report-tokens", "challenge-tokens"])
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb", "a\u2028b", "a\tb"],
+                         ids=["line-feed", "carriage-return", "crlf", "line-separator", "tab"])
+def test_an_input_name_that_would_split_a_line_or_cell_is_refused(tmp_path, motif_file, capsys,
+                                                                 case, name):
+    argv = _name_case(tmp_path, motif_file, case, name)
+    capsys.readouterr()
+    code = run(*argv)
+    err = capsys.readouterr().err
+    if "\t" in name and case not in ("report-tokens", "challenge-tokens"):
+        # a tab splits no header line, and only a token file's stem is a table's piece id
+        assert code == 0, err
+        return
+    assert code == 1
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert repr(name)[1:-1] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_source_name_is_recorded(tmp_path, motif_file, monkeypatch):
+    assert run("tokenize", "--corpus", motif_file, "--out", tmp_path / "tok") == 0
+    monkeypatch.chdir(tmp_path / "tok")
+    assert run("report", "--tokens-dir", ".", "--out", tmp_path / "rep") == 0
+    assert "# cfg source=" in (tmp_path / "rep" / "report.tsv").read_text().splitlines()
 
 
 def _fresh_child(code: str):

@@ -54,7 +54,13 @@ process each time, STARTUP_ROUNDS rounds, and records each command's
 wall times and peak RSS, their medians, and whether the command loaded
 numpy (from one more run through ``NUMPY_PROBE``).  With ``--parent-src``
 it runs the package in that directory too, interleaved with this one,
-the order of the two sides alternating from round to round.
+the order of the two sides alternating from round to round.  It records
+``PYTHONDONTWRITEBYTECODE`` as it finds it ("unset" when it is not).
+When it is set, no run writes bytecode, so every timed run compiles the
+package from source and its time includes that compile; when it is
+unset, the probe runs write the bytecode that the timed runs read.  The
+tool compiles nothing itself: ``perfbench``'s children read cached
+bytecode, so a checkout given it would be read faster on one side only.
 
 Every CLI command that ``fixed-n``, ``yardstick`` and ``startup`` run
 as a process runs through ``run_child``: a small ``python -S`` parent
@@ -449,7 +455,7 @@ def startup(parent_src: Path | None) -> dict:
                 plans[side] += [(f"{name}/{leg.name}", leg.argv)
                                 for leg in workload.legs(SEED, inputs, Path(tmp) / side / name)]
 
-        for side, plan in plans.items():  # also compiles each side's bytecode before timing
+        for side, plan in plans.items():
             for name, argv in plan:
                 probe = run_child(["-c", NUMPY_PROBE, *argv], sides[side]).stdout.split()[-1]
                 commands.setdefault(name, {})[side] = {"numpy_loaded": probe == "True",
@@ -473,6 +479,7 @@ def startup(parent_src: Path | None) -> dict:
         "command": "python -m swingbench.cli, a new process per run",
         "rounds": STARTUP_ROUNDS,
         "sides": "change: this checkout's src; parent: --parent-src",
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", "unset"),
         "commands": commands,
     }
 
