@@ -203,7 +203,9 @@ class CorpusOracleModel(SequenceModel):
                 return (lo, hi, depth + same) if i + same == len(tokens) else (lo, lo, depth)
             if lo == hi:
                 break
-            column = self._column(lo, hi, depth)
+            # each piece's id at ``depth``, ascending: every piece of a range of
+            # two or more goes on past ``depth`` (none is a prefix of another)
+            column = self._ids[self._starts[lo:hi] + depth]
             view = memoryview(column)  # bisected with Python ints, of any size
             first, last = bisect_left(view, token), bisect_right(view, token)
             if out is not None:
@@ -211,12 +213,6 @@ class CorpusOracleModel(SequenceModel):
                 out[i] = floor + (1.0 - ORACLE_EPSILON) / distinct if first < last else floor
             lo, hi, depth = lo + first, lo + last, depth + 1
         return lo, hi, depth
-
-    def _column(self, lo: int, hi: int, depth: int) -> np.ndarray:
-        """The id at ``depth`` of each piece in ``lo:hi``, a range of two or
-        more, ascending.  Every piece of such a range goes on past ``depth``
-        (none is a prefix of another)."""
-        return self._ids[self._starts[lo:hi] + depth]
 
     def score(self, context: Sequence[int], continuation: Sequence[int]) -> np.ndarray:
         """Follows the context once, then the continuation a token at a

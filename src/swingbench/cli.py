@@ -30,10 +30,12 @@ from .midi import CHORD_REGISTER, write_midi
 from .tokenizer import (
     DEFAULT_VOCABULARY as VOCAB,
     DecodedTimeline,
+    EventToken,
     TokenGrammarError,
     decode_tokens,
     encode_solo,
     read_tokens,
+    write_tokens,
 )
 
 if TYPE_CHECKING:
@@ -97,10 +99,12 @@ def _token_files(token_dir: Path) -> list[Path]:
     return files
 
 
-def _decode_file(path: Path):
-    """Read and decode one .tokens file; a grammar error names the file."""
+def _decode_file(path: Path) -> tuple[list[EventToken], DecodedTimeline]:
+    """A .tokens file's tokens and decoded timeline: the CLI's one reader of
+    token files, so every command names a file that breaks the grammar."""
+    tokens = read_tokens(path)
     try:
-        return decode_tokens(read_tokens(path))
+        return tokens, decode_tokens(tokens)
     except TokenGrammarError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -113,33 +117,32 @@ def _load_sources(args) -> tuple[dict[str, Solo | DecodedTimeline], list[Path]]:
         path = Path(args.corpus)
         return {solo.id: solo for solo in load_corpus(path)}, [path]
     files = _token_files(Path(args.tokens_dir))
-    return {file.stem: _decode_file(file) for file in files}, files
+    return {file.stem: _decode_file(file)[1] for file in files}, files
 
 
-def _chroma(source: Solo | DecodedTimeline) -> ChromaSequence:
+def _chroma(piece_id: str, source: Solo | DecodedTimeline) -> ChromaSequence:
+    """The piece's chroma; an error in rendering it names the piece."""
     from . import structure
 
-    if isinstance(source, Solo):
-        return structure.chroma_from_solo(source)
-    return structure.chroma_from_timeline(source)
+    try:
+        if isinstance(source, Solo):
+            return structure.chroma_from_solo(source)
+        return structure.chroma_from_timeline(source)
+    except (ValueError, MemoryError) as exc:
+        raise CliError(f"piece {piece_id!r}: {exc}") from None
 
 
-def _token_sequences(args) -> tuple[list[list[int]], list[str], list[Path]]:
-    """Token-id sequences for model training / the challenge."""
+def _token_sequences(args) -> tuple[list[list[int]], list[Path]]:
+    """Token-id sequences for model training / the challenge, and the input files."""
     if args.corpus:
         path = Path(args.corpus)
-        solos = load_corpus(path)
-        seqs = [
-            VOCAB.tokens_to_ids(encode_solo(solo, include_structure=not args.no_structure))
-            for solo in solos
-        ]
-        return seqs, [s.id for s in solos], [path]
+        return [VOCAB.tokens_to_ids(encode_solo(solo, include_structure=not args.no_structure))
+                for solo in load_corpus(path)], [path]
     if args.no_structure:
         raise CliError("--no-structure applies when encoding a --corpus; "
                        "it cannot be used with --tokens-dir")
     files = _token_files(Path(args.tokens_dir))
-    seqs = [VOCAB.tokens_to_ids(read_tokens(f)) for f in files]
-    return seqs, [f.stem for f in files], files
+    return [VOCAB.tokens_to_ids(_decode_file(file)[0]) for file in files], files
 
 
 # --- commands ------------------------------------------------------------------
@@ -161,7 +164,7 @@ def cmd_tokenize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for solo, tokens in zip(solos, encoded):
-        _write_text(out_dir / f"{solo.id}.tokens", header, VOCAB.texts(tokens))
+        write_tokens(tokens, out_dir / f"{solo.id}.tokens", header)
         summary_rows.append((solo.id, len(solo.notes), len(solo.beats), len(tokens)))
 
     VOCAB.save(out_dir / "vocab.tsv")
@@ -187,7 +190,7 @@ def cmd_detokenize(args) -> int:
             raise CliError(f"{by_stem[file.stem]} and {file} would both write {file.stem}.mid")
         by_stem[file.stem] = file
     # every file is decoded before --out is made, so a failure leaves nothing
-    timelines = [_decode_file(file) for file in files]
+    timelines = [_decode_file(file)[1] for file in files]
     metas = ["; ".join(provenance_header(config, [file])) for file in files]
     out_dir.mkdir(parents=True, exist_ok=True)
     for file, timeline, meta in zip(files, timelines, metas):
@@ -206,7 +209,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     sources, input_files = _load_sources(args)
     # chroma alone can fail on loaded input (a span past memory): render it before --out
-    chromas = [_chroma(source) for source in sources.values()]
+    chromas = [_chroma(piece_id, source) for piece_id, source in sources.items()]
     config = {
         "command": "report",
         "bands": ",".join(f"{lo}:{hi or ''}" for lo, hi in bands),
@@ -225,7 +228,7 @@ def cmd_report(args) -> int:
     for (piece_id, source), chroma in zip(sources.items(), chromas):
         bars = (metrics.bars_from_solo(source) if isinstance(source, Solo)
                 else metrics.bars_from_timeline(source))
-        row = metrics.metric_row(piece_id, bars, metrics.chord_changes(source.chord_intervals()))
+        row = metrics.metric_row(bars, metrics.chord_changes(source.chord_intervals()))
         plot = structure.scape_plot_for_chroma(chroma)
         values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity,
                   *structure.band_indicators(plot)]
@@ -261,7 +264,7 @@ def cmd_scape(args) -> int:
     sources, _ = _load_sources(args)
     if args.piece not in sources:
         raise CliError(f"piece {args.piece!r} not found; have {sorted(sources)}")
-    plot = structure.scape_plot_for_chroma(_chroma(sources[args.piece]))
+    plot = structure.scape_plot_for_chroma(_chroma(args.piece, sources[args.piece]))
     out_dir.mkdir(parents=True, exist_ok=True)
     structure.write_scape_text(plot, out_dir / f"{args.piece}.scape.txt")
     structure.write_scape_pgm(plot, out_dir / f"{args.piece}.pgm")
@@ -332,7 +335,7 @@ def cmd_challenge(args) -> int:
         raise CliError(f"{' and '.join(ngram_flags)} cannot be used with --model-file, "
                        "whose model keeps its own settings")
     command = _external_command(args.external_cmd) if args.model == "external" else None
-    sequences, _, input_files = _token_sequences(args)
+    sequences, input_files = _token_sequences(args)
     questions = chal.build_questions(
         sequences, count=args.count, seed=args.seed, bar_token_id=VOCAB.bar_token_id
     )
@@ -375,7 +378,7 @@ def cmd_challenge(args) -> int:
 def cmd_train_model(args) -> int:
     from .challenge import train_ngram
 
-    sequences, _, _ = _token_sequences(args)
+    sequences, _ = _token_sequences(args)
     model = train_ngram(
         sequences, order=args.order, vocab_size=VOCAB.size, alpha=args.alpha
     )
@@ -407,7 +410,7 @@ def cmd_generate(args) -> int:
                               temperature=args.temperature, seed=args.seed + i,
                               max_tokens=args.max_tokens)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_text(out_dir / f"gen-{i:03d}.tokens", header, VOCAB.texts(VOCAB.ids_to_tokens(ids)))
+        write_tokens(VOCAB.ids_to_tokens(ids), out_dir / f"gen-{i:03d}.tokens", header)
         bars += ids.count(VOCAB.bar_token_id)
     print(f"generated {args.count} pieces, {bars} bars in all -> {out_dir}")
     return 0

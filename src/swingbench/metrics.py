@@ -178,16 +178,13 @@ def chord_changes(intervals: Iterable[tuple[float, float, ChordSymbol]]) -> list
 class MetricRow:
     """Table row of the distributional metrics; None marks undefined cells."""
 
-    piece_id: str
     entropy_1bar: float | None
     entropy_4bar: float | None
     grooving: float | None
     chord_irregularity: float | None
 
 
-def metric_row(
-    piece_id: str, bars: Sequence[BarContent], chords: Sequence[Hashable]
-) -> MetricRow:
+def metric_row(bars: Sequence[BarContent], chords: Sequence[Hashable]) -> MetricRow:
     def guarded(fn, *args):
         try:
             return fn(*args)
@@ -195,7 +192,6 @@ def metric_row(
             return None
 
     return MetricRow(
-        piece_id=piece_id,
         entropy_1bar=guarded(piece_entropy, bars, 1),
         entropy_4bar=guarded(piece_entropy, bars, 4),
         grooving=guarded(piece_grooving, bars),

@@ -25,23 +25,22 @@ _RANDOM_CHORDS = (
 def four_four_beats(
     n_bars: int,
     bpm: float = 120.0,
-    start: float = 0.0,
     chords: Sequence[str | None] | None = None,
     beat_durations: Sequence[float] | None = None,
 ) -> list[Beat]:
-    """Evenly spaced 4/4 beat track; ``chords`` holds one entry per beat.
+    """Evenly spaced 4/4 beat track from 0 s; ``chords`` holds one entry per beat.
 
     With a constant tempo the onsets are computed multiplicatively, so
     they line up exactly with note onsets derived the same way.
     """
     beats = []
-    onset = start
+    onset = 0.0
     for i in range(4 * n_bars):
         if beat_durations is not None:
             dur = beat_durations[i]
         else:
             dur = 60.0 / bpm
-            onset = start + i * dur
+            onset = i * dur
         chord = chords[i] if chords is not None else None
         beats.append(
             Beat(
@@ -60,13 +59,12 @@ def random_solo(
     rng: np.random.Generator,
     solo_id: str,
     n_bars: int = 16,
-    notes_per_bar: tuple[int, int] = (2, 8),
-    pitch_range: tuple[int, int] = (36, 96),
     sub64_fraction: float = 0.0,
     with_structure: bool = True,
     bpm_range: tuple[float, float] = (90.0, 240.0),
 ) -> Solo:
-    """A solo with random notes, chords, tempo drift, and annotations.
+    """A solo with random notes (2 to 8 a bar, pitches 36 to 95), chords,
+    tempo drift, and annotations.
 
     ``sub64_fraction`` controls how many notes are shorter than a 64th
     note (and therefore dropped by the codec); durations otherwise range
@@ -87,7 +85,7 @@ def random_solo(
     notes = []
     for bar in range(n_bars):
         bar_beats = beats[4 * bar : 4 * bar + 4]
-        count = int(rng.integers(notes_per_bar[0], notes_per_bar[1] + 1))
+        count = int(rng.integers(2, 9))
         offsets = np.sort(rng.uniform(0.0, 0.999, size=count))
         for off in offsets:
             beat = bar_beats[min(int(off * 4), 3)]
@@ -101,7 +99,7 @@ def random_solo(
                 Note(
                     onset_sec=onset,
                     duration_sec=duration,
-                    pitch=int(rng.integers(*pitch_range)),
+                    pitch=int(rng.integers(36, 96)),
                     loudness_db=float(rng.uniform(35.0, 95.0)),
                     phrase_start=bool(with_structure and rng.random() < 0.1),
                     mlu_label=str(rng.choice(DEFAULT_MLU_LABELS))
@@ -253,16 +251,15 @@ def motif_corpus(size: int, prefix: str = "motif", **kwargs) -> list[Solo]:
 def random_token_piece(
     rng: np.random.Generator,
     n_bars: int = 32,
-    events_per_bar: tuple[int, int] = (1, 5),
     chord_probability: float = 0.0,
-    tempo_value: int = 28,
 ):
     """A grammar-valid stream of uniformly random note events.
 
     The control corpus for structureness comparisons: bar count and tempo
-    are fixed, everything else (positions, pitches, velocities,
-    durations, optional chord triples) is drawn uniformly, so the stream
-    has no repetition structure at any timescale.  Returns EventTokens.
+    (step 28, in class 3) are fixed, everything else (1 to 5 notes a bar,
+    positions, pitches, velocities, durations, optional chord triples) is
+    drawn uniformly, so the stream has no repetition structure at any
+    timescale.  Returns EventTokens.
 
     With the fixed absolute similarity threshold, any sustained
     harmony reads as frame similarity regardless of repetition, so the
@@ -286,14 +283,14 @@ def random_token_piece(
     tokens = []
     for _ in range(n_bars):
         tokens.append(EventToken(BAR, 0))
-        count = int(rng.integers(events_per_bar[0], events_per_bar[1] + 1))
+        count = int(rng.integers(1, 6))
         positions = np.sort(rng.choice(64, size=count, replace=False))
         carry_tempo = True
         for pos in positions:
             tokens.append(EventToken(POSITION, int(pos)))
             if carry_tempo:
-                tokens.append(EventToken(TEMPO_CLASS, tempo_value // 12 + 1))
-                tokens.append(EventToken(TEMPO, tempo_value))
+                tokens.append(EventToken(TEMPO_CLASS, 3))
+                tokens.append(EventToken(TEMPO, 28))
                 carry_tempo = False
             if rng.random() < chord_probability:
                 tokens.append(EventToken(CHORD_TONE, int(rng.integers(0, 12))))

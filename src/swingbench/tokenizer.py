@@ -34,6 +34,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -203,10 +204,6 @@ class Vocabulary:
     value ranges.
     """
 
-    mlu_labels = DEFAULT_MLU_LABELS
-    part_letters = DEFAULT_PART_LETTERS
-    max_repetition = DEFAULT_MAX_REPETITION
-
     def __init__(self):
         self._ranges: dict[str, range] = {
             BAR: range(0, 1),
@@ -220,19 +217,19 @@ class Vocabulary:
             CHORD_TYPE: range(0, NUM_CHORD_TYPES),
             CHORD_SLASH: range(0, 12),
             PHRASE: range(0, 1),
-            MLU: range(0, len(self.mlu_labels)),
-            PART_START: range(0, len(self.part_letters)),
-            PART_END: range(0, len(self.part_letters)),
-            REP_START: range(1, self.max_repetition + 1),
-            REP_END: range(1, self.max_repetition + 1),
+            MLU: range(0, len(DEFAULT_MLU_LABELS)),
+            PART_START: range(0, len(DEFAULT_PART_LETTERS)),
+            PART_END: range(0, len(DEFAULT_PART_LETTERS)),
+            REP_START: range(1, DEFAULT_MAX_REPETITION + 1),
+            REP_END: range(1, DEFAULT_MAX_REPETITION + 1),
         }
         self._tokens: list[EventToken] = []
         for category, values in self._ranges.items():
             self._tokens.extend(EventToken(category, v) for v in values)
         self._ids = {tok: i for i, tok in enumerate(self._tokens)}
         self._texts = {tok: str(tok) for tok in self._tokens}
-        self._mlu_index = {label: i for i, label in enumerate(self.mlu_labels)}
-        self._part_index = {letter: i for i, letter in enumerate(self.part_letters)}
+        self._mlu_index = {label: i for i, label in enumerate(DEFAULT_MLU_LABELS)}
+        self._part_index = {letter: i for i, letter in enumerate(DEFAULT_PART_LETTERS)}
 
     @property
     def size(self) -> int:
@@ -280,7 +277,7 @@ class Vocabulary:
             return self._mlu_index[label]
         except KeyError:
             raise TokenizationError(
-                f"MLU label {label!r} not in the vocabulary allow-list {self.mlu_labels}"
+                f"MLU label {label!r} not in the vocabulary allow-list {DEFAULT_MLU_LABELS}"
             ) from None
 
     def part_index(self, letter: str) -> int:
@@ -288,7 +285,7 @@ class Vocabulary:
             return self._part_index[letter]
         except KeyError:
             raise TokenizationError(
-                f"part letter {letter!r} not in the vocabulary set {self.part_letters}"
+                f"part letter {letter!r} not in the vocabulary set {DEFAULT_PART_LETTERS}"
             ) from None
 
     @property
@@ -300,9 +297,9 @@ class Vocabulary:
         path = Path(path)
         with path.open("w", encoding="utf-8") as fh:
             fh.write(f"# vocabulary size {self.size}\n")
-            fh.write(f"# MLU labels: {','.join(self.mlu_labels)}\n")
-            fh.write(f"# part letters: {','.join(self.part_letters)}\n")
-            fh.write(f"# max repetition: {self.max_repetition}\n")
+            fh.write(f"# MLU labels: {','.join(DEFAULT_MLU_LABELS)}\n")
+            fh.write(f"# part letters: {','.join(DEFAULT_PART_LETTERS)}\n")
+            fh.write(f"# max repetition: {DEFAULT_MAX_REPETITION}\n")
             for i, tok in enumerate(self._tokens):
                 fh.write(f"{tok}\t{i}\n")
 
@@ -320,11 +317,11 @@ for _tok in DEFAULT_VOCABULARY.ids_to_tokens(range(DEFAULT_VOCABULARY.size)):
 # --- token file I/O -------------------------------------------------------
 
 
-def write_tokens(tokens: Iterable[EventToken], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for tok in tokens:
-            fh.write(f"{tok}\n")
+def write_tokens(tokens: Iterable[EventToken], path: str | Path,
+                 header: Iterable[str] = ()) -> None:
+    """Write the ``header`` lines, then each token's text, one per line."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(map("{}\n".format, chain(header, DEFAULT_VOCABULARY.texts(tokens))))
 
 
 def read_tokens(path: str | Path) -> list[EventToken]:

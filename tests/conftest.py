@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from swingbench.corpus import Note, Solo
 from swingbench.synthetic import four_four_beats, random_corpus, sectional_solo
+
+# The properties draw new examples on every run, so a falsified one prints
+# the blob that replays it with ``@reproduce_failure``.
+settings.register_profile("swingbench", print_blob=True)
+settings.load_profile("swingbench")
 
 
 @pytest.fixture(scope="session")

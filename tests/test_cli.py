@@ -179,9 +179,10 @@ def _one_bar_corpus(path: Path, beats: list[tuple[float, float]], *others: Solo)
 @pytest.mark.parametrize("command", ["report", "scape"])
 @pytest.mark.parametrize("beats,message", [
     ([(0.0, 5e307), (5e307, 5e307), (1e308, 5e307), (1.5e308, 1e308)],
-     "error: timeline span [0.0, inf) has no finite frame count"),
-    ([(i * 1e15, 1e15) for i in range(4)], "error: Unable to allocate"),
-], ids=["frame-count-overflows", "frames-take-exbibytes"])
+     "error: piece 'long': timeline span [0.0, inf) has no finite frame count"),
+    ([(i * 1e15, 1e15) for i in range(4)], "error: piece 'long': Unable to allocate"),
+    ([(i * 1e300, 1e300) for i in range(4)], "error: piece 'long': Maximum allowed dimension"),
+], ids=["frame-count-overflows", "frames-take-exbibytes", "frames-past-numpy-dimensions"])
 def test_frame_rate_too_high_is_one_error_line(tmp_path, capsys, command, beats, message):
     # at one chroma frame a second, the beats' span sets the frame count
     corpus = _one_bar_corpus(tmp_path / "long.jsonl", beats)
@@ -201,7 +202,7 @@ def test_scape_builds_only_the_piece_it_plots(tmp_path, capsys):
     assert run("scape", "--corpus", corpus, "--piece", "ok", "--out", out) == 0
     assert sorted(p.name for p in out.iterdir()) == ["ok.pgm", "ok.scape.txt"]
     assert run("report", "--corpus", corpus, "--out", tmp_path / "rep") == 1
-    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert capsys.readouterr().err.startswith("error: piece 'long': Unable to allocate")
 
 
 @pytest.mark.parametrize("command", ["report", "scape"])
@@ -241,6 +242,30 @@ def test_grammar_error_names_the_token_file(tmp_path, capsys):
     ):
         assert run(*argv) == 1
         assert f"error: {bad}: token 0: Position(3) before the first Bar" in capsys.readouterr().err
+
+
+def test_every_command_refuses_a_token_file_that_breaks_the_grammar(tmp_path, capsys):
+    # valid token files, then one that breaks the grammar: no command reads
+    # it by another path, so each names it and makes no output
+    corpus, tok = tmp_path / "motifs.jsonl", tmp_path / "tok"
+    save_corpus(motif_corpus(6, n_bars=20), corpus)
+    assert run("tokenize", "--corpus", corpus, "--out", tok) == 0
+    bad = tok / "zz-bad.tokens"
+    bad.write_text("NoteOn(60)\nBar(0)\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv in (
+        ("report", "--tokens-dir", tok, "--out", out),
+        ("scape", "--tokens-dir", tok, "--piece", "motif-000", "--out", out),
+        ("challenge", "--tokens-dir", tok, "--count", 4, "--out", out),
+        ("train-model", "--tokens-dir", tok, "--out", out / "model.json"),
+        ("detokenize", "--tokens", *sorted(tok.glob("*.tokens")), "--out", out),
+    ):
+        assert run(*argv) == 1, argv
+        assert capsys.readouterr().err == (
+            f"error: {bad}: token 0: NoteOn not preceded by NoteVelocity "
+            "(expected one of ['NoteVelocity'])\n"), argv
+        assert not out.exists(), argv
 
 
 # SHA-256 of every report/scape output for the pinned corpus, recorded while

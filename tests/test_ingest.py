@@ -31,7 +31,13 @@ from swingbench.cli import main
 from swingbench.corpus import CorpusError, solo_from_record, solo_to_record, validate_solo
 from swingbench.metrics import bars_from_solo
 from swingbench.synthetic import motif_corpus, motif_solo, random_solo, sectional_solo
-from swingbench.tokenizer import DEFAULT_VOCABULARY, TokenizationError, encode_solo
+from swingbench.tokenizer import (
+    DEFAULT_VOCABULARY,
+    TokenizationError,
+    decode_tokens,
+    encode_solo,
+    read_tokens,
+)
 
 
 @st.composite
@@ -274,7 +280,8 @@ _COMMANDS = [
 def test_cli_given_one_corrupted_input_exits_0_or_names_one_error(data, command):
     """One record of a valid corpus, one line of a valid token file or one
     value of a valid model file is corrupted: the command exits 0, or 1
-    with one ``error:`` line, within a generous bound."""
+    with one ``error:`` line, within a generous bound.  A token file that
+    does not read and decode is refused by every command, naming it."""
     target, line = command
     records = [_json_record(solo) for solo in _MOTIFS]
     token_lines = {piece: list(lines) for piece, lines in _TOKEN_LINES.items()}
@@ -297,6 +304,12 @@ def test_cli_given_one_corrupted_input_exits_0_or_names_one_error(data, command)
                  "O": [tmp / "out"], "O/model.json": [tmp / "out" / "model.json"], "P": [piece],
                  "T/*": sorted((tmp / "tokens").iterdir())}
         argv = [str(arg) for word in line.split() for arg in words.get(word, [word])]
+        bad_file = None
+        if target == "tokens":
+            try:
+                decode_tokens(read_tokens(tmp / "tokens" / f"{piece}.tokens"))
+            except ValueError:
+                bad_file = tmp / "tokens" / f"{piece}.tokens"
         err = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -304,3 +317,5 @@ def test_cli_given_one_corrupted_input_exits_0_or_names_one_error(data, command)
         assert time.perf_counter() - start < 30.0, argv
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert (code, len(errors)) in ((0, 0), (1, 1)), err.getvalue()
+    if bad_file is not None:
+        assert code == 1 and str(bad_file) in errors[0], (argv, err.getvalue())

@@ -280,7 +280,7 @@ def test_metrics_tempo_invariance():
 
 
 def test_metric_row_handles_undefined():
-    row = metric_row("x", [bar([60], [0])], [])
+    row = metric_row([bar([60], [0])], [])
     assert row.entropy_1bar == 0.0
     assert row.grooving is None
     assert row.chord_irregularity is None

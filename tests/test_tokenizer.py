@@ -427,6 +427,15 @@ def test_token_file_roundtrip(tmp_path, simple_solo):
     assert read_tokens(path) == tokens
 
 
+def test_token_file_header_comes_first(tmp_path, simple_solo):
+    tokens = encode_solo(simple_solo)
+    path = tmp_path / "simple.tokens"
+    write_tokens(tokens, path, header=["# swingbench run", "# cfg command=tokenize"])
+    assert path.read_text(encoding="utf-8") == "".join(
+        f"{line}\n" for line in ["# swingbench run", "# cfg command=tokenize", *map(str, tokens)])
+    assert read_tokens(path) == tokens
+
+
 def test_read_tokens_rejects_unknown(tmp_path):
     path = tmp_path / "bad.tokens"
     path.write_text("Bar(0)\nNoteOn(200)\n")
