@@ -29,7 +29,7 @@ assert reloaded == corpus
 print(f"saved and reloaded {len(corpus)} solos -> {corpus_path}")
 
 solo = corpus[0]
-print(f"\nsolo {solo.id!r}: {len(solo.notes)} notes over {solo.bar_count} bars")
+print(f"\nsolo {solo.id!r}: {len(solo.notes)} notes over {len(solo.beats) // 4} bars")
 
 # 2. encode: every bar opens with Bar, beats carry tempo pairs, notes are
 # (velocity, pitch, duration) triples at their grid positions

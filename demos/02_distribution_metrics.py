@@ -11,23 +11,26 @@ Run from the repository root:  python3 demos/02_distribution_metrics.py
 import numpy as np
 
 from swingbench.metrics import (
-    bars_from_solo,
+    bars_from_timeline,
     chord_changes,
     chord_progression_irregularity,
     piece_entropy,
     piece_grooving,
 )
 from swingbench.synthetic import random_corpus, sectional_corpus
+from swingbench.tokenizer import timeline_of_solo
 
 
 def describe(name, solos):
     h1, h4, gs, cpi = [], [], [], []
     for solo in solos:
-        bars = bars_from_solo(solo)
+        # every metric reads the solo as its tokens decode
+        timeline = timeline_of_solo(solo)
+        bars = bars_from_timeline(timeline)
         h1.append(piece_entropy(bars, 1))
         h4.append(piece_entropy(bars, 4))
         gs.append(piece_grooving(bars))
-        chords = chord_changes(solo.chord_intervals())
+        chords = chord_changes(timeline.chord_intervals())
         if len(chords) >= 3:
             cpi.append(chord_progression_irregularity(chords))
     print(f"{name:<12} H1 {np.mean(h1):5.3f}   H4 {np.mean(h4):5.3f}   "

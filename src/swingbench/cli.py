@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import metrics
-from .corpus import Solo, load_corpus
+from .corpus import load_corpus
 from .midi import CHORD_REGISTER, write_midi
 from .tokenizer import (
     DEFAULT_VOCABULARY as VOCAB,
@@ -35,6 +35,7 @@ from .tokenizer import (
     decode_tokens,
     encode_solo,
     read_tokens,
+    timeline_of_solo,
     write_tokens,
 )
 
@@ -109,25 +110,23 @@ def _decode_file(path: Path) -> tuple[list[EventToken], DecodedTimeline]:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_sources(args) -> tuple[dict[str, Solo | DecodedTimeline], list[Path]]:
-    """Every solo of ``--corpus``, or decoded file of ``--tokens-dir``, by
-    piece id, and the input files; a bad source fails here, whichever
-    piece is wanted."""
+def _load_sources(args) -> tuple[dict[str, DecodedTimeline], list[Path]]:
+    """The decoded timeline of every solo of ``--corpus`` or file of
+    ``--tokens-dir``, by piece id, and the input files; a bad source fails
+    here, whichever piece is wanted."""
     if args.corpus:
         path = Path(args.corpus)
-        return {solo.id: solo for solo in load_corpus(path)}, [path]
+        return {solo.id: timeline_of_solo(solo) for solo in load_corpus(path)}, [path]
     files = _token_files(Path(args.tokens_dir))
     return {file.stem: _decode_file(file)[1] for file in files}, files
 
 
-def _chroma(piece_id: str, source: Solo | DecodedTimeline) -> ChromaSequence:
+def _chroma(piece_id: str, timeline: DecodedTimeline) -> ChromaSequence:
     """The piece's chroma; an error in rendering it names the piece."""
     from . import structure
 
     try:
-        if isinstance(source, Solo):
-            return structure.chroma_from_solo(source)
-        return structure.chroma_from_timeline(source)
+        return structure.chroma_from_timeline(timeline)
     except (ValueError, MemoryError) as exc:
         raise CliError(f"piece {piece_id!r}: {exc}") from None
 
@@ -209,7 +208,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     sources, input_files = _load_sources(args)
     # chroma alone can fail on loaded input (a span past memory): render it before --out
-    chromas = [_chroma(piece_id, source) for piece_id, source in sources.items()]
+    chromas = [_chroma(piece_id, timeline) for piece_id, timeline in sources.items()]
     config = {
         "command": "report",
         "bands": ",".join(f"{lo}:{hi or ''}" for lo, hi in bands),
@@ -225,10 +224,9 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for (piece_id, source), chroma in zip(sources.items(), chromas):
-        bars = (metrics.bars_from_solo(source) if isinstance(source, Solo)
-                else metrics.bars_from_timeline(source))
-        row = metrics.metric_row(bars, metrics.chord_changes(source.chord_intervals()))
+    for (piece_id, timeline), chroma in zip(sources.items(), chromas):
+        row = metrics.metric_row(metrics.bars_from_timeline(timeline),
+                                 metrics.chord_changes(timeline.chord_intervals()))
         plot = structure.scape_plot_for_chroma(chroma)
         values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity,
                   *structure.band_indicators(plot)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .chords import ChordError, ChordSymbol, parse_chord, transpose_chord_string
+from .chords import ChordError, parse_chord, transpose_chord_string
 
 # Retained midlevel-unit types of the WJazzD annotations.
 DEFAULT_MLU_LABELS: tuple[str, ...] = (
@@ -90,35 +90,6 @@ class Solo:
     notes: tuple[Note, ...]
     beats: tuple[Beat, ...]
     parts: tuple[FormPart, ...] = ()
-
-    @property
-    def bar_count(self) -> int:
-        return len(self.beats) // 4
-
-    @property
-    def first_bar(self) -> int:
-        return self.beats[0].bar_index if self.beats else 0
-
-    def span(self) -> tuple[float, float]:
-        """Time interval covered by the beat track."""
-        if not self.beats:
-            return (0.0, 0.0)
-        last = self.beats[-1]
-        return (self.beats[0].onset_sec, last.onset_sec + last.duration_sec)
-
-    def chord_intervals(self) -> list[tuple[float, float, ChordSymbol]]:
-        """(start, end, chord) spans of the beat track with consecutive
-        duplicates merged; each chord sounds until the next change, the
-        last one until the end of :meth:`span`."""
-        starts: list[tuple[float, ChordSymbol]] = []
-        for beat in self.beats:
-            if beat.chord is None:
-                continue
-            symbol = parse_chord(beat.chord)
-            if not starts or symbol != starts[-1][1]:
-                starts.append((beat.onset_sec, symbol))
-        ends = [onset for onset, _ in starts[1:]] + [self.span()[1]]
-        return [(onset, end, symbol) for (onset, symbol), end in zip(starts, ends)]
 
 
 def beat_index(beats: Sequence[Beat], onsets: Sequence[float], onset: float) -> int:

@@ -2,7 +2,9 @@
 pattern similarity, and chord progression irregularity.
 
 All three read the 64-subunit bar grid, not wall-clock seconds, so they
-are invariant to tempo.  Piece-level aggregation conventions: empty bars
+are invariant to tempo.  They read a piece as its tokens decode: a solo
+through ``tokenizer.timeline_of_solo``, so a note the codec drops, shorter
+than a 64th, is in no bar.  Piece-level aggregation conventions: empty bars
 are skipped when averaging entropy but contribute all-zero grooving
 patterns to the pairwise similarity; consecutive duplicate chords are
 collapsed by :func:`chord_changes` before trigram counting.
@@ -19,7 +21,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .chords import ChordSymbol
 from .corpus import Solo
-from .tokenizer import POSITIONS_PER_BAR, DecodedTimeline, place_notes
+from .tokenizer import POSITIONS_PER_BAR, DecodedTimeline, timeline_of_solo
 
 PITCH_CLASSES = 12
 
@@ -36,23 +38,16 @@ class BarContent:
     onset_positions: tuple[int, ...]
 
 
-def _bars(bar_count: int, notes: Iterable[tuple[int, int, int]]) -> list[BarContent]:
-    """Bar contents from (bar, pitch, grid position) per note."""
-    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(bar_count)]
-    for bar, pitch, pos in notes:
-        bars[bar][0].append(pitch)
-        bars[bar][1].append(pos)
-    return [BarContent(tuple(p), tuple(o)) for p, o in bars]
-
-
 def bars_from_solo(solo: Solo) -> list[BarContent]:
-    first = solo.first_bar
-    return _bars(solo.bar_count, ((beat.bar_index - first, note.pitch, pos)
-                                  for note, beat, pos in place_notes(solo)))
+    return bars_from_timeline(timeline_of_solo(solo))
 
 
 def bars_from_timeline(timeline: DecodedTimeline) -> list[BarContent]:
-    return _bars(timeline.bar_count, ((n.bar, n.pitch, n.position) for n in timeline.notes))
+    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(timeline.bar_count)]
+    for n in timeline.notes:
+        bars[n.bar][0].append(n.pitch)
+        bars[n.bar][1].append(n.position)
+    return [BarContent(tuple(p), tuple(o)) for p, o in bars]
 
 
 # --- pitch class histogram entropy ---------------------------------------

@@ -1,14 +1,15 @@
 """Structureness analysis: chroma rendering, self-similarity, fitness
 scape plots, and duration-banded structureness indicators.
 
-The pipeline renders a 12-dimensional chroma sequence straight from the
-symbolic timeline at one frame a second, so frames are seconds, builds a
-cosine self-similarity matrix whose entries below ``DEFAULT_SSM_THRESHOLD``
-(0.2) become ``DEFAULT_SSM_PENALTY`` (-2.0), and scores every segment of
-the piece by how well an optimal family of alignment paths explains its
-repeats elsewhere.  The recipe has no settings: the duration bands of
-the structureness indicators are read in frames, which are seconds only
-at this one frame rate.
+The pipeline renders a 12-dimensional chroma sequence straight from a
+piece's decoded timeline at one frame a second, so frames are seconds (a
+solo's timeline is ``tokenizer.timeline_of_solo``, whose beats last at
+most 1.2 s), builds a cosine self-similarity matrix whose entries below
+``DEFAULT_SSM_THRESHOLD`` (0.2) become ``DEFAULT_SSM_PENALTY`` (-2.0),
+and scores every segment of the piece by how well an optimal family of
+alignment paths explains its repeats elsewhere.  The recipe has no
+settings: the duration bands of the structureness indicators are read in
+frames, which are seconds only at this one frame rate.
 
 For a segment covering columns s..e of the SSM, a path is a chain of
 cells stepping by (1,1), (2,1) or (1,2) from column s to column e; a
@@ -53,7 +54,7 @@ import numpy as np
 
 from .chords import ChordSymbol, chord_pitch_classes
 from .corpus import Solo
-from .tokenizer import DecodedTimeline
+from .tokenizer import DecodedTimeline, timeline_of_solo
 
 DEFAULT_SSM_THRESHOLD = 0.2
 DEFAULT_SSM_PENALTY = -2.0
@@ -136,8 +137,7 @@ def render_chroma(
 
 
 def chroma_from_solo(solo: Solo) -> ChromaSequence:
-    notes = [(n.onset_sec, n.duration_sec, n.pitch) for n in solo.notes]
-    return render_chroma(notes, solo.chord_intervals(), solo.span())
+    return chroma_from_timeline(timeline_of_solo(solo))
 
 
 def chroma_from_timeline(timeline: DecodedTimeline) -> ChromaSequence:

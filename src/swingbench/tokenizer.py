@@ -753,6 +753,13 @@ def decode_tokens(tokens: Sequence[EventToken]) -> DecodedTimeline:
     return DecodedTimeline(notes, chords, tempo_curve, structure, bar_times)
 
 
+def timeline_of_solo(solo: Solo) -> DecodedTimeline:
+    """The timeline a solo's tokens decode to, without structure markers:
+    the one view of a solo that every analysis reads, so that a corpus
+    solo and its token file give the same numbers."""
+    return decode_tokens(encode_solo(solo, include_structure=False))
+
+
 def repair_token_stream(tokens: Sequence[EventToken]) -> tuple[list[EventToken], int]:
     """Drop tokens that violate the grammar; returns (repaired, drop count).
 

@@ -507,15 +507,18 @@ def encode_solo_oracle(solo: Solo, include_structure: bool = True) -> list[Event
 
 def bars_from_solo_oracle(solo: Solo) -> list[BarContent]:
     """Bar contents of a solo, each note placed by two lookups: its grid
-    position, then its beat for the bar."""
+    position, then its beat for the bar.  A note the codec drops, shorter
+    than a 64th of its beat, is in no bar."""
     onsets = [b.onset_sec for b in solo.beats]
-    first_bar = solo.first_bar
-    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(solo.bar_count)]
+    first_bar = solo.beats[0].bar_index
+    bars: list[tuple[list[int], list[int]]] = [([], []) for _ in range(len(solo.beats) // 4)]
     for note in solo.notes:
         pos = note_grid_position(note, solo.beats, onsets)
-        bar = beat_for_onset(solo.beats, onsets, note.onset_sec).bar_index - first_bar
-        bars[bar][0].append(note.pitch)
-        bars[bar][1].append(pos)
+        beat = beat_for_onset(solo.beats, onsets, note.onset_sec)
+        if quantize_duration(note.duration_sec, beat.duration_sec) is None:
+            continue
+        bars[beat.bar_index - first_bar][0].append(note.pitch)
+        bars[beat.bar_index - first_bar][1].append(pos)
     return [BarContent(tuple(p), tuple(o)) for p, o in bars]
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -54,7 +55,8 @@ def _unplaced_corpus(path: Path, kind: str) -> Path:
     good, bad = (sectional_solo(name, form="A", repetitions=1, section_bars=1)
                  for name in ("ok", kind))
     if kind == "end":
-        late = dataclasses.replace(bad.notes[-1], onset_sec=bad.span()[1])
+        end = bad.beats[-1].onset_sec + bad.beats[-1].duration_sec
+        late = dataclasses.replace(bad.notes[-1], onset_sec=end)
         bad = dataclasses.replace(bad, notes=bad.notes + (late,))
     else:
         short = dataclasses.replace(bad.beats[1], duration_sec=0.1)
@@ -177,32 +179,43 @@ def _one_bar_corpus(path: Path, beats: list[tuple[float, float]], *others: Solo)
 
 
 @pytest.mark.parametrize("command", ["report", "scape"])
-@pytest.mark.parametrize("beats,message", [
-    ([(0.0, 5e307), (5e307, 5e307), (1e308, 5e307), (1.5e308, 1e308)],
-     "error: piece 'long': timeline span [0.0, inf) has no finite frame count"),
-    ([(i * 1e15, 1e15) for i in range(4)], "error: piece 'long': Unable to allocate"),
-    ([(i * 1e300, 1e300) for i in range(4)], "error: piece 'long': Maximum allowed dimension"),
+@pytest.mark.parametrize("beats", [
+    [(0.0, 5e307), (5e307, 5e307), (1e308, 5e307), (1.5e308, 1e308)],
+    [(i * 1e15, 1e15) for i in range(4)],
+    [(i * 1e300, 1e300) for i in range(4)],
 ], ids=["frame-count-overflows", "frames-take-exbibytes", "frames-past-numpy-dimensions"])
-def test_frame_rate_too_high_is_one_error_line(tmp_path, capsys, command, beats, message):
-    # at one chroma frame a second, the beats' span sets the frame count
+def test_frame_rate_too_high_is_one_error_line(tmp_path, capsys, command, beats):
+    # beats too long for any frame count in seconds are read as their tokens
+    # decode, at the codec's slowest tempo, 50 bpm: the bar lasts 4.8 s and
+    # plots 5 frames (render_chroma's errors on such spans: test_structure.py)
     corpus = _one_bar_corpus(tmp_path / "long.jsonl", beats)
     out = tmp_path / "out"
-    piece = ["--piece", "long"] if command == "scape" else []
-    assert run(command, "--corpus", corpus, "--out", out, *piece) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(message) and len(err.splitlines()) == 1, err
-    assert not out.exists()
+    piece = ["--piece", "long"] if command == "scape" else ["--scape-images"]
+    assert run(command, "--corpus", corpus, "--out", out, *piece) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "long.pgm").read_bytes().startswith(b"P5\n5 5\n255\n")
 
 
-def test_scape_builds_only_the_piece_it_plots(tmp_path, capsys):
-    # "long" has more frames than memory holds, which only its analysis finds
-    ok = sectional_solo("ok", form="A", repetitions=2, section_bars=2)
-    corpus = _one_bar_corpus(tmp_path / "two.jsonl", [(i * 1e15, 1e15) for i in range(4)], ok)
+def test_scape_builds_only_the_piece_it_plots(tmp_path, monkeypatch):
+    from swingbench import structure
+
+    rendered = []
+    chroma_from_timeline = structure.chroma_from_timeline
+
+    def counted(timeline):
+        rendered.append(timeline)
+        return chroma_from_timeline(timeline)
+
+    monkeypatch.setattr(structure, "chroma_from_timeline", counted)
+    corpus = tmp_path / "three.jsonl"
+    save_corpus([sectional_solo(name, form="A", repetitions=2, section_bars=2)
+                 for name in ("a", "b", "c")], corpus)
     out = tmp_path / "out"
-    assert run("scape", "--corpus", corpus, "--piece", "ok", "--out", out) == 0
-    assert sorted(p.name for p in out.iterdir()) == ["ok.pgm", "ok.scape.txt"]
-    assert run("report", "--corpus", corpus, "--out", tmp_path / "rep") == 1
-    assert capsys.readouterr().err.startswith("error: piece 'long': Unable to allocate")
+    assert run("scape", "--corpus", corpus, "--piece", "b", "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["b.pgm", "b.scape.txt"]
+    assert len(rendered) == 1
+    assert run("report", "--corpus", corpus, "--out", tmp_path / "rep") == 0
+    assert len(rendered) == 1 + 3
 
 
 @pytest.mark.parametrize("command", ["report", "scape"])
@@ -268,20 +281,59 @@ def test_every_command_refuses_a_token_file_that_breaks_the_grammar(tmp_path, ca
         assert not out.exists(), argv
 
 
-# SHA-256 of every report/scape output for the pinned corpus, recorded while
-# solos and decoded timelines still had separate analysis code; the shared
-# path must reproduce them byte for byte.
+def _report_and_scape(corpus: Path, pieces: Sequence[str]) -> dict:
+    """For each source, ``--corpus`` and ``--tokens-dir`` of the corpus's own
+    ``tokenize`` output, the bytes of every output of ``report
+    --scape-images`` and of ``scape`` for each of ``pieces``, by path."""
+    tokens = corpus.parent / "tokens"
+    assert run("tokenize", "--corpus", corpus, "--out", tokens) == 0
+    outputs = {}
+    for source, source_args in (("corpus", ("--corpus", corpus)),
+                                ("tokens", ("--tokens-dir", tokens))):
+        out = corpus.parent / "out" / source
+        assert run("report", *source_args, "--out", out / "report", "--scape-images") == 0
+        for piece in pieces:
+            assert run("scape", *source_args, "--piece", piece, "--out", out / "scape") == 0
+        outputs[source] = {f.relative_to(out).as_posix(): f.read_bytes()
+                           for f in sorted(out.rglob("*")) if f.is_file()}
+    return outputs
+
+
+def _assert_analysed_alike(outputs: dict) -> None:
+    """A corpus solo is analysed as the timeline its tokens decode to: each
+    image and scape text is its token file's twin, and so is each row of
+    report.tsv, whose header names another source."""
+    corpus, tokens = outputs["corpus"], outputs["tokens"]
+    assert sorted(corpus) == sorted(tokens)
+    for name in corpus:
+        if name == "report/report.tsv":
+            assert ([line for line in corpus[name].splitlines() if not line.startswith(b"#")]
+                    == [line for line in tokens[name].splitlines() if not line.startswith(b"#")])
+        else:
+            assert corpus[name] == tokens[name], name
+
+
+@pytest.fixture(scope="module")
+def pinned_outputs(tmp_path_factory) -> dict:
+    corpus = tmp_path_factory.mktemp("pinned") / "pinned.jsonl"
+    save_corpus(sectional_corpus(2, forms=("AABA", "ABAC"), section_bars=2)
+                + random_corpus(seed=5, size=2, n_bars=12), corpus)
+    return _report_and_scape(corpus, ("form-000", "rand-001"))
+
+
+# SHA-256 of every report/scape output for the pinned corpus.  Only
+# report.tsv differs by source, in its header's source name and input hash.
 PINNED_OUTPUTS = {
     "corpus": {
         "report/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
         "report/form-001.pgm": "edf35a4cd2a471529cb37fa58127a7064a0bea626b3950858c5631ec56c90b0e",
-        "report/rand-000.pgm": "c24b04dda57976075d4634dfdf1b153c582f740a31923535168ec82d971e973f",
-        "report/rand-001.pgm": "52350d2530508a08e778fc725f9a7df673fb6f0b095dd11eda02116566f7d0e2",
-        "report/report.tsv": "b43e26fafa1d08b820512276d52de6b5615fc8a3cb0c2f2c22ef760dea7d1a0a",
+        "report/rand-000.pgm": "d91462919c56062de867fccc45a89b88c78a216d85e4a363c1f291668272bbf9",
+        "report/rand-001.pgm": "0a98128f4f8c7464152a019d0681e804b78e7359c62f46e0755e702682e51807",
+        "report/report.tsv": "62e309245450951dab9f051ae7aab631d091ce3ec3a269fdf3a675bc6ce62843",
         "scape/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
         "scape/form-000.scape.txt": "04f54a7c0765c8243fcf4ae9cb1f91efac19d4ce326fbaf201f6227ed87f9cf6",
-        "scape/rand-001.pgm": "52350d2530508a08e778fc725f9a7df673fb6f0b095dd11eda02116566f7d0e2",
-        "scape/rand-001.scape.txt": "77c727995b108586652f415ae7db1e43d0affd2d4c27da1745921ea4d1a4329f",
+        "scape/rand-001.pgm": "0a98128f4f8c7464152a019d0681e804b78e7359c62f46e0755e702682e51807",
+        "scape/rand-001.scape.txt": "8a71660c661a9ea0a7c15635e13f742256c27133aa2ef7155989c0d0f447dc0f",
     },
     "tokens": {
         "report/form-000.pgm": "22d9afc628b5eb06f98481762d7288566961d14897413b731d53c1c6955236f1",
@@ -298,27 +350,18 @@ PINNED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("source", sorted(PINNED_OUTPUTS))
-def test_report_and_scape_bytes_pinned(tmp_path, source):
-    corpus = tmp_path / "pinned.jsonl"
-    save_corpus(
-        sectional_corpus(2, forms=("AABA", "ABAC"), section_bars=2)
-        + random_corpus(seed=5, size=2, n_bars=12),
-        corpus,
-    )
-    if source == "corpus":
-        source_args = ("--corpus", corpus)
-    else:
-        assert run("tokenize", "--corpus", corpus, "--out", tmp_path / "tokens") == 0
-        source_args = ("--tokens-dir", tmp_path / "tokens")
-    out = tmp_path / "out"
-    assert run("report", *source_args, "--out", out / "report", "--scape-images") == 0
-    for piece in ("form-000", "rand-001"):
-        assert run("scape", *source_args, "--piece", piece, "--out", out / "scape") == 0
-    digests = {
-        f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in sorted(out.rglob("*")) if f.is_file()
-    }
+def test_report_and_scape_bytes_pinned(pinned_outputs, source):
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in pinned_outputs[source].items()}
     assert digests == PINNED_OUTPUTS[source]
+    _assert_analysed_alike(pinned_outputs)
+
+
+def test_sub_64th_notes_are_analysed_as_their_tokens_decode(tmp_path):
+    # the codec drops notes shorter than a 64th of their beat, so no metric counts them
+    corpus = tmp_path / "sub64.jsonl"
+    save_corpus(random_corpus(seed=3, size=4, sub64_fraction=0.3), corpus)
+    _assert_analysed_alike(_report_and_scape(corpus, ("rand-000", "rand-003")))
 
 
 # Each report row of a corpus whose pieces last 2, 4 and 32 s, recorded

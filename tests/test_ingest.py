@@ -266,6 +266,8 @@ _MODEL = train_ngram([DEFAULT_VOCABULARY.tokens_to_ids(encode_solo(solo)) for so
 _COMMANDS = [
     ("corpus", "challenge --corpus C --count 3 --out O"),
     ("corpus", "train-model --corpus C --out O/model.json"),
+    ("corpus", "scape --corpus C --piece P --out O"),
+    ("corpus", "report --corpus C --out O"),
     ("tokens", "detokenize --tokens T/* --out O"),
     ("tokens", "scape --tokens-dir T --piece P --out O"),
     ("tokens", "challenge --tokens-dir T --count 3 --out O"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import piece_grooving_oracle
+from swingbench.chords import parse_chord
 from swingbench.metrics import (
     BarContent,
     MetricError,
@@ -24,7 +25,7 @@ from swingbench.metrics import (
     pitch_class_histogram,
 )
 from swingbench.synthetic import sectional_solo
-from swingbench.tokenizer import decode_tokens, encode_solo
+from swingbench.tokenizer import decode_tokens, encode_solo, timeline_of_solo
 
 
 def bar(pitches=(), onsets=()):
@@ -239,14 +240,15 @@ def test_cpi_transposition_invariant():
     from swingbench.corpus import transpose_solo
 
     solo = sectional_solo("t", form="AABA", repetitions=2)
-    base = chord_progression_irregularity(chord_changes(solo.chord_intervals()))
-    up = chord_progression_irregularity(chord_changes(transpose_solo(solo, 3).chord_intervals()))
+    base = chord_progression_irregularity(chord_changes(timeline_of_solo(solo).chord_intervals()))
+    up = chord_progression_irregularity(
+        chord_changes(timeline_of_solo(transpose_solo(solo, 3)).chord_intervals()))
     assert base == up
 
 
 def test_chord_changes_collapse_duplicates(simple_solo):
     # C7 annotated once, held: a single change
-    assert len(chord_changes(simple_solo.chord_intervals())) == 1
+    assert len(chord_changes(timeline_of_solo(simple_solo).chord_intervals())) == 1
 
 
 # --- bar extraction consistency ----------------------------------------------------
@@ -255,18 +257,16 @@ def test_chord_changes_collapse_duplicates(simple_solo):
 def test_solo_and_timeline_bars_agree(small_corpus):
     for solo in small_corpus:
         timeline = decode_tokens(encode_solo(solo))
-        solo_bars = bars_from_solo(solo)
-        timeline_bars = bars_from_timeline(timeline)
-        assert len(solo_bars) == len(timeline_bars)
-        for sb, tb in zip(solo_bars, timeline_bars):
-            # solo view keeps sub-64th notes, timeline cannot; positions match
-            assert set(tb.onset_positions) <= set(sb.onset_positions)
+        # a solo's bars are those of its tokens, which structure markers do not move
+        assert bars_from_solo(solo) == bars_from_timeline(timeline)
 
 
 def test_chord_changes_agree_for_solo_and_timeline(small_corpus, aaba_solo):
     for solo in [*small_corpus, aaba_solo]:
         timeline = decode_tokens(encode_solo(solo))
-        from_solo = chord_changes(solo.chord_intervals())
+        # the beat track's own chord annotations; chord_changes reads no times
+        from_solo = chord_changes((b.onset_sec, b.onset_sec + b.duration_sec, parse_chord(b.chord))
+                                  for b in solo.beats if b.chord is not None)
         assert len(from_solo) >= 2
         assert chord_changes(timeline.chord_intervals()) == from_solo
 
