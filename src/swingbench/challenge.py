@@ -63,7 +63,7 @@ class ChallengeError(ValueError):
     """Invalid challenge setup (corpus too small, malformed candidates...)."""
 
 
-class ModelProtocolError(RuntimeError):
+class ModelProtocolError(ValueError):
     """An external model broke the line protocol contract."""
 
 
@@ -610,6 +610,8 @@ class LineProtocolModel(SequenceModel):
                     idx, prob = int(idx_text), float(prob_text)
                 except ValueError:
                     raise ModelProtocolError(f"bad sparse entry {item!r}") from None
+                if not 0 <= prob <= 1:  # NaN fails too
+                    raise ModelProtocolError(f"sparse entry {item!r}: probability outside [0, 1]")
                 if not 0 <= idx < self.vocab_size:
                     raise ModelProtocolError(f"sparse index {idx} out of range")
                 if is_listed[idx]:
@@ -921,7 +923,7 @@ def run_challenge(
 # --- generation ------------------------------------------------------------------
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """No id the grammar allows has probability, or the cap leaves no Bar."""
 
 

@@ -41,10 +41,9 @@ from .tokenizer import (
 
 if TYPE_CHECKING:
     from .challenge import NGramModel
-    from .structure import ChromaSequence
 
 
-class CliError(RuntimeError):
+class CliError(ValueError):
     pass
 
 
@@ -75,6 +74,15 @@ def provenance_header(config: dict, inputs: Sequence[Path]) -> list[str]:
     lines = ["# swingbench run", *(f"# cfg {key}={config[key]}" for key in sorted(config)),
              *(f"# input {path.name} sha256={_hash_file(path)}" for path in sorted(inputs))]
     return [_one_line(line, f"header line {line!r}") for line in lines]
+
+
+def _begin(args, config: dict, inputs: Sequence[Path]) -> tuple[list[str], Path]:
+    """The run's header, then its ``--out`` directory.  A run reads its flags,
+    loads its inputs, calls this, then writes, so a failure before it leaves nothing."""
+    header = provenance_header({"command": args.command, **config}, inputs)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return header, out_dir
 
 
 def _write_text(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
@@ -121,12 +129,10 @@ def _load_sources(args) -> tuple[dict[str, DecodedTimeline], list[Path]]:
     return {file.stem: _decode_file(file)[1] for file in files}, files
 
 
-def _chroma(piece_id: str, timeline: DecodedTimeline) -> ChromaSequence:
-    """The piece's chroma; an error in rendering it names the piece."""
-    from . import structure
-
+def _analyse(piece_id: str, step: Callable, arg):
+    """``step(arg)``, a step of the piece's analysis; an error in it names the piece."""
     try:
-        return structure.chroma_from_timeline(timeline)
+        return step(arg)
     except (ValueError, MemoryError) as exc:
         raise CliError(f"piece {piece_id!r}: {exc}") from None
 
@@ -148,19 +154,11 @@ def _token_sequences(args) -> tuple[list[list[int]], list[Path]]:
 
 
 def cmd_tokenize(args) -> int:
-    out_dir = Path(args.out)
     corpus_path = Path(args.corpus)
     solos = load_corpus(corpus_path)
-    # every solo is encoded before --out is made, so a failure leaves nothing
     encoded = [encode_solo(solo, include_structure=not args.no_structure) for solo in solos]
-    config = {
-        "command": "tokenize",
-        "no_structure": args.no_structure,
-        "corpus": corpus_path.name,
-    }
-    header = provenance_header(config, [corpus_path])
-
-    out_dir.mkdir(parents=True, exist_ok=True)
+    header, out_dir = _begin(args, {"no_structure": args.no_structure,
+                                    "corpus": corpus_path.name}, [corpus_path])
     summary_rows = []
     for solo, tokens in zip(solos, encoded):
         write_tokens(tokens, out_dir / f"{solo.id}.tokens", header)
@@ -205,12 +203,11 @@ def cmd_report(args) -> int:
     from . import structure
 
     bands = structure.DEFAULT_SI_BANDS
-    out_dir = Path(args.out)
     sources, input_files = _load_sources(args)
-    # chroma alone can fail on loaded input (a span past memory): render it before --out
-    chromas = [_chroma(piece_id, timeline) for piece_id, timeline in sources.items()]
-    config = {
-        "command": "report",
+    # a chroma can fail on loaded input (a span past memory): render every one before --out
+    chromas = [_analyse(piece_id, structure.chroma_from_timeline, timeline)
+               for piece_id, timeline in sources.items()]
+    header, out_dir = _begin(args, {
         "bands": ",".join(f"{lo}:{hi or ''}" for lo, hi in bands),
         "tau": structure.DEFAULT_SSM_THRESHOLD,
         "delta": structure.DEFAULT_SSM_PENALTY,
@@ -219,15 +216,13 @@ def cmd_report(args) -> int:
         "entropy_windows": "1,4",
         "scape_images": args.scape_images,
         "source": Path(args.corpus or args.tokens_dir).name,
-    }
-    header = provenance_header(config, input_files)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    }, input_files)
 
     rows = []
     for (piece_id, timeline), chroma in zip(sources.items(), chromas):
         row = metrics.metric_row(metrics.bars_from_timeline(timeline),
                                  metrics.chord_changes(timeline.chord_intervals()))
-        plot = structure.scape_plot_for_chroma(chroma)
+        plot = _analyse(piece_id, structure.scape_plot_for_chroma, chroma)
         values = [row.entropy_1bar, row.entropy_4bar, row.grooving, row.chord_irregularity,
                   *structure.band_indicators(plot)]
         rows.append((piece_id, values))
@@ -262,7 +257,8 @@ def cmd_scape(args) -> int:
     sources, _ = _load_sources(args)
     if args.piece not in sources:
         raise CliError(f"piece {args.piece!r} not found; have {sorted(sources)}")
-    plot = structure.scape_plot_for_chroma(_chroma(args.piece, sources[args.piece]))
+    chroma = _analyse(args.piece, structure.chroma_from_timeline, sources[args.piece])
+    plot = _analyse(args.piece, structure.scape_plot_for_chroma, chroma)
     out_dir.mkdir(parents=True, exist_ok=True)
     structure.write_scape_text(plot, out_dir / f"{args.piece}.scape.txt")
     structure.write_scape_pgm(plot, out_dir / f"{args.piece}.pgm")
@@ -284,8 +280,9 @@ def _load_ngram(path: str) -> NGramModel:
 def _external_command(text: str | None) -> list[str]:
     """``--external-cmd`` split as a POSIX shell would, refused when it is
     missing, names no command or holds a line break."""
+    text = _one_line(text or "", "--external-cmd")
     try:
-        command = shlex.split(_one_line(text or "", "--external-cmd"))
+        command = shlex.split(text)
     except ValueError as exc:  # an unclosed quotation or a trailing backslash
         raise CliError(f"--external-cmd {text!r} cannot be split into words: {exc}") from None
     if not command:
@@ -339,7 +336,6 @@ def cmd_challenge(args) -> int:
     )
     model = _build_model(args, sequences, command)
     config = {
-        "command": "challenge",
         "model": args.model,
         "count": args.count,
         "seed": args.seed,
@@ -354,10 +350,8 @@ def cmd_challenge(args) -> int:
         config["external_cmd"] = args.external_cmd
     if args.model_file:
         input_files = [*input_files, Path(args.model_file)]
-    out_dir = Path(args.out)
     with model if isinstance(model, chal.SubprocessModel) else contextlib.nullcontext():
-        header = provenance_header(config, input_files)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        header, out_dir = _begin(args, config, input_files)
         result = chal.run_challenge(model, questions)
 
     lines = ["question\tP0\tP1\tP2\tP3\tchosen\ttrue\tcorrect"]
@@ -530,20 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reported_errors() -> tuple[type[BaseException], ...]:
-    """The errors ``main`` reports in one line; challenge's two are among
-    them once a command has loaded that module."""
-    chal = sys.modules.get(f"{__package__}.challenge")
-    extra = (chal.GenerationError, chal.ModelProtocolError) if chal else ()
-    return (CliError, ValueError, OSError, MemoryError, *extra)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _reported_errors() as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

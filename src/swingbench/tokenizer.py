@@ -685,7 +685,6 @@ def decode_tokens(tokens: Sequence[EventToken]) -> DecodedTimeline:
 
     pending_phrase = False
     pending_mlu: int | None = None
-    pending_vbin = pending_pitch = pending_chord_tone = pending_chord_type = -1
 
     walker = _GrammarWalker()
     for i, tok in enumerate(tokens):
@@ -715,29 +714,22 @@ def decode_tokens(tokens: Sequence[EventToken]) -> DecodedTimeline:
             for b in range(current_beat, 4):
                 beat_durs[b] = 60.0 / bpm
             tempo_curve.append(TempoPoint(position_time, bar, position, bpm))
-        elif cat == CHORD_TONE:
-            pending_chord_tone = val
-        elif cat == CHORD_TYPE:
-            pending_chord_type = val
-        elif cat == CHORD_SLASH:
-            symbol = ChordSymbol(pending_chord_tone, pending_chord_type, val)
+        elif cat == CHORD_SLASH:  # the grammar puts its tone and type just before it
+            symbol = ChordSymbol(tokens[i - 2].value, tokens[i - 1].value, val)
             chords.append(DecodedChord(position_time, bar, position, symbol))
         elif cat == PHRASE:
             pending_phrase = True
         elif cat == MLU:
             pending_mlu = val
-        elif cat == NOTE_VELOCITY:
-            pending_vbin = val
-        elif cat == NOTE_ON:
-            pending_pitch = val
-        elif cat == NOTE_DURATION:
+        elif cat == NOTE_DURATION:  # the grammar puts its note's velocity and pitch just before it
+            vbin = tokens[i - 2].value
             notes.append(
                 DecodedNote(
                     onset_sec=position_time,
                     duration_sec=val / POSITIONS_PER_BEAT * beat_durs[current_beat],
-                    pitch=pending_pitch,
-                    velocity_bin=pending_vbin,
-                    velocity_midi=velocity_to_midi(pending_vbin),
+                    pitch=tokens[i - 1].value,
+                    velocity_bin=vbin,
+                    velocity_midi=velocity_to_midi(vbin),
                     duration_units=val,
                     bar=bar,
                     position=position,

@@ -6,6 +6,7 @@ import json
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1190,6 +1191,28 @@ def test_line_protocol_sparse_rejects_duplicate_index():
         model.next_token_distribution([])
 
 
+# a sparse reply -> the entry it is refused for
+HOSTILE_SPARSE_REPLIES = {
+    "* 0:inf 1:-inf": "0:inf",
+    "* 0:1e308 1:1e308": "0:1e308",
+    "* 2:0.5 1:nan": "1:nan",
+    "* 3:-0.25": "3:-0.25",
+}
+
+
+@pytest.mark.parametrize("reply", list(HOSTILE_SPARSE_REPLIES))
+def test_line_protocol_refuses_a_sparse_probability_outside_0_1_as_it_is_parsed(reply):
+    # before anything sums the listed mass, so numpy warns of no overflow or NaN
+    pipe = _PipeEnd(lambda history: reply + "\n", 4)
+    model = LineProtocolModel(pipe, pipe, vocab_size=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelProtocolError) as info:
+            model.next_token_distribution([])
+    entry = HOSTILE_SPARSE_REPLIES[reply]
+    assert str(info.value) == f"sparse entry {entry!r}: probability outside [0, 1]"
+
+
 def test_line_protocol_refuses_a_reply_line_over_its_limit():
     limit = challenge.REPLY_BYTES_PER_ID * 4
     # a reply of exactly the limit is read; one byte more, with no line break, is refused
@@ -1316,12 +1339,21 @@ def test_subprocess_model_refuses_a_reply_line_over_its_limit():
             model.next_token_distribution([0, 1])
 
 
-@pytest.mark.parametrize("reply", [b"0.5 \xff", b"* 0:\xff", b"\xc3( 1"])
+_NOT_UTF8_REPLIES = {
+    b"0.5 \xff": "unparseable probability line '0.5 \ufffd\\n'",
+    b"* 0:\xff": "bad sparse entry '0:\ufffd'",
+    b"\xc3( 1": "unparseable probability line '\ufffd( 1\\n'",
+}
+
+
+@pytest.mark.parametrize("reply", list(_NOT_UTF8_REPLIES))
 def test_subprocess_model_refuses_a_reply_that_is_not_utf8(reply):
+    # each byte that is not UTF-8 reads as U+FFFD, which no number or index parses
     script = f"import sys; sys.stdin.readline(); sys.stdout.buffer.write({reply!r} + b'\\n')"
     with SubprocessModel([sys.executable, "-c", script], 2) as model:
-        with pytest.raises(ModelProtocolError):
+        with pytest.raises(ModelProtocolError) as info:
             model.next_token_distribution([0])
+    assert str(info.value) == _NOT_UTF8_REPLIES[reply]
 
 
 def test_subprocess_model_matches_builtin_uniform(questions):

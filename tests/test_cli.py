@@ -218,6 +218,21 @@ def test_scape_builds_only_the_piece_it_plots(tmp_path, monkeypatch):
     assert len(rendered) == 1 + 3
 
 
+@pytest.mark.parametrize("command, piece", [("report", "rand-000"), ("scape", "rand-001")])
+def test_a_failed_scape_plot_names_its_piece(tmp_path, corpus_file, capsys, monkeypatch,
+                                              command, piece):
+    from swingbench import structure
+
+    def fail(ssm):
+        raise MemoryError("scape DP: cannot allocate its row buffers")
+
+    monkeypatch.setattr(structure, "scape_plot", fail)
+    only = ["--piece", piece] if command == "scape" else []
+    assert run(command, "--corpus", corpus_file, "--out", tmp_path / "out", *only) == 1
+    assert capsys.readouterr().err == (
+        f"error: piece {piece!r}: scape DP: cannot allocate its row buffers\n")
+
+
 @pytest.mark.parametrize("command", ["report", "scape"])
 def test_stride_is_a_usage_error(tmp_path, corpus_file, capsys, command):
     # structureness has no settings: one frame a second, tau 0.2, delta -2.0,
@@ -870,8 +885,25 @@ def test_external_cmd_with_a_line_break_is_refused(tmp_path, motif_file, capsys,
     code = run("challenge", "--corpus", motif_file, "--out", tmp_path / "out",
                "--model", "external", "--external-cmd", command, "--count", 2)
     assert code == 1
-    assert "--external-cmd must not contain a line break" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --external-cmd must not contain a line break\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reply, entry", [("* 0:inf 1:-inf", "0:inf"),
+                                          ("* 0:1e308 1:1e308", "0:1e308")])
+def test_sparse_probability_outside_0_1_is_one_error_line(tmp_path, motif_file, reply, entry):
+    # a new interpreter, so that a numpy warning would print as it does for a user
+    responder = tmp_path / "hostile.py"
+    responder.write_text(f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n")
+    src = str(Path(swingbench.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "swingbench.cli", "challenge", "--corpus", str(motif_file),
+         "--out", str(tmp_path / "out"), "--model", "external",
+         "--external-cmd", f"{sys.executable} {responder}", "--count", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"error: sparse entry {entry!r}: probability outside [0, 1]\n"
 
 
 @pytest.mark.parametrize("model", ["ngram", "uniform", "oracle"])
